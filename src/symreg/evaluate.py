@@ -226,6 +226,7 @@ def _replication_metrics(spec, rep):
             "mse_coef": mse_coef(res.coef_full, b0),
             "mse_pred_in": mse_pred(predict_mean(res, data), data.y),
             "mse_pred_out": mse_pred(predict_mean(res, test), test.y),
+            "converged": bool(res.converged),
         }
     return out
 
@@ -236,9 +237,10 @@ METRIC_NAMES = ("mse_coef", "mse_pred_in", "mse_pred_out")
 def replicate_experiment(spec):
     """Mean and sd of each metric per estimator across seeded replications.
 
-    Failed replications are excluded from the summary and counted. Rows are
-    reduced in replication order, so results do not depend on worker
-    scheduling.
+    Failed replications are excluded from the summary and counted
+    ("failures"); "capped" counts the successful ones whose fit stopped at
+    max_outer_iters without converging. Rows are reduced in replication
+    order, so results do not depend on worker scheduling.
     """
     reps = range(spec.replications)
     workers = worker_count()
@@ -259,11 +261,15 @@ def replicate_experiment(spec):
                 per_rep[r] = None
 
     summary = {}
-    failures = sum(1 for m in per_rep if m is None)
+    done = [m for m in per_rep if m is not None]
     for est in spec.estimators:
-        row = {"failures": failures, "replications": spec.replications}
+        row = {
+            "failures": spec.replications - len(done),
+            "replications": spec.replications,
+            "capped": sum(1 for m in done if not m[est]["converged"]),
+        }
         for metric in METRIC_NAMES:
-            vals = np.array([m[est][metric] for m in per_rep if m is not None])
+            vals = np.array([m[est][metric] for m in done])
             row[f"{metric}_mean"] = float(vals.mean()) if vals.size else float("nan")
             row[f"{metric}_sd"] = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
         summary[est] = row

@@ -332,6 +332,16 @@ def _cp_objective(data, gamma, b1, b2, rho):
     return data.family.negloglik(data.y, eta) + pen
 
 
+def _cp_block_design(data, b):
+    """(n, p*R) design of one CP factor block: row i is vec(X_i @ b).
+
+    Serves both blocks: the B2 block's covariates vec(X_i' B1) equal
+    vec(X_i B1) because Dataset enforces exact symmetry. Built as one
+    (n*p, p) @ (p, R) BLAS matmul.
+    """
+    return (data.X.reshape(data.n * data.p, data.p) @ b).reshape(data.n, b.size)
+
+
 def fit_cp(data, config):
     """Standard rank-R CP regression by block ascent (D = 2).
 
@@ -340,21 +350,33 @@ def fit_cp(data, config):
     symmetrically on vec(X_i' B1). Unpenalized Gaussian blocks (rho = 0) are
     ordinary least squares and are solved exactly by fit_glm; every other
     block runs fit_glm_lasso. Factors start as seeded standard normals.
+
+    On symmetric X every factor block is rank-deficient: vec(B_other A) with
+    A antisymmetric adds nothing to the predictor. Least-squares blocks are
+    then ridged (meta["ridged"]), and lasso blocks with nonzero factors
+    rarely meet their KKT tolerance; meta records "lasso_calls" and how many
+    stopped at lasso_max_iter without converging ("lasso_capped").
     """
     p, R = data.p, config.rank
     least_squares = config.rho == 0 and data.family == GAUSSIAN
+    glm_info = {}
+    lasso_converged = []
 
-    def solve_block(design, zoff, b):
-        problem = GlmProblem(data.y, design, zoff, data.family)
+    def solve_block(b_other, zoff, b):
+        problem = GlmProblem(data.y, _cp_block_design(data, b_other), zoff, data.family)
         if least_squares:
-            return fit_glm(problem).reshape(p, R)
-        return fit_glm_lasso(
+            return fit_glm(problem, info=glm_info).reshape(p, R)
+        info = {}
+        coef = fit_glm_lasso(
             problem,
             config.rho,
             coef0=b.ravel(),
             max_iter=config.lasso_max_iter,
             kkt_tol=config.lasso_kkt_tol,
-        ).reshape(p, R)
+            info=info,
+        )
+        lasso_converged.append(info["converged"])
+        return coef.reshape(p, R)
 
     rng = np.random.default_rng(config.seed)
     b1 = rng.standard_normal((p, R))
@@ -368,14 +390,12 @@ def fit_cp(data, config):
     for t in range(config.max_outer_iters):
         iterations = t + 1
         offset = data.x_rows @ (b1 @ b2.T).ravel()
-        gamma = fit_glm(GlmProblem(data.y, data.Z, offset, data.family), coef0=gamma)
+        gamma = fit_glm(
+            GlmProblem(data.y, data.Z, offset, data.family), coef0=gamma, info=glm_info
+        )
         zoff = data.Z @ gamma
-
-        design1 = np.einsum("ipq,qr->ipr", data.X, b2).reshape(data.n, p * R)
-        b1 = solve_block(design1, zoff, b1)
-
-        design2 = np.einsum("ipq,pr->iqr", data.X, b1).reshape(data.n, p * R)
-        b2 = solve_block(design2, zoff, b2)
+        b1 = solve_block(b2, zoff, b1)
+        b2 = solve_block(b1, zoff, b2)
 
         new_obj = _cp_objective(data, gamma, b1, b2, config.rho)
         if not np.isfinite(new_obj):
@@ -388,6 +408,12 @@ def fit_cp(data, config):
         obj = new_obj
 
     factors = CPFactors(b1, b2)
+    meta = {
+        "family": data.family.name,
+        "ridged": bool(glm_info.get("ridged", False)),
+        "lasso_calls": len(lasso_converged),
+        "lasso_capped": lasso_converged.count(False),
+    }
     return FitResult(
         gamma=gamma,
         factors=factors,
@@ -396,7 +422,7 @@ def fit_cp(data, config):
         converged=converged,
         iterations=iterations,
         config=config,
-        meta={"family": data.family.name},
+        meta=meta,
     )
 
 

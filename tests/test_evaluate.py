@@ -195,6 +195,26 @@ def test_replicate_equivalence_of_cp_and_sym_cp_predictions():
         assert abs(s["cp"][f"{metric}_mean"] - s["sym_cp"][f"{metric}_mean"]) <= 1e-10
 
 
+def test_replicate_counts_capped_fits():
+    def run(max_outer_iters):
+        spec = ExperimentSpec(
+            sim=SimSpec(shape=SignalShape("two_box", 16), n=60, seed=3),
+            config=FitConfig(rank=2, rho=0.0, seed=3, max_outer_iters=max_outer_iters),
+            replications=2,
+        )
+        return replicate_experiment(spec)
+
+    assert all(row["capped"] == 2 for row in run(1)["summary"].values())
+    # n=60 against pR=32: both CP fits stop at the cap, the symmetric fits converge
+    out = run(200)
+    assert {est: row["capped"] for est, row in out["summary"].items()} == {
+        "cp": 2,
+        "sym_cp": 2,
+        "sym_tensor": 0,
+    }
+    assert [m["cp"]["converged"] for m in out["per_replication"]] == [False, False]
+
+
 def test_replicate_deterministic_per_seed():
     spec = ExperimentSpec(
         sim=SimSpec(shape=SignalShape("cross", 16), n=40, seed=21),

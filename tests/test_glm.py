@@ -213,3 +213,123 @@ def test_lasso_kkt_conditions(rng):
                 assert abs(grad[j] + rho * np.sign(coef[j])) <= 1e-6 * max(1.0, rho)
             else:
                 assert abs(grad[j]) <= rho + 1e-6
+
+
+def test_lasso_reports_convergence(rng):
+    Z, _ = np.linalg.qr(rng.standard_normal((40, 5)))
+    y = rng.standard_normal(40)
+    info = {}
+    fit_glm_lasso(GlmProblem(y, Z), 0.3, info=info)
+    assert info["converged"] is True
+    for family in (GAUSSIAN, BERNOULLI):
+        Z = rng.standard_normal((60, 6))
+        y = (rng.random(60) < 0.5).astype(float)
+        info = {}
+        fit_glm_lasso(GlmProblem(y, Z, family=family), 0.1, max_iter=2, info=info)
+        assert info["iterations"] == 2
+        assert info["converged"] is False
+
+
+def test_lasso_rejects_non_finite_inputs(rng):
+    Z = rng.standard_normal((20, 3))
+    y = rng.standard_normal(20)
+    bad = y.copy()
+    bad[4] = np.nan
+    with pytest.raises(ValueError):
+        fit_glm_lasso(GlmProblem(y, Z, offset=bad), 0.1)
+    with pytest.raises(ValueError):
+        fit_glm_lasso(GlmProblem(bad, Z), 0.1)
+    with pytest.raises(ValueError):
+        fit_glm_lasso(GlmProblem(y, Z), 0.1, coef0=[0.0, np.inf, 0.0])
+
+
+# The Gaussian proximal-gradient loop as it ran on the n-row design before the
+# solver moved to cached inner products; the reference for the Gram path.
+def reference_gaussian_lasso(problem, rho, coef0=None, max_iter=2000, kkt_tol=None):
+    Z, y, offset, fam = problem.Z, problem.y, problem.offset, GAUSSIAN
+    q = problem.q
+    if kkt_tol is None:
+        kkt_tol = 1e-9 * max(1.0, rho)
+    coef = np.zeros(q) if coef0 is None else np.asarray(coef0, dtype=float).copy()
+
+    sigma_max = np.linalg.norm(Z, 2) if Z.size else 0.0
+    lip = fam.lipschitz_factor() * sigma_max**2
+    delta0 = 1.0 / lip if lip > 0 else 1.0
+
+    nll = fam.negloglik(y, Z @ coef + offset)
+    trace = [nll + rho * np.abs(coef).sum()]
+    for it in range(max_iter):
+        eta = Z @ coef + offset
+        grad = Z.T @ fam.dnll_deta(y, eta)
+
+        active = coef != 0.0
+        kkt = np.where(
+            active,
+            np.abs(grad + rho * np.sign(coef)),
+            np.maximum(np.abs(grad) - rho, 0.0),
+        )
+        if np.max(kkt, initial=0.0) <= kkt_tol:
+            break
+
+        delta, accepted = delta0, False
+        for _ in range(60):
+            cand = soft_threshold(coef - delta * grad, rho * delta)
+            diff = cand - coef
+            cand_nll = fam.negloglik(y, Z @ cand + offset)
+            slack = 1e-14 * (1.0 + abs(nll) + abs(cand_nll))
+            if cand_nll <= nll + grad @ diff + (diff @ diff) / (2.0 * delta) + slack:
+                accepted = True
+                break
+            delta /= 2.0
+        if not accepted or not np.any(diff):
+            break
+        coef, nll = cand, cand_nll
+        trace.append(nll + rho * np.abs(coef).sum())
+    return coef, it + 1, np.asarray(trace)
+
+
+def _random_problem(seed):
+    rng = np.random.default_rng(seed)
+    n, q = (30, 8) if seed % 2 else (80, 12)
+    Z = rng.standard_normal((n, q)) * rng.uniform(0.2, 3.0, q)
+    y = rng.standard_normal(n) * 2.0
+    return GlmProblem(y, Z, offset=rng.standard_normal(n)), None
+
+
+def _cp_block_problem(seed):
+    # a CP factor block on symmetric X: rank-deficient by R(R-1)/2 = 3
+    rng = np.random.default_rng(seed)
+    n, p, r = 120, 8, 3
+    X = rng.standard_normal((n, p, p))
+    X = (X + X.transpose(0, 2, 1)) / 2.0
+    b_other = rng.standard_normal((p, r))
+    design = np.einsum("ipq,qr->ipr", X, b_other).reshape(n, p * r)
+    y = design @ rng.standard_normal(p * r) * 0.3 + rng.standard_normal(n)
+    problem = GlmProblem(y, design, offset=0.1 * rng.standard_normal(n))
+    return problem, rng.standard_normal(p * r)
+
+
+@pytest.mark.parametrize(
+    "make, seed, rho, max_iter",
+    [
+        (_random_problem, 1, 0.5, 2000),
+        (_random_problem, 2, 3.0, 2000),
+        (_random_problem, 3, 0.0, 2000),
+        (_cp_block_problem, 4, 0.5, 500),
+        (_cp_block_problem, 5, 5.0, 500),
+    ],
+)
+def test_lasso_gram_path_matches_reference(make, seed, rho, max_iter):
+    problem, coef0 = make(seed)
+    if make is _cp_block_problem:
+        assert np.linalg.matrix_rank(problem.Z) == problem.q - 3
+    ref, ref_iters, ref_trace = reference_gaussian_lasso(
+        problem, rho, coef0=coef0, max_iter=max_iter
+    )
+    info = {}
+    coef = fit_glm_lasso(problem, rho, coef0=coef0, max_iter=max_iter, info=info)
+    assert np.linalg.norm(coef - ref) <= 1e-10 * max(np.linalg.norm(ref), 1.0)
+    assert info["iterations"] == ref_iters
+    trace = info["objective_trace"]
+    assert trace.shape == ref_trace.shape
+    assert np.all(np.abs(trace - ref_trace) <= 1e-10 * np.abs(ref_trace))

@@ -22,8 +22,8 @@ from symreg import (
     predict_mean,
     prox_update_B,
 )
-from symreg.simulate import random_correlation, synth_dataset
-from symreg.solvers import NumericalError
+from symreg.simulate import SignalShape, random_correlation, shape_signal, synth_dataset
+from symreg.solvers import NumericalError, _cp_block_design
 from symreg.tensor_ops import symcp_to_full, symmetrize
 
 from conftest import random_symmetric
@@ -304,6 +304,67 @@ def test_cp_rho0_gaussian_block_is_exact_least_squares(rng):
     resid = data.Z @ res.gamma + design @ b2.ravel() - data.y
     grad = design.T @ resid
     assert np.max(np.abs(grad)) <= 1e-9 * np.max(np.abs(design.T @ data.y))
+
+
+def test_cp_block_design_null_space(rng):
+    # vec(b_other @ A), A antisymmetric, is invisible to every symmetric X_i:
+    # tr(b' X_i b A) = 0, so each CP block has R(R-1)/2 null directions
+    p, r = 8, 3
+    data = toy_dataset(rng, n=40, p=p)
+    b_other = rng.standard_normal((p, r))
+    design = _cp_block_design(data, b_other)
+    assert np.allclose(
+        design,
+        np.einsum("ipq,qr->ipr", data.X, b_other).reshape(data.n, p * r),
+        rtol=0,
+        atol=1e-12,
+    )
+    assert np.allclose(
+        design,
+        np.einsum("ipq,pr->iqr", data.X, b_other).reshape(data.n, p * r),
+        rtol=0,
+        atol=1e-12,
+    )
+    a = rng.standard_normal((r, r))
+    a = a - a.T
+    scale = np.linalg.norm(design) * np.linalg.norm(b_other @ a)
+    assert np.max(np.abs(design @ (b_other @ a).ravel())) <= 1e-13 * scale
+
+
+def test_cp_rho0_rank3_records_ridged_blocks():
+    # n = 200 > pR = 48, yet every block is rank-deficient (see above)
+    data = synth_dataset(shape_signal(SignalShape("circle", 16)), 200, p0=2, seed=4)
+    res = fit_cp(data, FitConfig(rank=3, rho=0.0, max_outer_iters=3, seed=4))
+    assert res.meta["ridged"] is True
+    assert res.meta["lasso_calls"] == 0
+
+
+def test_cp_reports_capped_lasso_calls():
+    data = synth_dataset(shape_signal(SignalShape("cross", 16)), 120, p0=2, seed=3)
+    res = fit_cp(data, FitConfig(rank=2, rho=0.5, max_outer_iters=4, seed=3))
+    assert res.meta["lasso_calls"] == 2 * res.iterations
+    # the null direction keeps every block off its KKT tolerance
+    assert res.meta["lasso_capped"] == res.meta["lasso_calls"]
+
+
+# fit_cp objective trace recorded before the Gaussian lasso moved from the
+# n-row design to cached inner products; the iterates must not change
+PINNED_CP_TRACE = [
+    3990.2028307834325, 239.54664109056446, 63.92631189903089, 54.15911516786623,
+    49.70011082491294, 46.372363207467515, 44.49519091865122, 43.43427986478268,
+    42.75079892012302, 42.263786171178, 41.84989302088194, 41.496991594171575,
+    41.16692421924509, 40.884535027289346, 40.6279079724019, 40.395290376573506,
+    40.21340782056231, 40.05970043467671, 39.91741441241762, 39.8036674258818,
+    39.70812196529249,
+]
+
+
+def test_cp_lasso_trace_pinned():
+    data = synth_dataset(shape_signal(SignalShape("cross", 16)), 120, p0=2, seed=3)
+    res = fit_cp(data, FitConfig(rank=2, rho=0.5, max_outer_iters=20, seed=3))
+    pinned = np.asarray(PINNED_CP_TRACE)
+    assert res.objective_trace.shape == pinned.shape
+    assert np.all(np.abs(res.objective_trace - pinned) <= 1e-9 * np.abs(pinned))
 
 
 def test_cp_huge_rho_gives_null_model(rng):
