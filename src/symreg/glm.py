@@ -53,24 +53,29 @@ class Family:
             return eta
         return _sigmoid(eta)
 
-    def mean_deriv(self, eta):
-        eta = np.asarray(eta, dtype=float)
-        if self.name == "gaussian":
-            return np.ones_like(eta)
-        mu = _sigmoid(eta)
-        return mu * (1.0 - mu)
-
     def negloglik(self, y, eta):
+        """Negative log-likelihood of responses y at linear predictor eta.
+
+        eta of y's shape gives a float. A 2-D or higher eta whose last axis
+        matches a 1-D y is a batch of predictors: the result is an array with
+        one value per leading index, each equal to the unbatched value.
+        """
         y = np.asarray(y, dtype=float)
         eta = np.asarray(eta, dtype=float)
-        if y.shape != eta.shape:
+        if eta.shape == y.shape:
+            axis = None
+        elif y.ndim == 1 and eta.ndim > 1 and eta.shape[-1] == y.size:
+            axis = -1
+        else:
             raise ValueError(f"length mismatch: y {y.shape}, eta {eta.shape}")
         if not (np.all(np.isfinite(y)) and np.all(np.isfinite(eta))):
             raise ValueError("negloglik requires finite y and eta")
         if self.name == "gaussian":
-            return 0.5 * float(np.sum((y - eta) ** 2))
-        # log(1 + e^eta) - y*eta, overflow-safe for large |eta|
-        return float(np.sum(np.logaddexp(0.0, eta) - y * eta))
+            value = 0.5 * np.sum((y - eta) ** 2, axis=axis)
+        else:
+            # log(1 + e^eta) - y*eta, overflow-safe for large |eta|
+            value = np.sum(np.logaddexp(0.0, eta) - y * eta, axis=axis)
+        return float(value) if axis is None else value
 
     def dnll_deta(self, y, eta):
         """Gradient of negloglik in eta; mu - y for both canonical links."""
@@ -179,8 +184,11 @@ def fit_glm(problem, coef0=None, info=None):
 
 
 def soft_threshold(v, t):
-    """Elementwise sign(x) * max(|x| - t, 0); the prox operator of t*||.||_1."""
-    if t < 0:
+    """Elementwise sign(x) * max(|x| - t, 0); the prox operator of t*||.||_1.
+
+    t may be an array that broadcasts against v, one threshold per slice.
+    """
+    if np.any(np.less(t, 0)):
         raise ValueError("threshold must be nonnegative")
     v = np.asarray(v, dtype=float)
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
@@ -202,6 +210,8 @@ def fit_glm_lasso(problem, rho, coef0=None, max_iter=2000, kkt_tol=None, info=No
     """
     if rho < 0:
         raise ValueError("rho must be nonnegative")
+    if max_iter < 1:
+        raise ValueError("max_iter must be positive")
     Z, y, offset, fam = problem.Z, problem.y, problem.offset, problem.family
     q = problem.q
     if q == 0:

@@ -35,9 +35,10 @@ def fmt(x):
 
 def write_matrix_csv(path, m):
     m = np.asarray(m, dtype=float)
+    # repr of the Python floats from tolist() is fmt of each entry, in one write
+    text = "".join(",".join(map(repr, row)) + "\n" for row in m.tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in m:
-            fh.write(",".join(fmt(v) for v in row) + "\n")
+        fh.write(text)
 
 
 def read_matrix_csv(path):

@@ -17,13 +17,6 @@ def _as_matrix(m, name="matrix"):
     return m
 
 
-def is_symmetric(m, tol=0.0):
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    return bool(np.all(np.abs(m - m.T) <= tol))
-
-
 def check_symmetric(m, name="matrix"):
     m = _as_matrix(m, name)
     if m.shape[0] != m.shape[1] or not np.array_equal(m, m.T):
@@ -65,14 +58,21 @@ def inner(x, b):
 
 
 def symcp_to_full(lam, b):
-    """Reconstruct sum_r lam_r * b_r b_r^T = B diag(lam) B^T, exactly symmetric."""
+    """Reconstruct sum_r lam_r * b_r b_r^T = B diag(lam) B^T, exactly symmetric.
+
+    b may also be a (k, p, R) stack of factor matrices sharing lam; the result
+    is then (k, p, p), and each slice equals the reconstruction of b[i] bit
+    for bit (matmul runs the same BLAS product on every slice).
+    """
     lam = np.asarray(lam, dtype=float).ravel()
-    b = _as_matrix(b, "b")
-    if lam.size != b.shape[1]:
-        raise DimensionError(f"lambda length {lam.size} != {b.shape[1]} columns")
-    full = (b * lam) @ b.T
+    b = np.asarray(b, dtype=float)
+    if b.ndim not in (2, 3):
+        raise DimensionError(f"b must be p x R or k x p x R, got shape {b.shape}")
+    if lam.size != b.shape[-1]:
+        raise DimensionError(f"lambda length {lam.size} != {b.shape[-1]} columns")
+    full = (b * lam) @ b.swapaxes(-1, -2)
     # (M + M.T)/2 restores bitwise symmetry lost to BLAS summation order
-    return (full + full.T) / 2.0
+    return (full + full.swapaxes(-1, -2)) / 2.0
 
 
 def cp_to_full(b1, b2):

@@ -62,6 +62,28 @@ def test_negloglik_gradient_finite_differences(family, rng):
         assert np.all(np.abs(g - fd) <= 1e-6 * np.maximum(np.abs(g), 1.0))
 
 
+@pytest.mark.parametrize("family", [GAUSSIAN, BERNOULLI])
+def test_negloglik_batch_equals_rows(family, rng):
+    n = 40
+    y = (rng.random(n) < 0.5).astype(float)
+    etas = rng.standard_normal((3, 5, n)) * 3.0
+    batch = family.negloglik(y, etas)
+    assert batch.shape == (3, 5)
+    for idx in np.ndindex(3, 5):
+        assert batch[idx] == family.negloglik(y, etas[idx])
+    assert isinstance(family.negloglik(y, etas[0, 0]), float)
+
+
+def test_negloglik_batch_rejects_mismatch_and_non_finite():
+    y = np.zeros(4)
+    with pytest.raises(ValueError, match="length mismatch"):
+        GAUSSIAN.negloglik(y, np.zeros((2, 5)))
+    eta = np.zeros((2, 4))
+    eta[1, 2] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        GAUSSIAN.negloglik(y, eta)
+
+
 # ---------------------------------------------------------------- fit_glm
 
 def test_fit_glm_exact_slope(rng):
@@ -122,6 +144,16 @@ def test_soft_threshold_values():
 def test_soft_threshold_rejects_negative_t():
     with pytest.raises(ValueError):
         soft_threshold(np.ones(2), -0.1)
+
+
+def test_soft_threshold_array_threshold_matches_scalar(rng):
+    v = rng.standard_normal((4, 3, 2))
+    t = np.array([0.0, 0.1, 0.5, 2.0])
+    out = soft_threshold(v, t[:, None, None])
+    for k in range(4):
+        assert np.array_equal(out[k], soft_threshold(v[k], float(t[k])))
+    with pytest.raises(ValueError):
+        soft_threshold(v, np.array([0.1, -0.1, 0.0, 0.0])[:, None, None])
 
 
 @settings(max_examples=40)
@@ -228,6 +260,13 @@ def test_lasso_reports_convergence(rng):
         fit_glm_lasso(GlmProblem(y, Z, family=family), 0.1, max_iter=2, info=info)
         assert info["iterations"] == 2
         assert info["converged"] is False
+
+
+def test_lasso_rejects_non_positive_max_iter(rng):
+    problem = GlmProblem(rng.standard_normal(10), rng.standard_normal((10, 3)))
+    for max_iter in (0, -1):
+        with pytest.raises(ValueError, match="max_iter"):
+            fit_glm_lasso(problem, 0.1, max_iter=max_iter)
 
 
 def test_lasso_rejects_non_finite_inputs(rng):

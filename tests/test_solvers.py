@@ -23,7 +23,8 @@ from symreg import (
     prox_update_B,
 )
 from symreg.simulate import SignalShape, random_correlation, shape_signal, synth_dataset
-from symreg.solvers import NumericalError, _cp_block_design
+from symreg.glm import soft_threshold
+from symreg.solvers import PROX_BATCH, NumericalError, _cp_block_design
 from symreg.tensor_ops import symcp_to_full, symmetrize
 
 from conftest import random_symmetric
@@ -38,6 +39,27 @@ def toy_dataset(rng, n=20, p=4, p0=2, family=GAUSSIAN, sigma=0.5):
     else:
         y = eta + sigma * rng.standard_normal(n)
     return Dataset(y, Z, X, family)
+
+
+# ---------------------------------------------------------------- FitConfig
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("lasso_max_iter", 0),
+        ("lasso_max_iter", -3),
+        ("lasso_kkt_tol", -1e-8),
+        ("lasso_kkt_tol", float("nan")),
+        ("lasso_kkt_tol", float("inf")),
+    ],
+)
+def test_config_rejects_bad_lasso_controls(field, value):
+    with pytest.raises(ValueError, match=field):
+        FitConfig(**{field: value})
+
+
+def test_config_accepts_zero_kkt_tol():
+    assert FitConfig(lasso_kkt_tol=0.0, lasso_max_iter=1).lasso_kkt_tol == 0.0
 
 
 # ---------------------------------------------------------------- objective
@@ -157,6 +179,117 @@ def test_prox_scalar_step_matches_brute_force():
     assert abs(out[0, 0] - brute) <= 1e-3
 
 
+def reference_prox_update_B(data, gamma, factors, rho, config, trace=None):
+    """The unbatched line search: one X pass per candidate, tried in order."""
+    lam = factors.lam
+    B = factors.B.copy()
+    zoff = data.Z @ gamma
+    y, fam = data.y, data.family
+
+    def nll_of(Bmat):
+        eta = zoff + data.x_rows @ symcp_to_full(lam, Bmat).ravel()
+        return fam.negloglik(y, eta), eta
+
+    nll, eta = nll_of(B)
+    for _ in range(config.prox_steps):
+        w = fam.dnll_deta(y, eta)
+        grad = 2.0 * (np.tensordot(w, data.X, axes=1) @ B) * lam
+        delta, accepted = config.delta0, False
+        for _ in range(config.line_search_max_halvings + 1):
+            cand = soft_threshold(B - delta * grad, rho * delta)
+            diff = cand - B
+            cand_nll, cand_eta = nll_of(cand)
+            slack = 1e-14 * (1.0 + abs(nll) + abs(cand_nll))
+            if cand_nll <= nll + float(np.sum(grad * diff)) + float(
+                np.sum(diff * diff)
+            ) / (2.0 * delta) + slack:
+                accepted = True
+                break
+            delta /= 2.0
+        if trace is not None:
+            trace.append({"delta": delta if accepted else None, "accepted": accepted})
+        if not accepted:
+            break
+        B, nll, eta = cand, cand_nll, cand_eta
+        if not np.any(diff):
+            break
+    return B
+
+
+def _prox_problem(seed, family):
+    rng = np.random.default_rng(seed)
+    p, r = 7, 3
+    data = toy_dataset(rng, n=80, p=p, family=family)
+    gamma = rng.standard_normal(2) * 0.3
+    return data, gamma, SymCPFactors(rng.standard_normal(r), rng.standard_normal((p, r)))
+
+
+def _run_both(data, gamma, factors, rho, cfg):
+    trace, ref_trace = [], []
+    out = prox_update_B(data, gamma, factors, rho, cfg, trace=trace)
+    ref = reference_prox_update_B(data, gamma, factors, rho, cfg, trace=ref_trace)
+    assert trace == ref_trace
+    assert np.array_equal(out, ref)
+    return out, trace
+
+
+def _halvings(trace, cfg):
+    return [round(np.log2(cfg.delta0 / s["delta"])) for s in trace if s["accepted"]]
+
+
+@pytest.mark.parametrize("family", [GAUSSIAN, BERNOULLI])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_prox_batched_matches_sequential(family, seed):
+    data, gamma, factors = _prox_problem(seed, family)
+    for rho, steps in [(0.0, 1), (0.3, 5), (0.3, 20)]:
+        cfg = FitConfig(rank=3, rho=rho, prox_steps=steps)
+        _run_both(data, gamma, factors, rho, cfg)
+    # a small delta0 is accepted at once, on the ladder's first rung
+    cfg = FitConfig(rank=3, rho=0.3, prox_steps=3, delta0=2.0**-12)
+    _, trace = _run_both(data, gamma, factors, 0.3, cfg)
+    assert 0 in _halvings(trace, cfg)
+
+
+@pytest.mark.parametrize("family", [GAUSSIAN, BERNOULLI])
+def test_prox_batched_matches_sequential_when_rho_zeroes_entries(family):
+    data, gamma, factors = _prox_problem(3, family)
+    rho = 4.0 if family is GAUSSIAN else 1.0
+    out, _ = _run_both(data, gamma, factors, rho, FitConfig(rank=3, rho=rho))
+    assert 0 < np.count_nonzero(out == 0.0) < out.size
+
+
+@pytest.mark.parametrize("family", [GAUSSIAN, BERNOULLI])
+def test_prox_batched_matches_sequential_across_batches(family):
+    # a large delta0 puts the accepted step past the first batch of candidates
+    data, gamma, factors = _prox_problem(4, family)
+    cfg = FitConfig(rank=3, rho=0.3, prox_steps=4, delta0=2.0**30)
+    _, trace = _run_both(data, gamma, factors, 0.3, cfg)
+    assert min(_halvings(trace, cfg)) >= PROX_BATCH
+
+
+@pytest.mark.parametrize("family", [GAUSSIAN, BERNOULLI])
+def test_prox_exhausted_budget_keeps_B(family):
+    data, gamma, factors = _prox_problem(5, family)
+    for halvings in (3, PROX_BATCH, 2 * PROX_BATCH + 1):
+        cfg = FitConfig(
+            rank=3, rho=0.3, delta0=2.0**80, line_search_max_halvings=halvings
+        )
+        out, trace = _run_both(data, gamma, factors, 0.3, cfg)
+        assert trace == [{"delta": None, "accepted": False}]
+        assert np.array_equal(out, factors.B)
+
+
+def test_prox_non_finite_candidate_raises():
+    # the first candidate's predictor overflows, so the search stops there
+    data, gamma, factors = _prox_problem(6, GAUSSIAN)
+    cfg = FitConfig(rank=3, rho=0.3, delta0=1e300)
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError):
+            reference_prox_update_B(data, gamma, factors, 0.3, cfg)
+        with pytest.raises(ValueError):
+            prox_update_B(data, gamma, factors, 0.3, cfg)
+
+
 # ---------------------------------------------------------------- fit_sym_tensor
 
 def test_sym_tensor_fixed_point_of_truth(rng):
@@ -250,6 +383,79 @@ def test_sym_tensor_non_finite_raises():
     with np.errstate(all="ignore"):
         with pytest.raises((NumericalError, ValueError)):
             fit_sym_tensor(data, cfg, init)
+
+
+# Recorded with the unbatched line search (one X pass per candidate) before
+# prox_update_B tested its candidates in batches; the fits must not move.
+PINNED_SYM_GAUSSIAN_TRACE = [
+    107.81011597721289, 25.43098200270723, 17.685334070413617, 14.895268621869034,
+    14.570655380581037, 14.455316971629859, 14.372863695892768, 14.317188481545017,
+    14.270773735518514, 14.226564975918404, 14.183779429434345, 14.141915648976836,
+    14.100642144580707,
+]
+PINNED_SYM_GAUSSIAN_COEF = [
+    -0.9254026773592704, -0.03744486772918957, -0.06376335360264396,
+    -0.035486287902132145, 0.46513822350636413, 0.3090957482767059,
+    -0.03744486772918957, 1.3691581652098432, -0.30359948117601465,
+    0.3578577703721071, -0.5126904849063751, 0.20006511558580142,
+    -0.06376335360264396, -0.30359948117601465, 0.06171464425451216,
+    -0.08135113637271768, 0.14877709602498074, -0.019892692104625267,
+    -0.035486287902132145, 0.3578577703721071, -0.08135113637271768,
+    0.092820616228606, -0.12148816374117315, 0.06101732236445959,
+    0.46513822350636413, -0.5126904849063751, 0.14877709602498074,
+    -0.12148816374117315, -0.027687601891760547, -0.22809197509177467,
+    0.3090957482767059, 0.20006511558580142, -0.019892692104625267,
+    0.06101732236445959, -0.22809197509177467, -0.07757695720231757,
+]
+PINNED_SYM_BERNOULLI_TRACE = [
+    104.33683695436326, 64.64345397848254, 62.15312241960621, 61.953523544838184,
+    61.753633255288506, 61.4882313809623, 60.8973539663108, 59.71800685225936,
+    58.88526058769358, 58.565813961252765, 58.434476687926725, 58.35024210651132,
+    58.29891919126441,
+]
+PINNED_SYM_BERNOULLI_COEF = [
+    -0.16491060777002844, -0.025485498035010275, 0.22077784656481036,
+    -0.13294534558265594, 0.10354097162891142, -0.48672389235751856,
+    -0.025485498035010275, 0.3304604756254087, -0.22432096049074618,
+    0.6967363630293345, 0.0010816957396717346, 0.1228329091379829,
+    0.22077784656481036, -0.22432096049074618, -0.09583587250222632,
+    -0.3763676109304276, -0.12708718605645272, 0.49854839397163997,
+    -0.13294534558265594, 0.6967363630293345, -0.3763676109304276,
+    1.4313850213629011, 0.051468733735234085, 0.03243851329897526,
+    0.10354097162891142, 0.0010816957396717346, -0.12708718605645272,
+    0.051468733735234085, -0.06434369787477476, 0.29675869815121036,
+    -0.48672389235751856, 0.1228329091379829, 0.49854839397163997,
+    0.03243851329897526, 0.29675869815121036, -1.319238157231215,
+]
+
+
+def _pinned_sym_tensor_fits():
+    rng = np.random.default_rng(404)
+    b0 = rng.standard_normal((6, 6)) * 0.4
+    b0 = (b0 + b0.T) / 2.0
+    gauss = synth_dataset(b0, 80, p0=2, sigma=0.5, seed=11)
+    res_g = fit_sym_tensor(
+        gauss,
+        FitConfig(rank=2, rho=0.3, max_outer_iters=12),
+        SymCPFactors(None, rng.standard_normal((6, 2))),
+    )
+    bern = synth_dataset(b0 * 0.5, 150, p0=2, seed=12, family=BERNOULLI)
+    res_b = fit_sym_tensor(
+        bern,
+        FitConfig(rank=2, rho=0.2, max_outer_iters=12),
+        SymCPFactors(None, rng.standard_normal((6, 2)) * 0.5),
+    )
+    return res_g, res_b
+
+
+def test_sym_tensor_fits_pinned():
+    res_g, res_b = _pinned_sym_tensor_fits()
+    for res, trace, coef in [
+        (res_g, PINNED_SYM_GAUSSIAN_TRACE, PINNED_SYM_GAUSSIAN_COEF),
+        (res_b, PINNED_SYM_BERNOULLI_TRACE, PINNED_SYM_BERNOULLI_COEF),
+    ]:
+        assert res.objective_trace.tolist() == trace
+        assert res.coef_full.ravel().tolist() == coef
 
 
 def test_sym_tensor_scale_invariance(rng):

@@ -109,6 +109,20 @@ def test_symcp_output_exactly_symmetric(p, r, data):
     assert np.array_equal(full, full.T)
 
 
+def test_symcp_stack_equals_slices(rng):
+    for p, r in [(1, 1), (5, 2), (32, 3)]:
+        lam = rng.standard_normal(r)
+        stack = rng.standard_normal((6, p, r))
+        full = T.symcp_to_full(lam, stack)
+        assert full.shape == (6, p, p)
+        for k in range(6):
+            assert np.array_equal(full[k], T.symcp_to_full(lam, stack[k]))
+    with pytest.raises(T.DimensionError):
+        T.symcp_to_full([1.0], np.ones((2, 2, 2, 1)))
+    with pytest.raises(T.DimensionError):
+        T.symcp_to_full([1.0, 2.0], np.ones((3, 4, 3)))
+
+
 def test_cp_rank1_outer_products():
     assert np.array_equal(T.cp_to_full([[1], [0]], [[1], [0]]), [[1, 0], [0, 0]])
     assert np.array_equal(T.cp_to_full([[1], [0]], [[0], [1]]), [[0, 1], [0, 0]])
