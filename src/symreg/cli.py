@@ -1,7 +1,8 @@
 # Command-line surface: simulate / fit / cv / replicate. Every command writes
 # its outputs plus one manifest.json into --out. Exit codes: 0 success,
 # 2 usage or validation, 3 I/O, 4 hit max iterations without reaching the
-# tolerance (results are still written).
+# tolerance (results are still written), 5 numerical failure in a solver
+# (GlmConvergenceError or NumericalError; no results are written).
 
 import argparse
 import json
@@ -17,6 +18,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_NO_CONVERGENCE = 4
+EXIT_NUMERICAL = 5
 
 
 class CliError(Exception):
@@ -139,7 +141,7 @@ def cmd_fit(args, argv):
         try:
             result = _fit_estimator(data, config, args.estimator)
         except (GlmConvergenceError, solvers.NumericalError) as exc:
-            raise CliError(EXIT_USAGE, f"solver failed: {exc}")
+            raise CliError(EXIT_NUMERICAL, f"solver failed: {exc}")
         yhat = evaluate.predict_mean(result, data)
 
         with open(out / "gamma.csv", "w", encoding="utf-8", newline="\n") as fh:
@@ -227,7 +229,7 @@ def cmd_cv(args, argv):
         try:
             sel = evaluate.cv_select(data, plan, config, estimator=args.estimator)
         except (GlmConvergenceError, solvers.NumericalError) as exc:
-            raise CliError(EXIT_USAGE, f"cross-validation failed: {exc}")
+            raise CliError(EXIT_NUMERICAL, f"cross-validation failed: {exc}")
         header = ["fold"] + [f"rho={rho};rank={rank}" for rho, rank in sel.grid]
         with open(out / "cv_table.csv", "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(header) + "\n")

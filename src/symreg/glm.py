@@ -10,6 +10,10 @@ import numpy as np
 RIDGE = 1e-8  # fallback perturbation for rank-deficient designs
 IRLS_GRAD_TOL = 1e-8
 IRLS_MAX_ITER = 100
+# Gaussian lasso iterates computed ahead of each batched KKT test. A window
+# costs one array pass of (LASSO_WINDOW, q) instead of one test per iterate;
+# a call that converges early wastes at most one window of steps.
+LASSO_WINDOW = 64
 
 
 class GlmConvergenceError(RuntimeError):
@@ -206,52 +210,51 @@ def fit_glm_lasso(problem, rho, coef0=None, max_iter=2000, kkt_tol=None, info=No
 
     The gaussian loss is quadratic, so it runs on inner products cached once
     per call (G = Z'Z, c = Z'(y - offset)) instead of the n-row design, and
-    carries G @ coef between iterations: one q x q matvec per candidate.
+    carries G @ coef between iterations: one q x q matvec per candidate. Its
+    iterates run ahead of the KKT test in windows of LASSO_WINDOW (see
+    _lasso_gram); the result is that of testing every iterate in turn.
     """
     if rho < 0:
         raise ValueError("rho must be nonnegative")
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
-    Z, y, offset, fam = problem.Z, problem.y, problem.offset, problem.family
-    q = problem.q
-    if q == 0:
+    if problem.q == 0:
         return np.zeros(0)
     if kkt_tol is None:
         kkt_tol = 1e-9 * max(1.0, rho)
-    coef = np.zeros(q) if coef0 is None else np.asarray(coef0, dtype=float).copy()
+    coef = np.zeros(problem.q) if coef0 is None else np.asarray(coef0, dtype=float).copy()
 
-    gram = fam == GAUSSIAN
-    if gram:
-        r = y - offset
-        if not np.all(np.isfinite(r)):
-            raise ValueError("negloglik requires finite y and eta")
-        G, c, half_rr = Z.T @ Z, Z.T @ r, 0.5 * float(r @ r)
+    solve = _lasso_gram if problem.family == GAUSSIAN else _lasso_design
+    coef, iterations, trace, converged = solve(problem, rho, coef, max_iter, kkt_tol)
+    if info is not None:
+        info["iterations"] = iterations
+        info["objective_trace"] = trace
+        info["converged"] = converged
+    return coef
 
-        def gram_nll(x, gx):
-            # 1/2 ||r - Z x||^2 expanded on the cached inner products
-            value = 0.5 * float(x @ gx) - float(c @ x) + half_rr
-            if not math.isfinite(value):
-                raise ValueError("negloglik requires finite y and eta")
-            return value
 
-        lip = float(np.linalg.eigvalsh(G)[-1])
-        gx = G @ coef
-        nll = gram_nll(coef, gx)
-    else:
-        sigma_max = np.linalg.norm(Z, 2) if Z.size else 0.0
-        lip = fam.lipschitz_factor() * sigma_max**2
-        nll = fam.negloglik(y, Z @ coef + offset)
+def _kkt_residual(grad, coef, rho):
+    """|grad_j + rho*sign_j| on active j, |grad_j| - rho on zero j, floored at 0.
+
+    Elementwise, so rows of stacked (grad, coef) give each row's residual.
+    """
+    sign = np.sign(coef)
+    return np.maximum(np.abs(grad + rho * sign) - rho * (sign == 0.0), 0.0)
+
+
+def _lasso_design(problem, rho, coef, max_iter, kkt_tol):
+    """fit_glm_lasso on the n-row design: one pass over Z per candidate."""
+    Z, y, offset, fam = problem.Z, problem.y, problem.offset, problem.family
+    sigma_max = np.linalg.norm(Z, 2) if Z.size else 0.0
+    lip = fam.lipschitz_factor() * sigma_max**2
     delta0 = 1.0 / lip if lip > 0 else 1.0
+    nll = fam.negloglik(y, Z @ coef + offset)
 
     trace = [nll + rho * np.abs(coef).sum()]
     converged = False
     for it in range(max_iter):
-        grad = gx - c if gram else Z.T @ fam.dnll_deta(y, Z @ coef + offset)
-
-        # |grad_j + rho*sign_j| on active j, |grad_j| - rho on zero j, floored at 0
-        sign = np.sign(coef)
-        kkt = np.maximum(np.abs(grad + rho * sign) - rho * (sign == 0.0), 0.0)
-        if kkt.max() <= kkt_tol:
+        grad = Z.T @ fam.dnll_deta(y, Z @ coef + offset)
+        if _kkt_residual(grad, coef, rho).max() <= kkt_tol:
             converged = True
             break
 
@@ -259,30 +262,107 @@ def fit_glm_lasso(problem, rho, coef0=None, max_iter=2000, kkt_tol=None, info=No
         for _ in range(60):
             cand = soft_threshold(coef - delta * grad, rho * delta)
             diff = cand - coef
-            if gram:
-                g_diff = G @ diff
-                cand_gx = gx + g_diff
-                cand_nll = gram_nll(cand, cand_gx)
-                # a quadratic's majorization gap is exactly diff'G diff / 2;
-                # testing it avoids the cancellation in nll(cand) - nll
-                lhs, rhs = 0.5 * float(diff @ g_diff), 0.0
-            else:
-                cand_nll = fam.negloglik(y, Z @ cand + offset)
-                lhs, rhs = cand_nll, nll + grad @ diff
-            # slack covers float cancellation once the true decrease is ~eps*|nll|
+            cand_nll = fam.negloglik(y, Z @ cand + offset)
+            # slack covers float cancellation once the true decrease is ~eps*|nll|;
+            # an overflowed cand_nll would make it inf and pass any test
             slack = 1e-14 * (1.0 + abs(nll) + abs(cand_nll))
-            if lhs <= rhs + (diff @ diff) / (2.0 * delta) + slack:
+            bound = nll + grad @ diff + (diff @ diff) / (2.0 * delta) + slack
+            if math.isfinite(cand_nll) and cand_nll <= bound:
                 accepted = True
                 break
             delta /= 2.0
         if not accepted or not diff.any():
             break
         coef, nll = cand, cand_nll
-        if gram:
-            gx = cand_gx
         trace.append(nll + rho * np.abs(coef).sum())
-    if info is not None:
-        info["iterations"] = it + 1
-        info["objective_trace"] = np.asarray(trace)
-        info["converged"] = converged
-    return coef
+    return coef, it + 1, np.asarray(trace), converged
+
+
+def _lasso_gram(problem, rho, coef, max_iter, kkt_tol):
+    """fit_glm_lasso for the gaussian family, on cached inner products.
+
+    The KKT test feeds no iterate, so the proximal steps run ahead of it:
+    a window stores up to LASSO_WINDOW iterates and their gradients, then
+    one array pass tests them all, and the search ends at the first that
+    passes. The residual is elementwise arithmetic and a max, so each row's
+    verdict, and hence coef, "iterations", "converged" and the trace, equal
+    those of testing each iterate before stepping from it. A step that
+    raises or stalls ends the window early; its error is raised only if
+    neither the iterate it stepped from nor an earlier one in the window
+    passes. The iterate reached at max_iter is not tested.
+    """
+    Z, q = problem.Z, problem.q
+    r = problem.y - problem.offset
+    if not np.all(np.isfinite(r)):
+        raise ValueError("negloglik requires finite y and eta")
+    G, c, half_rr = Z.T @ Z, Z.T @ r, 0.5 * float(r @ r)
+
+    # Each iterate makes ~15 numpy calls on q-vectors, so call overhead is
+    # most of the cost: .dot and count_nonzero compute the same products and
+    # test as @ and .any() (bit for bit, as the tests check) with less of it.
+    def gram_nll(x, gx):
+        # 1/2 ||r - Z x||^2 expanded on the cached inner products
+        value = 0.5 * float(x.dot(gx)) - float(c.dot(x)) + half_rr
+        if not math.isfinite(value):
+            raise ValueError("negloglik requires finite y and eta")
+        return value
+
+    lip = float(np.linalg.eigvalsh(G)[-1])
+    delta0 = 1.0 / lip if lip > 0 else 1.0
+
+    def step(coef, gx, nll, grad):
+        """Backtracking prox step; None when no rung is accepted or it moves nothing."""
+        delta = delta0
+        for _ in range(60):
+            # soft_threshold inlined; rho >= 0 was checked on entry
+            v = coef - delta * grad
+            cand = np.sign(v) * np.maximum(np.abs(v) - rho * delta, 0.0)
+            diff = cand - coef
+            g_diff = G.dot(diff)
+            cand_gx = gx + g_diff
+            cand_nll = gram_nll(cand, cand_gx)
+            # a quadratic's majorization gap is exactly diff'G diff / 2; testing
+            # it avoids the cancellation in nll(cand) - nll. The slack covers
+            # float cancellation once the true decrease is ~eps*|nll|.
+            slack = 1e-14 * (1.0 + abs(nll) + abs(cand_nll))
+            if 0.5 * float(diff.dot(g_diff)) <= diff.dot(diff) / (2.0 * delta) + slack:
+                return (cand, cand_gx, cand_nll) if np.count_nonzero(diff) else None
+            delta /= 2.0
+        return None
+
+    gx = G @ coef
+    nll = gram_nll(coef, gx)
+    rows = min(LASSO_WINDOW, max_iter + 1)
+    coefs, grads, nlls = np.empty((rows, q)), np.empty((rows, q)), np.empty(rows)
+    traces = []
+    start = 0  # iteration index of the window's first row
+    while True:
+        ended, error, tested = False, None, 0
+        for m in range(rows):
+            coefs[m], nlls[m] = coef, nll
+            if start + m == max_iter:
+                ended = True
+                break
+            tested = m + 1
+            grad = np.subtract(gx, c, out=grads[m])
+            try:
+                nxt = step(coef, gx, nll, grad)
+            except ValueError as exc:
+                error = exc
+                break
+            if nxt is None:
+                ended = True
+                break
+            coef, gx, nll = nxt
+        passed = np.flatnonzero(
+            _kkt_residual(grads[:tested], coefs[:tested], rho).max(axis=1) <= kkt_tol
+        )
+        if passed.size == 0 and error is not None:
+            raise error
+        last = int(passed[0]) if passed.size else m
+        traces.append(nlls[: last + 1] + rho * np.abs(coefs[: last + 1]).sum(axis=1))
+        if passed.size or ended:
+            trace = np.concatenate(traces)
+            iterations = min(start + last + 1, max_iter)
+            return coefs[last].copy(), iterations, trace, bool(passed.size)
+        start += rows

@@ -219,7 +219,7 @@ def prox_update_B(data, gamma, factors, rho, config, trace=None):
 
     Each step soft-thresholds S - delta*grad at rho*delta for delta on the
     ladder delta0 * 2^-j, j = 0 .. line_search_max_halvings, and accepts the
-    first delta at which the quadratic majorization
+    first delta at which nll(S+) is finite and the quadratic majorization
     nll(S+) <= nll(S) + <grad, S+ - S> + ||S+ - S||_F^2/(2 delta)  holds.
     Exhausting the ladder keeps S; non-progress is legal.
 
@@ -253,9 +253,11 @@ def prox_update_B(data, gamma, factors, rho, config, trace=None):
             cand_nll = fam.negloglik(y, etas[:reached])
             lin = np.sum(grad.ravel() * d, axis=1)
             sq = np.sum(d * d, axis=1)
-            # slack covers float cancellation once the true decrease is ~eps*|nll|
+            # slack covers float cancellation once the true decrease is ~eps*|nll|;
+            # an overflowed cand_nll would make it inf and pass any test
             slack = 1e-14 * (1.0 + abs(nll) + np.abs(cand_nll))
-            ok = cand_nll <= nll + lin + sq / (2.0 * deltas[:reached]) + slack
+            bound = nll + lin + sq / (2.0 * deltas[:reached]) + slack
+            ok = np.isfinite(cand_nll) & (cand_nll <= bound)
             if ok.any():
                 j = int(np.argmax(ok))
                 delta, cand, diff = float(deltas[j]), cands[j], diffs[j]

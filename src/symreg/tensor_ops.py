@@ -1,7 +1,9 @@
-# Dense matrix primitives shared by all estimators: column-major vec,
-# Khatri-Rao products, rank-R reconstructions and their gradients.
+# Dense matrix primitives shared by all estimators: the exact-symmetry
+# check, Khatri-Rao products, rank-R reconstructions and symmetrization.
 # Everything here is a pure function of ndarray inputs; D is fixed at 2
-# (matrix covariates), with the general Kronecker forms kept as test oracles.
+# (matrix covariates). The oracles the tests check these against (vec, the
+# Frobenius inner product, the gradient in B in direct and Kronecker form)
+# live in tests/test_tensor_ops.py.
 
 import numpy as np
 
@@ -24,19 +26,6 @@ def check_symmetric(m, name="matrix"):
     return m
 
 
-def vec(m):
-    """Stack entries column-major: 1-based entry (i, j) lands at i + (j-1)*rows."""
-    return _as_matrix(m).reshape(-1, order="F")
-
-
-def unvec(v, rows, cols):
-    """Inverse of vec: reshape a length rows*cols vector column-major."""
-    v = np.asarray(v, dtype=float)
-    if v.size != rows * cols:
-        raise DimensionError(f"cannot reshape length {v.size} into {rows}x{cols}")
-    return v.reshape(rows, cols, order="F")
-
-
 def khatri_rao(a, c):
     """Columnwise Kronecker product: column r is kron(a[:, r], c[:, r])."""
     a = _as_matrix(a, "a")
@@ -46,15 +35,6 @@ def khatri_rao(a, c):
             f"column counts must match, got {a.shape[1]} and {c.shape[1]}"
         )
     return (a[:, None, :] * c[None, :, :]).reshape(a.shape[0] * c.shape[0], a.shape[1])
-
-
-def inner(x, b):
-    """Frobenius inner product sum_ij x_ij * b_ij == <vec x, vec b>."""
-    x = _as_matrix(x, "x")
-    b = _as_matrix(b, "b")
-    if x.shape != b.shape:
-        raise DimensionError(f"shape mismatch {x.shape} vs {b.shape}")
-    return float(np.sum(x * b))
 
 
 def symcp_to_full(lam, b):
@@ -90,39 +70,3 @@ def symmetrize(m):
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"matrix must be square, got shape {m.shape}")
     return (m + m.T) / 2.0
-
-
-def design_sym(x, b):
-    """Per-rank quadratic forms: component r is b_r^T X b_r.
-
-    Equals (vec X)^T (B kr B) for symmetric X; that identity is kept as a test.
-    """
-    x = _as_matrix(x, "x")
-    b = _as_matrix(b, "b")
-    if x.shape[0] != x.shape[1] or x.shape[0] != b.shape[0]:
-        raise DimensionError(f"incompatible shapes {x.shape} and {b.shape}")
-    return np.einsum("pq,pr,qr->r", x, b, b)
-
-
-def grad_eta_b(x, lam, b):
-    """Gradient of eta = <X, symcp_to_full(lam, B)> with respect to B: 2 X B diag(lam)."""
-    lam = np.asarray(lam, dtype=float).ravel()
-    x = _as_matrix(x, "x")
-    b = _as_matrix(b, "b")
-    if x.shape[0] != x.shape[1] or x.shape[0] != b.shape[0] or lam.size != b.shape[1]:
-        raise DimensionError("incompatible shapes for grad_eta_b")
-    return 2.0 * (x @ b) * lam
-
-
-def grad_eta_b_kron(x, lam, b):
-    """Kronecker-form gradient [(B Lam)^T kron I_p](vec X_(1) + vec X_(2)).
-
-    Cross-check oracle for grad_eta_b; not used on any runtime path.
-    """
-    lam = np.asarray(lam, dtype=float).ravel()
-    x = _as_matrix(x, "x")
-    b = _as_matrix(b, "b")
-    p = x.shape[0]
-    sum_vecs = vec(x) + vec(x.T)
-    k = np.kron((b * lam).T, np.eye(p))
-    return unvec(k @ sum_vecs, p, b.shape[1])

@@ -5,8 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from symreg import FitConfig, construct_init, fit_sym_tensor
+from symreg import FitConfig, construct_init, evaluate, fit_sym_tensor, solvers
 from symreg.cli import main
+from symreg.glm import GlmConvergenceError
+from symreg.solvers import NumericalError
 from symreg.io import read_dataset, read_matrix_csv, write_dataset
 from symreg.simulate import synth_dataset
 from symreg.tensor_ops import symcp_to_full
@@ -139,6 +141,19 @@ def test_fit_asymmetric_matrix_exits_2(sim_dir, tmp_path):
     assert run("fit", sim_dir, "--out", tmp_path / "f") == 2
 
 
+@pytest.mark.parametrize("error", [GlmConvergenceError, NumericalError])
+def test_fit_solver_failure_exits_5(sim_dir, tmp_path, monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error("forced failure")
+
+    monkeypatch.setattr(solvers, "default_pipeline", fail)
+    out = tmp_path / "f"
+    assert run("fit", sim_dir, "--estimator", "pipeline", "--out", out) == 5
+    assert not (out / "metrics.json").exists()
+    # a usage error on the same command is still a usage error
+    assert run("fit", sim_dir, "--tol", "2", "--out", tmp_path / "g") == 2
+
+
 def test_dataset_roundtrip_preserves_family_and_values(tmp_path):
     from symreg import BERNOULLI
 
@@ -188,6 +203,18 @@ def test_cv_missing_strata_column_exits_2(tmp_path):
     ds = make_strata_dataset(tmp_path)
     assert run("cv", ds, "--rho-grid", "0.1", "--rank-grid", "1",
                "--strata-column", "nope", "--out", tmp_path / "cv2") == 2
+
+
+def test_cv_every_grid_point_failing_exits_5(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise GlmConvergenceError("forced failure")
+
+    monkeypatch.setattr(evaluate, "_fit_one", fail)
+    ds = make_strata_dataset(tmp_path)
+    out = tmp_path / "cv"
+    assert run("cv", ds, "--k", "3", "--rho-grid", "0.5", "--rank-grid", "1",
+               "--out", out) == 5
+    assert not (out / "selected.json").exists()
 
 
 # ---------------------------------------------------------------- replicate

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,11 +8,14 @@ from hypothesis import strategies as st
 from symreg import (
     BERNOULLI,
     GAUSSIAN,
+    Family,
     GlmProblem,
     fit_glm,
     fit_glm_lasso,
     soft_threshold,
 )
+from symreg import glm
+from symreg.glm import LASSO_WINDOW
 
 
 # ---------------------------------------------------------------- negloglik
@@ -282,6 +287,30 @@ def test_lasso_rejects_non_finite_inputs(rng):
         fit_glm_lasso(GlmProblem(y, Z), 0.1, coef0=[0.0, np.inf, 0.0])
 
 
+
+class _OverflowingBernoulli(Family):
+    """Bernoulli whose negloglik reads inf once any |eta| exceeds 4."""
+
+    def __init__(self):
+        super().__init__("bernoulli")
+
+    def negloglik(self, y, eta):
+        value = super().negloglik(y, eta)
+        return math.inf if np.abs(eta).max() > 4.0 else value
+
+
+def test_lasso_design_rejects_overflowed_negloglik():
+    # separable data drive eta up without bound. Past |eta| = 4 a candidate's
+    # negloglik is inf, and so is the slack; such a step must be rejected
+    Z = np.array([[1.0], [2.0], [-1.0], [-0.5]])
+    y = np.array([1.0, 1.0, 0.0, 0.0])
+    problem = GlmProblem(y, Z, family=_OverflowingBernoulli())
+    info = {}
+    coef = fit_glm_lasso(problem, 0.0, max_iter=200, info=info)
+    assert np.all(np.isfinite(info["objective_trace"]))
+    assert np.abs(Z @ coef).max() <= 4.0
+
+
 # The Gaussian proximal-gradient loop as it ran on the n-row design before the
 # solver moved to cached inner products; the reference for the Gram path.
 def reference_gaussian_lasso(problem, rho, coef0=None, max_iter=2000, kkt_tol=None):
@@ -372,3 +401,201 @@ def test_lasso_gram_path_matches_reference(make, seed, rho, max_iter):
     trace = info["objective_trace"]
     assert trace.shape == ref_trace.shape
     assert np.all(np.abs(trace - ref_trace) <= 1e-10 * np.abs(ref_trace))
+
+
+# The Gaussian loop on cached inner products as it ran before its KKT test was
+# batched over windows: each iterate is tested before the next step is taken.
+# The reference for the windowed loop, which must match it exactly. With
+# fail_at=k the k-th negloglik evaluation (1-based) counts as non-finite;
+# `residuals`, when given, receives each tested iterate's KKT residual.
+def reference_gram_lasso(
+    problem, rho, coef0=None, max_iter=2000, kkt_tol=None, fail_at=None, residuals=None
+):
+    Z, y, offset = problem.Z, problem.y, problem.offset
+    q = problem.q
+    if kkt_tol is None:
+        kkt_tol = 1e-9 * max(1.0, rho)
+    coef = np.zeros(q) if coef0 is None else np.asarray(coef0, dtype=float).copy()
+    r = y - offset
+    G, c, half_rr = Z.T @ Z, Z.T @ r, 0.5 * float(r @ r)
+    evaluations = 0
+
+    def gram_nll(x, gx):
+        nonlocal evaluations
+        evaluations += 1
+        value = 0.5 * float(x @ gx) - float(c @ x) + half_rr
+        if not math.isfinite(value) or evaluations == fail_at:
+            raise ValueError("negloglik requires finite y and eta")
+        return value
+
+    lip = float(np.linalg.eigvalsh(G)[-1])
+    gx = G @ coef
+    nll = gram_nll(coef, gx)
+    delta0 = 1.0 / lip if lip > 0 else 1.0
+
+    trace = [nll + rho * np.abs(coef).sum()]
+    converged = False
+    for it in range(max_iter):
+        grad = gx - c
+        sign = np.sign(coef)
+        kkt = np.maximum(np.abs(grad + rho * sign) - rho * (sign == 0.0), 0.0)
+        if residuals is not None:
+            residuals.append(kkt.max())
+        if kkt.max() <= kkt_tol:
+            converged = True
+            break
+
+        delta, accepted = delta0, False
+        for _ in range(60):
+            cand = soft_threshold(coef - delta * grad, rho * delta)
+            diff = cand - coef
+            g_diff = G @ diff
+            cand_gx = gx + g_diff
+            cand_nll = gram_nll(cand, cand_gx)
+            lhs, rhs = 0.5 * float(diff @ g_diff), 0.0
+            slack = 1e-14 * (1.0 + abs(nll) + abs(cand_nll))
+            if lhs <= rhs + (diff @ diff) / (2.0 * delta) + slack:
+                accepted = True
+                break
+            delta /= 2.0
+        if not accepted or not diff.any():
+            break
+        coef, nll = cand, cand_nll
+        gx = cand_gx
+        trace.append(nll + rho * np.abs(coef).sum())
+    return coef, it + 1, np.asarray(trace), converged
+
+
+def _assert_matches_gram_reference(problem, rho, coef0=None, fail_at=None, **kw):
+    ref, ref_iters, ref_trace, ref_converged = reference_gram_lasso(
+        problem, rho, coef0=coef0, fail_at=fail_at, **kw
+    )
+    info = {}
+    coef = fit_glm_lasso(problem, rho, coef0=coef0, info=info, **kw)
+    assert np.array_equal(coef, ref)
+    assert info["iterations"] == ref_iters
+    assert info["converged"] is ref_converged
+    assert np.array_equal(info["objective_trace"], ref_trace)
+    return info
+
+
+@pytest.mark.parametrize(
+    "make, seed, rho, max_iter",
+    [
+        (_random_problem, 1, 0.5, 2000),
+        (_random_problem, 2, 3.0, 2000),
+        (_random_problem, 3, 0.0, 2000),
+        (_random_problem, 6, 0.5, 2000),
+        (_cp_block_problem, 4, 0.5, 500),
+        (_cp_block_problem, 5, 5.0, 500),
+        (_cp_block_problem, 7, 0.5, 500),
+    ],
+)
+def test_lasso_windows_match_gram_reference(make, seed, rho, max_iter):
+    problem, coef0 = make(seed)
+    _assert_matches_gram_reference(problem, rho, coef0, max_iter=max_iter)
+
+
+def test_lasso_windows_converge_at_iterate_zero(rng):
+    # zero is optimal once rho >= max|Z'r|: the start passes the KKT test
+    Z = rng.standard_normal((30, 4))
+    y = rng.standard_normal(30)
+    problem = GlmProblem(y, Z)
+    info = _assert_matches_gram_reference(problem, 2.0 * np.abs(Z.T @ y).max())
+    assert info["iterations"] == 1 and info["converged"] is True
+    assert info["objective_trace"].shape == (1,)
+
+
+def test_lasso_windows_converge_inside_first_window(rng):
+    Z, _ = np.linalg.qr(rng.standard_normal((40, 5)))
+    problem = GlmProblem(rng.standard_normal(40), Z)
+    info = _assert_matches_gram_reference(problem, 0.3)
+    assert 1 < info["iterations"] < LASSO_WINDOW and info["converged"] is True
+    assert type(info["iterations"]) is int
+
+
+@pytest.mark.parametrize("passing", [LASSO_WINDOW - 1, LASSO_WINDOW, LASSO_WINDOW + 1])
+def test_lasso_windows_converge_at_window_boundary(passing):
+    # the tolerance is the residual of iterate `passing`, lower than every
+    # earlier one, so that iterate is the first to pass: the last row of the
+    # first window, the first row of the second, or the one after it
+    problem, coef0 = _cp_block_problem(7)
+    residuals = []
+    reference_gram_lasso(problem, 0.5, coef0, max_iter=2 * LASSO_WINDOW,
+                         kkt_tol=0.0, residuals=residuals)
+    assert residuals[passing] < min(residuals[:passing])
+    info = _assert_matches_gram_reference(
+        problem, 0.5, coef0, max_iter=500, kkt_tol=residuals[passing]
+    )
+    assert info["iterations"] == passing + 1 and info["converged"] is True
+    # reached at max_iter, the same iterate joins the trace untested
+    info = _assert_matches_gram_reference(
+        problem, 0.5, coef0, max_iter=passing, kkt_tol=residuals[passing]
+    )
+    assert info["iterations"] == passing and info["converged"] is False
+
+
+@pytest.mark.parametrize(
+    "max_iter", [1, 2, LASSO_WINDOW - 1, LASSO_WINDOW, LASSO_WINDOW + 1, 2 * LASSO_WINDOW + 5]
+)
+def test_lasso_windows_stop_at_max_iter(max_iter):
+    problem, coef0 = _cp_block_problem(4)
+    info = _assert_matches_gram_reference(problem, 0.5, coef0, max_iter=max_iter)
+    assert info["iterations"] == max_iter and info["converged"] is False
+    assert info["objective_trace"].shape == (max_iter + 1,)
+
+
+def test_lasso_windows_stop_at_a_stall():
+    # G = I. Coordinate 0 sits at 1e20 with zero gradient: its KKT residual
+    # is rho, but a step of rho*delta = 1 is below its ulp, so it never moves.
+    # Coordinate 1 reaches its optimum in one step; the step after moves
+    # nothing, and the search stops there, unconverged.
+    problem = GlmProblem([1e20, 2.5], np.eye(2))
+    info = _assert_matches_gram_reference(problem, 1.0, coef0=[1e20, 3.0])
+    assert info["iterations"] == 2 and info["converged"] is False
+
+
+class _FailingMath:
+    """Stands in for glm's `math`: the k-th isfinite call reports non-finite."""
+
+    def __init__(self, fail_at):
+        self.fail_at, self.calls = fail_at, 0
+
+    def isfinite(self, value):
+        self.calls += 1
+        return self.calls != self.fail_at and math.isfinite(value)
+
+
+def _run_with_failure(monkeypatch, problem, rho, coef0, fail_at, **kw):
+    """Run fit_glm_lasso with its fail_at-th negloglik non-finite: it must
+    raise exactly when the reference does, and match it otherwise."""
+    monkeypatch.setattr(glm, "math", _FailingMath(fail_at))
+    try:
+        reference_gram_lasso(problem, rho, coef0=coef0, fail_at=fail_at, **kw)
+    except ValueError:
+        with pytest.raises(ValueError):
+            fit_glm_lasso(problem, rho, coef0=coef0, **kw)
+        return None
+    return _assert_matches_gram_reference(problem, rho, coef0, fail_at=fail_at, **kw)
+
+
+def test_lasso_windows_raise_non_finite_after_an_unconverged_window(monkeypatch):
+    # every step accepts its first rung, so evaluation k + 1 is iterate k's step
+    problem, coef0 = _cp_block_problem(4)
+    for fail_at in (LASSO_WINDOW + 1, LASSO_WINDOW + 2, LASSO_WINDOW + 10):
+        assert _run_with_failure(monkeypatch, problem, 0.5, coef0, fail_at,
+                                 max_iter=500) is None
+
+
+def test_lasso_windows_ignore_non_finite_past_convergence(monkeypatch, rng):
+    # the windowed loop steps past the converged iterate; a failure there is
+    # not raised, and one the reference reaches still is
+    Z, _ = np.linalg.qr(rng.standard_normal((40, 5)))
+    problem = GlmProblem(rng.standard_normal(40), Z)
+    _, ref_iters, _, converged = reference_gram_lasso(problem, 0.3)
+    assert converged
+    evaluations = ref_iters  # the start, then one per step taken
+    for fail_at in (evaluations + 1, evaluations + 5):
+        info = _run_with_failure(monkeypatch, problem, 0.3, None, fail_at)
+        assert info is not None and info["iterations"] == ref_iters
+    assert _run_with_failure(monkeypatch, problem, 0.3, None, evaluations) is None

@@ -200,9 +200,9 @@ def reference_prox_update_B(data, gamma, factors, rho, config, trace=None):
             diff = cand - B
             cand_nll, cand_eta = nll_of(cand)
             slack = 1e-14 * (1.0 + abs(nll) + abs(cand_nll))
-            if cand_nll <= nll + float(np.sum(grad * diff)) + float(
-                np.sum(diff * diff)
-            ) / (2.0 * delta) + slack:
+            if np.isfinite(cand_nll) and cand_nll <= nll + float(
+                np.sum(grad * diff)
+            ) + float(np.sum(diff * diff)) / (2.0 * delta) + slack:
                 accepted = True
                 break
             delta /= 2.0
@@ -288,6 +288,25 @@ def test_prox_non_finite_candidate_raises():
             reference_prox_update_B(data, gamma, factors, 0.3, cfg)
         with pytest.raises(ValueError):
             prox_update_B(data, gamma, factors, 0.3, cfg)
+
+
+def test_prox_rejects_overflowed_negloglik():
+    # B = 1 steps to 1 - 2*delta: at delta0 = 5e99 the predictor 1e200 is
+    # finite but its negloglik overflows, and the slack with it; that
+    # candidate must not pass as a descent step
+    data = Dataset(np.zeros(1), np.zeros((1, 0)), np.ones((1, 1, 1)))
+    gamma, factors = np.zeros(0), SymCPFactors(np.ones(1), np.ones((1, 1)))
+    with np.errstate(over="ignore"):
+        # 50 halvings leave every candidate overflowing: B is kept
+        cfg = FitConfig(rank=1, prox_steps=1, delta0=5e99)
+        out, trace = _run_both(data, gamma, factors, 0.0, cfg)
+        assert trace == [{"delta": None, "accepted": False}]
+        assert np.array_equal(out, factors.B)
+        # a longer ladder reaches a finite descent step
+        cfg = FitConfig(rank=1, prox_steps=1, delta0=5e99, line_search_max_halvings=400)
+        out, trace = _run_both(data, gamma, factors, 0.0, cfg)
+    assert trace[0]["accepted"] and trace[0]["delta"] < 1.0
+    assert objective(data, gamma, SymCPFactors(np.ones(1), out), 0.0) < 0.5
 
 
 # ---------------------------------------------------------------- fit_sym_tensor

