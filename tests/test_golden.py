@@ -1,0 +1,265 @@
+# Golden snapshot of eight fits across both estimators and both families.
+# A refactor of the solvers must leave every recorded value unchanged bit for
+# bit; a change that moves the fits on purpose re-records the snapshot and
+# says why. To print the current values in the layout of GOLDEN:
+#     PYTHONPATH=src python tests/test_golden.py
+
+import dataclasses
+import hashlib
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from symreg import (
+    BERNOULLI,
+    FitConfig,
+    SymCPFactors,
+    default_pipeline,
+    fit_cp,
+    fit_sym_cp,
+    fit_sym_tensor,
+)
+from symreg.simulate import SignalShape, shape_signal, synth_dataset
+
+
+def _gaussian():
+    return synth_dataset(shape_signal(SignalShape("cross", 16)), 150, p0=2, seed=21)
+
+
+def _bernoulli():
+    b0 = 0.3 * shape_signal(SignalShape("two_box", 16))
+    return synth_dataset(b0, 160, p0=2, seed=22, family=BERNOULLI)
+
+
+def _random_init(seed, p, rank):
+    rng = np.random.default_rng(seed)
+    return SymCPFactors(None, rng.standard_normal((p, rank)))
+
+
+def _fit(name):
+    cfg = FitConfig(rank=2, max_outer_iters=15)
+    if name == "cp_rho0":
+        return fit_cp(_gaussian(), replace(cfg, rho=0.0, seed=1))
+    if name == "cp_lasso":
+        return fit_cp(_gaussian(), replace(cfg, rho=0.5, max_outer_iters=8, seed=2))
+    if name == "cp_bernoulli":
+        cfg = replace(cfg, rho=0.1, max_outer_iters=6, seed=3, lasso_max_iter=200)
+        return fit_cp(_bernoulli(), cfg)
+    if name == "sym_cp":
+        return fit_sym_cp(_gaussian(), replace(cfg, rho=0.0, seed=4))
+    if name == "sym_tensor":
+        cfg = replace(cfg, rho=0.3, max_outer_iters=20, seed=5)
+        return fit_sym_tensor(_gaussian(), cfg, _random_init(5, 16, 2))
+    if name == "sym_tensor_renormalized":
+        cfg = replace(cfg, rho=0.3, max_outer_iters=20, seed=6)
+        cfg = replace(cfg, renormalize_columns=True)
+        return fit_sym_tensor(_gaussian(), cfg, _random_init(6, 16, 2))
+    if name == "pipeline_gaussian":
+        cfg = replace(cfg, rho=0.2, max_outer_iters=10, seed=7)
+        return default_pipeline(_gaussian(), cfg)
+    if name == "pipeline_bernoulli":
+        cfg = replace(cfg, rho=0.1, max_outer_iters=6, seed=8, lasso_max_iter=200)
+        return default_pipeline(_bernoulli(), cfg)
+    raise ValueError(name)
+
+
+def _sha(a):
+    raw = np.ascontiguousarray(a, dtype=np.float64).tobytes()
+    return hashlib.sha256(raw).hexdigest()
+
+
+def snapshot(res):
+    """What the golden test pins of one FitResult."""
+    factors = {
+        f.name: _sha(getattr(res.factors, f.name))
+        for f in dataclasses.fields(res.factors)
+    }
+    return {
+        "objective_trace": [float(v) for v in res.objective_trace],
+        "coef_full": _sha(res.coef_full),
+        "gamma": _sha(res.gamma),
+        "factors": factors,
+        "iterations": int(res.iterations),
+        "converged": bool(res.converged),
+        "ridged": res.meta.get("ridged"),
+        "lasso_calls": res.meta.get("lasso_calls"),
+        "lasso_capped": res.meta.get("lasso_capped"),
+    }
+
+
+FIT_NAMES = (
+    "cp_rho0",
+    "cp_lasso",
+    "cp_bernoulli",
+    "sym_cp",
+    "sym_tensor",
+    "sym_tensor_renormalized",
+    "pipeline_gaussian",
+    "pipeline_bernoulli",
+)
+
+GOLDEN = {
+    "cp_rho0": {
+        "objective_trace": [
+            6119.8683347939, 310.3028171368752, 67.88604372967183, 57.46823219266507,
+            52.63158074171325, 48.404522549898715, 46.11344277323185,
+            44.817117991770004, 43.97964879131917, 43.400233377302044,
+            42.980227564822464, 42.661989916493496, 42.40925028229036,
+            42.197663476100885, 42.010999717825456, 41.83799701361506,
+        ],
+        "coef_full": "b0f25405d73b07ed002a42200e9b09d1ed5c7301b252ac1fc0ec40d063e291a7",
+        "gamma": "c8e1ecacb68db266f72ce519ad06b183de77ac72b9fbc0b2517051fe78b8994a",
+        "factors": {
+            "B1": "a67185fe00f920f88bae6641d879b1df8537e4c0eb4cbafebf74115cd0963f27",
+            "B2": "9f32028baa158fa7005c7deed7441662f5de7b43bb60ed1854c5cb6f64379129",
+        },
+        "iterations": 15,
+        "converged": False,
+        "ridged": True,
+        "lasso_calls": 0,
+        "lasso_capped": 0,
+    },
+    "cp_lasso": {
+        "objective_trace": [
+            6834.734552180622, 159.93751054624724, 86.90121545401283, 80.12241349422693,
+            77.18403766766814, 74.96487444673663, 73.05607984793048, 71.35944454639366,
+            69.6062453175732,
+        ],
+        "coef_full": "553ae857451fe69efdf67ada650d5a7e81bb25a00ca575205ce1204f3dfe15b4",
+        "gamma": "771a5d454d85f5e798c1f47c024d6002226aa4891b6dced21e17d5c4b016373b",
+        "factors": {
+            "B1": "7529aea93558d4eea889cbe4430aaed7218f2876ddfafb10066af1dca0926c72",
+            "B2": "4a36f64ddc95a8ed94f8df2b6f0b20f29d98f20d4296d51f31b367532a780b08",
+        },
+        "iterations": 8,
+        "converged": False,
+        "ridged": False,
+        "lasso_calls": 16,
+        "lasso_capped": 16,
+    },
+    "cp_bernoulli": {
+        "objective_trace": [
+            327.6959471996064, 58.21889362511858, 30.430754962705322,
+            24.739000269267972, 22.337323019750745, 20.74091986707072,
+            19.41848821957545,
+        ],
+        "coef_full": "cc4ff1f977169d7d6a72264b41ccf051bf37d90792ac81f31defa1df7b3fdf9a",
+        "gamma": "d04f8c1d49ab88798a653c464e0b509188752d86e1a347d43915ad97fdda97dd",
+        "factors": {
+            "B1": "6b773bca9a4d793fdcf9aa77c34b84c5e9549d489d19d8ae18e08703e520e691",
+            "B2": "58e75e2d7ca9fbf5e3a9fc4b5e0ca14420930b4b90bae455b3166ac3dfc13444",
+        },
+        "iterations": 6,
+        "converged": False,
+        "ridged": False,
+        "lasso_calls": 12,
+        "lasso_capped": 12,
+    },
+    "sym_cp": {
+        "objective_trace": [
+            16536.283243139336, 335.3431989230048, 73.86325206219945,
+            58.056503273871954, 54.71838608448766, 52.90920389027582,
+            51.725923710705274, 50.89582778007191, 50.262269161334885,
+            49.71573689067631, 49.17689009476033, 48.57576775489641, 47.82391775332671,
+            46.80761667280363, 45.50207143403192, 44.20127389727052,
+        ],
+        "coef_full": "c47a4b8d53325db3de8f45458a6cf0b34c4d8fe89e7148dfa41fd756ac0c9dcf",
+        "gamma": "6e7abe2be2fc69d39d7f1f5c1e2ad7d7e48a3e642a0076d3cf77646f98a8a6f4",
+        "factors": {
+            "B1": "0d8f4c86cb0765f6a98490b8b2de73465a08d37838a21d139e4692fdc08fa059",
+            "B2": "5aace6986a81276df9a7c03b8e0f21b22de4805103e80152887bb50cdad439ee",
+        },
+        "iterations": 15,
+        "converged": False,
+        "ridged": True,
+        "lasso_calls": 0,
+        "lasso_capped": 0,
+    },
+    "sym_tensor": {
+        "objective_trace": [
+            950.9921920752806, 506.25720620261797, 201.4530625550217,
+            136.45598927567085, 107.44016497088779, 85.64505642880185,
+            80.84018182407534, 80.23879161270891, 79.80303404179755, 79.69302564484497,
+            79.60404944652872, 79.53548468692249, 79.4291061832055, 79.40988912530554,
+            79.38879190313419, 79.36905328061782, 79.35021399652426, 79.33202096602787,
+            79.31431224092469, 79.29697406692793, 79.27992272248709,
+        ],
+        "coef_full": "29dbd8f85310e8b8039b5215ebbaeb8b072ca612f7a177513dc078ffd84af97e",
+        "gamma": "47b1c55ee1ca8508d251363e9b5a19546952788ef4848cd59bcf195bd20107ed",
+        "factors": {
+            "lam": "e74f547fed36231974739342ef0352f221a05e92055f0e51acb49c597813d66f",
+            "B": "29735abb5688791291ac59cabfb33bea37bcb218c25e860c94619afb2c17e20b",
+        },
+        "iterations": 20,
+        "converged": False,
+        "ridged": False,
+        "lasso_calls": None,
+        "lasso_capped": None,
+    },
+    "sym_tensor_renormalized": {
+        "objective_trace": [
+            906.3102466539694, 491.52324600643834, 330.51792255086724,
+            216.1539335589077, 170.95689241337828, 136.1502782386617,
+            106.95097256225651, 80.19107068240682, 73.86328309215803, 72.62513267659101,
+            72.10662812562511, 72.05128283691315, 72.02274007090733, 72.01437744514158,
+            72.00902412059918,
+        ],
+        "coef_full": "32809ecb9497e316f4cc12a2ec90a57d644132748fd78df05f8a5f3ff39bcf6e",
+        "gamma": "3d097640d41b268419d99c9080ab189362f98054df754bdbcaa43c2a4a58f85c",
+        "factors": {
+            "lam": "154d5921c623102f624c39cf0e1097a180c92a5ea36a735947010243a382cbfa",
+            "B": "fac38d36f92d1f1dd3bbe0b210dc01f2a4a616b8eec8008834007b751e1da37f",
+        },
+        "iterations": 14,
+        "converged": True,
+        "ridged": False,
+        "lasso_calls": None,
+        "lasso_capped": None,
+    },
+    "pipeline_gaussian": {
+        "objective_trace": [
+            269.238746032754, 72.97614464526865, 71.53920384547202, 71.34362983338842,
+            71.2990258873051, 71.28158079623935, 71.27552993713842,
+        ],
+        "coef_full": "db466f516a9728f11f3d8efb10e6ad0a97e2faee5cba2bebe4047f6bb177128f",
+        "gamma": "5d313c2b8c1f80cc4e3a033ef2394b266ea015454edd2a645a4a6ea92c224731",
+        "factors": {
+            "lam": "35c05a5faddee020f605f7ec3e42629dd8e3ea6960860e2990ec8ecebdd75386",
+            "B": "30014f78f30230c7471cbc1ff93e253d9da43b99f50ccf96147f7c22708f9515",
+        },
+        "iterations": 6,
+        "converged": True,
+        "ridged": False,
+        "lasso_calls": None,
+        "lasso_capped": None,
+    },
+    "pipeline_bernoulli": {
+        "objective_trace": [
+            87.92536967527579, 36.479940497463, 34.46205012753308, 33.81934598991861,
+            33.489632310782845, 33.044080184514385, 32.60848287367104,
+        ],
+        "coef_full": "9a3a8ddbe5d6c07ff07a1a5ee3267f35938a02be598e6e19a5d894f9b9bf326e",
+        "gamma": "6ea0f98f8abdcf572c55e81bff6c018a7fbeee4374c0fbdc9b99d6a2271f222c",
+        "factors": {
+            "lam": "51aaf6f338ff0a1b2862685a55644405fcdb3bc6b4a60eaeed67ba8fa71b9459",
+            "B": "0f2173dcec49c35275f2539940cfa9263fc87fb956ee09d4443ab3dbf47097c8",
+        },
+        "iterations": 6,
+        "converged": False,
+        "ridged": False,
+        "lasso_calls": None,
+        "lasso_capped": None,
+    },
+}
+
+
+@pytest.mark.parametrize("name", FIT_NAMES)
+def test_fit_matches_golden_snapshot(name):
+    assert snapshot(_fit(name)) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    import pprint
+
+    pprint.pprint({name: snapshot(_fit(name)) for name in FIT_NAMES}, width=88)
