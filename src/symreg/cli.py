@@ -21,6 +21,14 @@ EXIT_NO_CONVERGENCE = 4
 EXIT_NUMERICAL = 5
 
 
+# FitConfig fields every fitting command takes as --flags, with FitConfig's
+# defaults; rank and rho are set per command (fit and replicate by flag, cv
+# by its grids).
+SOLVER_FLAGS = (
+    "max_outer_iters", "tol", "prox_steps", "delta0", "seed", "renormalize_columns"
+)
+
+
 class CliError(Exception):
     def __init__(self, code, message):
         super().__init__(message)
@@ -32,24 +40,19 @@ def _build_config(args, rank=None, rho=None):
         return solvers.FitConfig(
             rank=rank if rank is not None else args.rank,
             rho=rho if rho is not None else args.rho,
-            max_outer_iters=args.max_outer_iters,
-            tol=args.tol,
-            prox_steps=args.prox_steps,
-            delta0=args.delta0,
-            seed=args.seed,
-            renormalize_columns=args.renormalize_columns,
+            **{name: getattr(args, name) for name in SOLVER_FLAGS},
         )
     except ValueError as exc:
         raise CliError(EXIT_USAGE, f"invalid solver configuration: {exc}")
 
 
-def _add_solver_flags(p):
-    p.add_argument("--max-outer-iters", type=int, default=200)
-    p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--prox-steps", type=int, default=5)
-    p.add_argument("--delta0", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--renormalize-columns", action="store_true")
+def _add_solver_flags(p, defaults):
+    for name in SOLVER_FLAGS:
+        flag, default = "--" + name.replace("_", "-"), getattr(defaults, name)
+        if isinstance(default, bool):
+            p.add_argument(flag, action="store_true")
+        else:
+            p.add_argument(flag, type=type(default), default=default)
 
 
 def _outdir(args):
@@ -122,13 +125,8 @@ def _fit_estimator(data, config, estimator):
 
 def _write_factors(path, factors):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if isinstance(factors, solvers.SymCPFactors):
-            fh.write(",".join(io.fmt(v) for v in factors.lam) + "\n")
-            mats = [factors.B]
-        else:
-            fh.write(",".join(io.fmt(1.0) for _ in range(factors.rank)) + "\n")
-            mats = [factors.B1, factors.B2]
-        for m in mats:
+        fh.write(",".join(io.fmt(v) for v in factors.weights) + "\n")
+        for m in factors.matrices:
             for row in m:
                 fh.write(",".join(io.fmt(v) for v in row) + "\n")
 
@@ -155,7 +153,7 @@ def cmd_fit(args, argv):
                 fh.write(f"{i},{io.fmt(v)}\n")
         metrics = {
             "mse_pred_in": evaluate.mse_pred(yhat, data.y),
-            "nnz_B": int(np.count_nonzero(_factor_entries(result.factors))),
+            "nnz_B": sum(int(np.count_nonzero(m)) for m in result.factors.matrices),
             "converged": bool(result.converged),
             "iterations": int(result.iterations),
             "objective": float(result.objective_trace[-1]),
@@ -175,23 +173,8 @@ def cmd_fit(args, argv):
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 
-def _factor_entries(factors):
-    if isinstance(factors, solvers.SymCPFactors):
-        return factors.B
-    return np.concatenate([factors.B1.ravel(), factors.B2.ravel()])
-
-
 def _config_snapshot(config):
-    return {
-        "rank": config.rank,
-        "rho": config.rho,
-        "max_outer_iters": config.max_outer_iters,
-        "tol": config.tol,
-        "prox_steps": config.prox_steps,
-        "delta0": config.delta0,
-        "seed": config.seed,
-        "renormalize_columns": config.renormalize_columns,
-    }
+    return {name: getattr(config, name) for name in ("rank", "rho") + SOLVER_FLAGS}
 
 
 def _parse_grid(text, flag, cast):
@@ -330,6 +313,7 @@ def build_parser():
         description="Sparse symmetric low-rank matrix regression toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = solvers.FitConfig()
 
     p_sim = sub.add_parser("simulate", help="write a synthetic dataset directory")
     p_sim.add_argument("--shape", required=True)
@@ -348,10 +332,10 @@ def build_parser():
         choices=["cp", "sym_cp", "sym_tensor", "pipeline"],
         default="pipeline",
     )
-    p_fit.add_argument("--rank", type=int, default=3)
-    p_fit.add_argument("--rho", type=float, default=0.0)
+    p_fit.add_argument("--rank", type=int, default=defaults.rank)
+    p_fit.add_argument("--rho", type=float, default=defaults.rho)
     p_fit.add_argument("--log-response", action="store_true")
-    _add_solver_flags(p_fit)
+    _add_solver_flags(p_fit, defaults)
     p_fit.add_argument("--out", required=True)
     p_fit.set_defaults(func=cmd_fit)
 
@@ -365,7 +349,7 @@ def build_parser():
     )
     p_cv.add_argument("--strata-column", default=None)
     p_cv.add_argument("--log-response", action="store_true")
-    _add_solver_flags(p_cv)
+    _add_solver_flags(p_cv, defaults)
     p_cv.add_argument("--out", required=True)
     p_cv.set_defaults(func=cmd_cv)
 
@@ -375,10 +359,10 @@ def build_parser():
     p_rep.add_argument("--n-list", required=True)
     p_rep.add_argument("--replications", type=int, required=True)
     p_rep.add_argument("--estimators", default="cp,sym_cp,sym_tensor")
-    p_rep.add_argument("--rank", type=int, default=3)
-    p_rep.add_argument("--rho", type=float, default=0.0)
+    p_rep.add_argument("--rank", type=int, default=defaults.rank)
+    p_rep.add_argument("--rho", type=float, default=defaults.rho)
     p_rep.add_argument("--sigma", type=float, default=1.0)
-    _add_solver_flags(p_rep)
+    _add_solver_flags(p_rep, defaults)
     p_rep.add_argument("--out", required=True)
     p_rep.set_defaults(func=cmd_replicate)
     return parser

@@ -1,9 +1,9 @@
 # Metrics, (stratified) k-fold cross-validation with a rho/rank grid, and the
 # multi-replication experiment harness that mirrors the simulation tables:
 # per-estimator mean/sd of coefficient and prediction MSE across seeded
-# replications. Folds and replications are independent jobs with derived
-# seeds; reductions are ordered by index so outputs do not depend on
-# scheduling.
+# replications. Replications are independent jobs with derived seeds and may
+# run on a thread pool (SYMREG_THREADS); CV folds run sequentially. Reductions
+# are ordered by index, so outputs do not depend on scheduling.
 
 import os
 from concurrent.futures import ThreadPoolExecutor

@@ -218,11 +218,13 @@ def fit_glm_lasso(problem, rho, coef0=None, max_iter=2000, kkt_tol=None, info=No
         raise ValueError("rho must be nonnegative")
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
+    coef = np.zeros(problem.q) if coef0 is None else np.asarray(coef0, dtype=float).copy()
+    if not np.all(np.isfinite(coef)):
+        raise ValueError("coef0 must be finite")
     if problem.q == 0:
         return np.zeros(0)
     if kkt_tol is None:
         kkt_tol = 1e-9 * max(1.0, rho)
-    coef = np.zeros(problem.q) if coef0 is None else np.asarray(coef0, dtype=float).copy()
 
     solve = _lasso_gram if problem.family == GAUSSIAN else _lasso_design
     coef, iterations, trace, converged = solve(problem, rho, coef, max_iter, kkt_tol)

@@ -117,6 +117,8 @@ def read_dataset(path, log_response=False):
             raise DataFormatError("--log-response requires strictly positive y")
         y = np.log(y)
     Z = np.asarray(zs) if zs and zs[0] else np.zeros((len(ids), 0))
+    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(Z))):
+        raise DataFormatError(f"{subjects} holds a non-finite value")
 
     family = GAUSSIAN
     meta_path = path / "meta.json"
@@ -125,6 +127,8 @@ def read_dataset(path, log_response=False):
             meta = json.load(fh)
         if meta.get("family") == "bernoulli":
             family = BERNOULLI
+            if not np.all((y == 0) | (y == 1)):
+                raise DataFormatError("bernoulli responses must be 0 or 1")
 
     warnings = []
     mats = []
@@ -134,6 +138,8 @@ def read_dataset(path, log_response=False):
         if not mpath.is_file():
             raise DataFormatError(f"missing matrix file {mpath}")
         m = read_matrix_csv(mpath)
+        if not np.all(np.isfinite(m)):
+            raise DataFormatError(f"matrix file {mpath} holds a non-finite value")
         if p is None:
             p = m.shape[0]
         elif m.shape[0] != p:

@@ -5,10 +5,11 @@
 #                     block updates (gamma, lam via GLM) plus proximal
 #                     gradient with soft-thresholding on B
 # plus the eigen-decomposition initializer and the full pipeline
-# (sym-CP fit -> eigen init -> symmetric fit).
+# (sym-CP fit -> eigen init -> symmetric fit). fit_cp and fit_sym_tensor share
+# one outer loop, _block_descent, and differ only in their factor blocks.
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -141,6 +142,14 @@ class SymCPFactors:
     def rank(self):
         return self.B.shape[1]
 
+    @property
+    def matrices(self):
+        return [self.B]
+
+    @property
+    def weights(self):
+        return self.lam
+
     def to_full(self):
         return symcp_to_full(self.lam, self.B)
 
@@ -161,6 +170,14 @@ class CPFactors:
     @property
     def rank(self):
         return self.B1.shape[1]
+
+    @property
+    def matrices(self):
+        return [self.B1, self.B2]
+
+    @property
+    def weights(self):
+        return np.ones(self.rank)
 
     def to_full(self):
         return cp_to_full(self.B1, self.B2)
@@ -190,12 +207,14 @@ def _eta(data, gamma, coef_full):
 
 
 def objective(data, gamma, factors, rho):
-    """Penalized loss: negloglik at eta_i = gamma'z_i + <B_full, X_i>, plus rho*||vec B||_1.
+    """Penalized loss: negloglik at eta_i = gamma'z_i + <B_full, X_i>, plus rho
+    times the l1 norm of every factor matrix (B, or B1 and B2).
 
-    The l1 penalty applies to the factor matrix B only, never to lam or gamma.
+    The l1 penalty applies to the factor matrices only, never to lam or gamma.
     """
     eta = _eta(data, gamma, factors.to_full())
-    return data.family.negloglik(data.y, eta) + rho * float(np.abs(factors.B).sum())
+    pen = sum(float(np.abs(m).sum()) for m in factors.matrices)
+    return data.family.negloglik(data.y, eta) + rho * pen
 
 
 def _grad_B(data, B, lam, w):
@@ -278,78 +297,38 @@ def prox_update_B(data, gamma, factors, rho, config, trace=None):
     return B
 
 
-def _init_lambda(data, gamma, B, info=None):
-    """One unpenalized lam-GLM update, used when an init supplies only B."""
-    design = data.x_rows @ khatri_rao(B, B)
-    problem = GlmProblem(data.y, design, data.Z @ gamma, data.family)
-    return fit_glm(problem, info=info)
+def _block_descent(data, config, factors, update_factors, glm_info):
+    """Block relaxation shared by both estimators.
 
-
-def _relative_change(prev, cur):
-    return abs(prev - cur) / max(abs(prev), 1e-10)
-
-
-def fit_sym_tensor(data, config, init):
-    """Block-update estimation of the sparse symmetric rank-R model.
-
-    Repeats {gamma-GLM with offset <B_full, X_i>; lam-GLM on the per-rank
-    quadratic forms with offset gamma'z_i; prox_steps proximal-gradient
-    updates of B} until the relative change of the penalized objective drops
-    below config.tol or max_outer_iters is hit. The recorded trace is
-    non-increasing because every block update can only lower the objective.
+    From gamma = 0, repeats {gamma-GLM with offset <B_full, X_i>; factors =
+    update_factors(gamma, factors)} until the relative change of the
+    penalized objective drops below config.tol or max_outer_iters is hit.
+    Every block update can only lower the objective, so the recorded trace
+    is non-increasing. A non-finite objective, or a ValueError or LinAlgError
+    from a block update or the objective, raises NumericalError. glm_info is
+    the record every GLM call of the fit writes to (meta["ridged"]).
     """
-    p, R = data.p, config.rank
-    if init.B.shape != (p, R):
-        raise ValueError(f"init B must be {(p, R)}, got {init.B.shape}")
-    B = init.B.copy()
     gamma = np.zeros(data.p0)
-    glm_info = {}
-    lam = (
-        init.lam.copy()
-        if init.lam is not None
-        else _init_lambda(data, gamma, B, glm_info)
-    )
-
-    factors = SymCPFactors(lam, B)
-    obj = objective(data, gamma, factors, config.rho)
-    trace = [obj]
-    converged = False
     iterations = 0
-    for t in range(config.max_outer_iters):
-        iterations = t + 1
-        offset = data.x_rows @ symcp_to_full(lam, B).ravel()
-        gamma = fit_glm(
-            GlmProblem(data.y, data.Z, offset, data.family), coef0=gamma, info=glm_info
-        )
-        zoff = data.Z @ gamma
-        design = data.x_rows @ khatri_rao(B, B)
-        lam = fit_glm(
-            GlmProblem(data.y, design, zoff, data.family), coef0=lam, info=glm_info
-        )
-        B = prox_update_B(data, gamma, SymCPFactors(lam, B), config.rho, config)
-        if config.renormalize_columns:
-            norms = np.linalg.norm(B, axis=0)
-            pos = norms > 0
-            lam = np.where(pos, lam * norms**2, lam)
-            B = np.where(pos, B / np.where(pos, norms, 1.0), B)
-
-        factors = SymCPFactors(lam, B)
-        new_obj = objective(data, gamma, factors, config.rho)
-        if not np.isfinite(new_obj):
-            raise NumericalError(f"non-finite objective at outer iteration {t + 1}")
-        trace.append(new_obj)
-        if _relative_change(obj, new_obj) < config.tol:
-            obj = new_obj
-            converged = True
-            break
-        obj = new_obj
-
-    meta = {
-        "family": data.family.name,
-        "factor_column_norms": np.linalg.norm(B, axis=0),
-        "ridged": bool(glm_info.get("ridged", False)),
-        "lam_init": "glm" if init.lam is None else "given",
-    }
+    converged = False
+    try:
+        trace = [objective(data, gamma, factors, config.rho)]
+        while not converged and iterations < config.max_outer_iters:
+            iterations += 1
+            offset = data.x_rows @ factors.to_full().ravel()
+            problem = GlmProblem(data.y, data.Z, offset, data.family)
+            gamma = fit_glm(problem, coef0=gamma, info=glm_info)
+            factors = update_factors(gamma, factors)
+            obj = objective(data, gamma, factors, config.rho)
+            if not np.isfinite(obj):
+                raise NumericalError(
+                    f"non-finite objective at outer iteration {iterations}"
+                )
+            converged = abs(trace[-1] - obj) / max(abs(trace[-1]), 1e-10) < config.tol
+            trace.append(obj)
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        raise NumericalError(f"at outer iteration {iterations}: {exc}") from exc
+    ridged = bool(glm_info.get("ridged", False))
     return FitResult(
         gamma=gamma,
         factors=factors,
@@ -358,14 +337,53 @@ def fit_sym_tensor(data, config, init):
         converged=converged,
         iterations=iterations,
         config=config,
-        meta=meta,
+        meta={"family": data.family.name, "ridged": ridged},
     )
 
 
-def _cp_objective(data, gamma, b1, b2, rho):
-    eta = _eta(data, gamma, b1 @ b2.T)
-    pen = rho * (float(np.abs(b1).sum()) + float(np.abs(b2).sum()))
-    return data.family.negloglik(data.y, eta) + pen
+def fit_sym_tensor(data, config, init):
+    """Block-update estimation of the sparse symmetric rank-R model.
+
+    The blocks after gamma (see _block_descent) are a lam-GLM on the per-rank
+    quadratic forms with offset gamma'z_i, then prox_steps proximal-gradient
+    updates of B. An init without lam gets one unpenalized lam-GLM update
+    first.
+    """
+    p, R = data.p, config.rank
+    if init.B.shape != (p, R):
+        raise ValueError(f"init B must be {(p, R)}, got {init.B.shape}")
+    glm_info = {}
+
+    def lam_glm(gamma, B, lam=None):
+        """The lam-GLM on the per-rank quadratic forms, warm-started at lam."""
+        design = data.x_rows @ khatri_rao(B, B)
+        problem = GlmProblem(data.y, design, data.Z @ gamma, data.family)
+        return fit_glm(problem, coef0=lam, info=glm_info)
+
+    B = init.B.copy()
+    if init.lam is not None:
+        factors = SymCPFactors(init.lam.copy(), B)
+    else:
+        try:
+            factors = SymCPFactors(lam_glm(np.zeros(data.p0), B), B)
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            raise NumericalError(f"initial lam-GLM: {exc}") from exc
+
+    def update(gamma, factors):
+        B = factors.B
+        lam = lam_glm(gamma, B, factors.lam)
+        B = prox_update_B(data, gamma, SymCPFactors(lam, B), config.rho, config)
+        if config.renormalize_columns:
+            norms = np.linalg.norm(B, axis=0)
+            pos = norms > 0
+            lam = np.where(pos, lam * norms**2, lam)
+            B = np.where(pos, B / np.where(pos, norms, 1.0), B)
+        return SymCPFactors(lam, B)
+
+    result = _block_descent(data, config, factors, update, glm_info)
+    result.meta["factor_column_norms"] = np.linalg.norm(result.factors.B, axis=0)
+    result.meta["lam_init"] = "glm" if init.lam is None else "given"
+    return result
 
 
 def _cp_block_design(data, b):
@@ -381,8 +399,8 @@ def _cp_block_design(data, b):
 def fit_cp(data, config):
     """Standard rank-R CP regression by block ascent (D = 2).
 
-    gamma is refit by GLM with offset <B1 B2', X_i>; B1 is refit by an
-    l1-penalized GLM on covariates vec(X_i B2) with offset gamma'z_i, and B2
+    The blocks after gamma (see _block_descent) refit B1 by an l1-penalized
+    GLM on covariates vec(X_i B2) with offset gamma'z_i, then B2
     symmetrically on vec(X_i' B1). Unpenalized Gaussian blocks (rho = 0) are
     ordinary least squares and are solved exactly by fit_glm; every other
     block runs fit_glm_lasso. Factors start as seeded standard normals.
@@ -414,52 +432,17 @@ def fit_cp(data, config):
         lasso_converged.append(info["converged"])
         return coef.reshape(p, R)
 
-    rng = np.random.default_rng(config.seed)
-    b1 = rng.standard_normal((p, R))
-    b2 = rng.standard_normal((p, R))
-    gamma = np.zeros(data.p0)
-
-    obj = _cp_objective(data, gamma, b1, b2, config.rho)
-    trace = [obj]
-    converged = False
-    iterations = 0
-    for t in range(config.max_outer_iters):
-        iterations = t + 1
-        offset = data.x_rows @ (b1 @ b2.T).ravel()
-        gamma = fit_glm(
-            GlmProblem(data.y, data.Z, offset, data.family), coef0=gamma, info=glm_info
-        )
+    def update(gamma, factors):
         zoff = data.Z @ gamma
-        b1 = solve_block(b2, zoff, b1)
-        b2 = solve_block(b1, zoff, b2)
+        b1 = solve_block(factors.B2, zoff, factors.B1)
+        return CPFactors(b1, solve_block(b1, zoff, factors.B2))
 
-        new_obj = _cp_objective(data, gamma, b1, b2, config.rho)
-        if not np.isfinite(new_obj):
-            raise NumericalError(f"non-finite objective at outer iteration {t + 1}")
-        trace.append(new_obj)
-        if _relative_change(obj, new_obj) < config.tol:
-            obj = new_obj
-            converged = True
-            break
-        obj = new_obj
-
-    factors = CPFactors(b1, b2)
-    meta = {
-        "family": data.family.name,
-        "ridged": bool(glm_info.get("ridged", False)),
-        "lasso_calls": len(lasso_converged),
-        "lasso_capped": lasso_converged.count(False),
-    }
-    return FitResult(
-        gamma=gamma,
-        factors=factors,
-        coef_full=factors.to_full(),
-        objective_trace=np.asarray(trace),
-        converged=converged,
-        iterations=iterations,
-        config=config,
-        meta=meta,
-    )
+    rng = np.random.default_rng(config.seed)
+    init = CPFactors(rng.standard_normal((p, R)), rng.standard_normal((p, R)))
+    result = _block_descent(data, config, init, update, glm_info)
+    result.meta["lasso_calls"] = len(lasso_converged)
+    result.meta["lasso_capped"] = lasso_converged.count(False)
+    return result
 
 
 def fit_sym_cp(data, config, cp_result=None):
@@ -470,14 +453,9 @@ def fit_sym_cp(data, config, cp_result=None):
     only the reported coefficient matrix differs.
     """
     base = cp_result if cp_result is not None else fit_cp(data, config)
-    coef_sym = symmetrize(base.coef_full)
-    return FitResult(
-        gamma=base.gamma,
-        factors=base.factors,
-        coef_full=coef_sym,
-        objective_trace=base.objective_trace,
-        converged=base.converged,
-        iterations=base.iterations,
+    return replace(
+        base,
+        coef_full=symmetrize(base.coef_full),
         config=config,
         meta=dict(base.meta, cp_coef_full=base.coef_full),
     )

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from symreg import Dataset
+
 
 @pytest.fixture
 def rng():
@@ -10,3 +12,11 @@ def rng():
 def random_symmetric(rng, p, scale=1.0):
     m = rng.standard_normal((p, p)) * scale
     return (m + m.T) / 2.0
+
+
+def overflow_dataset():
+    """Finite data whose responses +-1e308 overflow every fit at rank 1."""
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((10, 3, 3))
+    y = np.where(np.arange(10) % 2 == 0, 1e308, -1e308)
+    return Dataset(y, rng.standard_normal((10, 2)), (X + X.transpose(0, 2, 1)) / 2.0)

@@ -13,6 +13,8 @@ from symreg.io import read_dataset, read_matrix_csv, write_dataset
 from symreg.simulate import synth_dataset
 from symreg.tensor_ops import symcp_to_full
 
+from conftest import overflow_dataset
+
 
 def run(*argv):
     return main([str(a) for a in argv])
@@ -141,6 +143,27 @@ def test_fit_asymmetric_matrix_exits_2(sim_dir, tmp_path):
     assert run("fit", sim_dir, "--out", tmp_path / "f") == 2
 
 
+@pytest.mark.parametrize("victim", ["subjects", "matrix"])
+def test_fit_non_finite_input_exits_2(sim_dir, tmp_path, victim):
+    if victim == "subjects":
+        path, row, col = sim_dir / "subjects.csv", 1, 1  # a response
+    else:
+        path, row, col = next(iter((sim_dir / "matrices").glob("*.csv"))), 0, 0
+    lines = read_lines(path)
+    cells = lines[row].split(",")
+    cells[col] = "nan"
+    lines[row] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert run("fit", sim_dir, "--out", tmp_path / "f") == 2
+
+
+def test_fit_bernoulli_response_outside_0_1_exits_2(sim_dir, tmp_path):
+    meta = json.loads((sim_dir / "meta.json").read_text(encoding="utf-8"))
+    meta["family"] = "bernoulli"
+    (sim_dir / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+    assert run("fit", sim_dir, "--out", tmp_path / "f") == 2
+
+
 @pytest.mark.parametrize("error", [GlmConvergenceError, NumericalError])
 def test_fit_solver_failure_exits_5(sim_dir, tmp_path, monkeypatch, error):
     def fail(*args, **kwargs):
@@ -152,6 +175,26 @@ def test_fit_solver_failure_exits_5(sim_dir, tmp_path, monkeypatch, error):
     assert not (out / "metrics.json").exists()
     # a usage error on the same command is still a usage error
     assert run("fit", sim_dir, "--tol", "2", "--out", tmp_path / "g") == 2
+
+
+@pytest.mark.parametrize("estimator", ["cp", "sym_cp", "sym_tensor", "pipeline"])
+def test_fit_overflowing_data_exits_5(tmp_path, estimator):
+    ds = tmp_path / "ovf"
+    write_dataset(overflow_dataset(), ds)
+    out = tmp_path / "f"
+    with np.errstate(all="ignore"):
+        code = run("fit", ds, "--estimator", estimator, "--rank", "1", "--out", out)
+    assert code == 5
+    assert not (out / "metrics.json").exists()
+
+
+def test_cv_overflowing_data_counts_failures_and_exits_5(tmp_path):
+    ds = tmp_path / "ovf"
+    write_dataset(overflow_dataset(), ds)
+    with np.errstate(all="ignore"):
+        code = run("cv", ds, "--k", "2", "--rho-grid", "0", "--rank-grid", "1",
+                   "--estimator", "cp", "--out", tmp_path / "cv")
+    assert code == 5
 
 
 def test_dataset_roundtrip_preserves_family_and_values(tmp_path):

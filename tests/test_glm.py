@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -283,8 +284,11 @@ def test_lasso_rejects_non_finite_inputs(rng):
         fit_glm_lasso(GlmProblem(y, Z, offset=bad), 0.1)
     with pytest.raises(ValueError):
         fit_glm_lasso(GlmProblem(bad, Z), 0.1)
-    with pytest.raises(ValueError):
-        fit_glm_lasso(GlmProblem(y, Z), 0.1, coef0=[0.0, np.inf, 0.0])
+    # the warm start is checked before any arithmetic touches it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="coef0"):
+            fit_glm_lasso(GlmProblem(y, Z), 0.1, coef0=[0.0, np.inf, 0.0])
 
 
 

@@ -27,7 +27,7 @@ from symreg.glm import soft_threshold
 from symreg.solvers import PROX_BATCH, NumericalError, _cp_block_design
 from symreg.tensor_ops import symcp_to_full, symmetrize
 
-from conftest import random_symmetric
+from conftest import overflow_dataset, random_symmetric
 
 
 def toy_dataset(rng, n=20, p=4, p0=2, family=GAUSSIAN, sigma=0.5):
@@ -389,19 +389,30 @@ def test_cp_bernoulli_family(rng):
     assert np.all(np.diff(res.objective_trace) <= 1e-8)
 
 
-def test_sym_tensor_non_finite_raises():
-    # responses too large for bernoulli... use gaussian with inf-producing setup
-    data = Dataset(
-        np.array([1e308, -1e308]),
-        np.zeros((2, 0)),
-        np.stack([np.eye(2), np.eye(2)]),
-        GAUSSIAN,
-    )
-    cfg = FitConfig(rank=1, rho=0.0)
-    init = SymCPFactors(np.array([1e300]), np.ones((2, 1)))
+def _fit_sym_tensor_ones(data, config):
+    return fit_sym_tensor(data, config, SymCPFactors(None, np.ones((data.p, 1))))
+
+
+@pytest.mark.parametrize(
+    "fit",
+    [fit_cp, _fit_sym_tensor_ones, default_pipeline],
+    ids=["fit_cp", "fit_sym_tensor", "default_pipeline"],
+)
+def test_sym_tensor_non_finite_raises(fit):
+    # the block updates fail with LinAlgError (CP least squares) or
+    # ValueError (prox step); the shared outer loop reports either as numerical
     with np.errstate(all="ignore"):
-        with pytest.raises((NumericalError, ValueError)):
-            fit_sym_tensor(data, cfg, init)
+        with pytest.raises(NumericalError) as info:
+            fit(overflow_dataset(), FitConfig(rank=1, rho=0.0))
+    assert isinstance(info.value.__cause__, (ValueError, np.linalg.LinAlgError))
+
+
+def test_sym_tensor_non_finite_lam_init_raises():
+    # from this B the initial lam-GLM itself returns a non-finite weight
+    init = SymCPFactors(None, np.random.default_rng(0).standard_normal((3, 1)))
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericalError, match="initial lam-GLM"):
+            fit_sym_tensor(overflow_dataset().take([0, 1]), FitConfig(rank=1), init)
 
 
 # Recorded with the unbatched line search (one X pass per candidate) before
