@@ -1,4 +1,4 @@
-# Golden snapshot of eight fits across both estimators and both families.
+# Golden snapshot of ten fits across both estimators and both families.
 # A refactor of the solvers must leave every recorded value unchanged bit for
 # bit; a change that moves the fits on purpose re-records the snapshot and
 # says why. To print the current values in the layout of GOLDEN:
@@ -58,6 +58,12 @@ def _fit(name):
     if name == "pipeline_gaussian":
         cfg = replace(cfg, rho=0.2, max_outer_iters=10, seed=7)
         return default_pipeline(_gaussian(), cfg)
+    if name == "pipeline_rho0":
+        # rho=0 at R >= 2: ridge-only CP blocks and the unpenalized prox step
+        return default_pipeline(_gaussian(), replace(cfg, rank=3, rho=0.0, seed=9))
+    if name == "cp_rank1":
+        # rho=0 at R=1: a full-rank CP block, solved by lstsq
+        return fit_cp(_gaussian(), replace(cfg, rank=1, rho=0.0, seed=10))
     if name == "pipeline_bernoulli":
         cfg = replace(cfg, rho=0.1, max_outer_iters=6, seed=8, lasso_max_iter=200)
         return default_pipeline(_bernoulli(), cfg)
@@ -97,6 +103,8 @@ FIT_NAMES = (
     "sym_tensor_renormalized",
     "pipeline_gaussian",
     "pipeline_bernoulli",
+    "pipeline_rho0",
+    "cp_rank1",
 )
 
 GOLDEN = {
@@ -250,6 +258,44 @@ GOLDEN = {
         "ridged": False,
         "lasso_calls": None,
         "lasso_capped": None,
+    },
+    "pipeline_rho0": {
+        "objective_trace": [
+            1006.992989249743, 85.8326650940358, 68.4563489535716, 67.44887187433997,
+            66.93564402485836, 66.68836682996165, 66.42660995123248, 65.69263432366262,
+            65.4603426392723, 64.0877926701584, 63.60209921448994, 63.288966347327595,
+            62.741205558550654, 62.38400051542686, 62.14165138681332, 61.70865653559987,
+        ],
+        "coef_full": "9cc4c38c8adaefbc4a108980a38ff5c9e342ee7f0feb0fad0d38e3eb13766252",
+        "gamma": "36f3c3c7d855e8e3b29c51efacfa5a4f7fbf9f409e7799c7dc45830dfa6f56b4",
+        "factors": {
+            "lam": "d94b7e2e18f30b70b438d4cbb5e8121af91b4fe16e69220298958754d471e884",
+            "B": "74751252ac128d29a770d6cf92a5c550317af15a80eaf7b6b04e09577ed68c23",
+        },
+        "iterations": 15,
+        "converged": False,
+        "ridged": False,
+        "lasso_calls": None,
+        "lasso_capped": None,
+    },
+    "cp_rank1": {
+        "objective_trace": [
+            2101.6378214889723, 304.7687924266278, 82.80300457173016, 72.22166538899981,
+            70.26846488055878, 69.98883478755191, 69.92435667935855, 69.83932647110262,
+            69.66918253758732, 69.38822556199077, 69.05063236700522, 68.75258474359347,
+            68.52643649858213, 68.35616771282614, 68.22344136226482, 68.11637881246997,
+        ],
+        "coef_full": "8cba82f43af79fcc5a053ecc225f723879a63c0487e2fe5c7e2867f1c01904c3",
+        "gamma": "392aaaa6fee0a26c2d5452a864e196ba8c39faa99eeac6098796f0f9429f97f1",
+        "factors": {
+            "B1": "2ad0d6d6018647aa1d14d40f78e7db3f3107c4cc9ec2b1c6b651cf519d00f1fc",
+            "B2": "063f0f952999a85d90a96d3e1e222f9bda4fd74c4cfd72e9041e0a3a25c94808",
+        },
+        "iterations": 15,
+        "converged": False,
+        "ridged": False,
+        "lasso_calls": 0,
+        "lasso_capped": 0,
     },
 }
 
