@@ -123,24 +123,45 @@ class GlmProblem:
         return self.Z.shape[1]
 
 
+def _check_finite_ls(Z, r):
+    # LAPACK given a non-finite input prints to the terminal, spins or returns nan
+    if not (np.all(np.isfinite(Z)) and np.all(np.isfinite(r))):
+        raise ValueError("least squares requires a finite design and response")
+
+
+def _solve_ridged(Z, r, info):
+    """solve(Z'Z + RIDGE*I, Z'r), flagged in info["ridged"].
+
+    The fallback of _solve_ls for rank-deficient designs, and the direct solve
+    of designs known to be rank-deficient (the CP factor blocks at R >= 2).
+    """
+    _check_finite_ls(Z, r)
+    G = Z.T @ Z + RIDGE * np.eye(Z.shape[1])
+    coef = np.linalg.solve(G, Z.T @ r)
+    if info is not None:
+        info["ridged"] = True
+    return coef
+
+
 def _solve_ls(Z, r, info):
+    _check_finite_ls(Z, r)
     coef, _, rank, _ = np.linalg.lstsq(Z, r, rcond=None)
     if rank < Z.shape[1]:
         # collinear columns appear routinely when ranks void; perturb instead of failing
-        G = Z.T @ Z + RIDGE * np.eye(Z.shape[1])
-        coef = np.linalg.solve(G, Z.T @ r)
-        if info is not None:
-            info["ridged"] = True
+        return _solve_ridged(Z, r, info)
     return coef
 
 
 def fit_glm(problem, coef0=None, info=None):
     """Minimize problem.family negloglik of y given Z @ coef + offset.
 
-    gaussian reduces to least squares of (y - offset) on Z; bernoulli runs
-    IRLS with step halving until the gradient inf-norm is <= 1e-8 or 100
-    iterations. Rank-deficient designs are solved with a 1e-8 ridge and
-    flagged in `info` (a caller-supplied dict).
+    gaussian reduces to least squares of (y - offset) on Z, solved by lstsq;
+    a non-finite Z or y - offset raises ValueError before LAPACK runs.
+    bernoulli runs IRLS with step halving until the gradient inf-norm is
+    <= 1e-8 or 100 iterations. Rank-deficient designs are solved with a 1e-8
+    ridge and flagged in `info` (a caller-supplied dict). fit_cp sends its
+    unpenalized gaussian blocks at R >= 2, which are always rank-deficient,
+    straight to that ridge solve (_solve_ridged) instead of through here.
     """
     q = problem.q
     if q == 0:

@@ -13,7 +13,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .glm import GAUSSIAN, Family, GlmProblem, fit_glm, fit_glm_lasso, soft_threshold
+from .glm import (
+    GAUSSIAN,
+    Family,
+    GlmProblem,
+    _solve_ridged,
+    fit_glm,
+    fit_glm_lasso,
+    soft_threshold,
+)
 from .tensor_ops import check_symmetric, cp_to_full, khatri_rao, symcp_to_full, symmetrize
 
 
@@ -244,8 +252,12 @@ def prox_update_B(data, gamma, factors, rho, config, trace=None):
 
     The ladder is tested PROX_BATCH candidates at a time: one gemm forms the
     batch's linear predictors (one pass over X instead of one per candidate).
-    The accepted B's eta and nll are then recomputed as for an unbatched
-    candidate, so B, eta and nll do not depend on the batching.
+    At rho = 0 the candidate is B - delta*grad, and on symmetric X its
+    predictor is the quadratic eta - 2 delta e1 + delta^2 e2 with
+    e1 = <X_i, B diag(lam) grad'> and e2 = <X_i, grad diag(lam) grad'>: one
+    two-column gemm per step then serves every batch. Either way the accepted
+    B's eta and nll are recomputed as for an unbatched candidate, so B, eta
+    and nll do not depend on how the candidates were screened.
     """
     lam = factors.lam
     B = factors.B.copy()
@@ -257,14 +269,21 @@ def prox_update_B(data, gamma, factors, rho, config, trace=None):
     nll = fam.negloglik(y, eta)
     for _ in range(config.prox_steps):
         grad = _grad_B(data, B, lam, fam.dnll_deta(y, eta))
+        if rho == 0:
+            glam = grad * lam
+            quad = np.stack([(B @ glam.T).ravel(), (grad @ glam.T).ravel()])
+            e1, e2 = quad @ data.x_rows.T
         delta = None
         for lo in range(0, ladder.size, PROX_BATCH):
             deltas = ladder[lo : lo + PROX_BATCH]
             step = deltas[:, None, None]
             cands = soft_threshold(B - step * grad, rho * step)
             diffs = (cands - B).reshape(deltas.size, -1)
-            fulls = symcp_to_full(lam, cands).reshape(deltas.size, -1)
-            etas = zoff + fulls @ data.x_rows.T
+            if rho == 0:
+                etas = eta - 2.0 * deltas[:, None] * e1 + deltas[:, None] ** 2 * e2
+            else:
+                fulls = symcp_to_full(lam, cands).reshape(deltas.size, -1)
+                etas = zoff + fulls @ data.x_rows.T
             # tried in order, the search would stop at the first non-finite eta
             finite = np.isfinite(etas).all(axis=1)
             reached = deltas.size if finite.all() else int(np.argmin(finite))
@@ -402,14 +421,16 @@ def fit_cp(data, config):
     The blocks after gamma (see _block_descent) refit B1 by an l1-penalized
     GLM on covariates vec(X_i B2) with offset gamma'z_i, then B2
     symmetrically on vec(X_i' B1). Unpenalized Gaussian blocks (rho = 0) are
-    ordinary least squares and are solved exactly by fit_glm; every other
-    block runs fit_glm_lasso. Factors start as seeded standard normals.
+    ordinary least squares and are solved exactly; every other block runs
+    fit_glm_lasso. Factors start as seeded standard normals.
 
-    On symmetric X every factor block is rank-deficient: vec(B_other A) with
-    A antisymmetric adds nothing to the predictor. Least-squares blocks are
-    then ridged (meta["ridged"]), and lasso blocks with nonzero factors
-    rarely meet their KKT tolerance; meta records "lasso_calls" and how many
-    stopped at lasso_max_iter without converging ("lasso_capped").
+    On symmetric X every factor block with R >= 2 is rank-deficient:
+    vec(B_other A) with A antisymmetric adds nothing to the predictor. So
+    least-squares blocks at R >= 2 go straight to the ridge solve that
+    fit_glm's lstsq would fall back to (meta["ridged"]); at R = 1 they run
+    fit_glm. Lasso blocks with nonzero factors rarely meet their KKT
+    tolerance; meta records "lasso_calls" and how many stopped at
+    lasso_max_iter without converging ("lasso_capped").
     """
     p, R = data.p, config.rank
     least_squares = config.rho == 0 and data.family == GAUSSIAN
@@ -417,7 +438,10 @@ def fit_cp(data, config):
     lasso_converged = []
 
     def solve_block(b_other, zoff, b):
-        problem = GlmProblem(data.y, _cp_block_design(data, b_other), zoff, data.family)
+        design = _cp_block_design(data, b_other)
+        if least_squares and R >= 2:
+            return _solve_ridged(design, data.y - zoff, glm_info).reshape(p, R)
+        problem = GlmProblem(data.y, design, zoff, data.family)
         if least_squares:
             return fit_glm(problem, info=glm_info).reshape(p, R)
         info = {}

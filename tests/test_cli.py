@@ -188,6 +188,18 @@ def test_fit_overflowing_data_exits_5(tmp_path, estimator):
     assert not (out / "metrics.json").exists()
 
 
+def test_fit_non_finite_least_squares_fails_quietly(tmp_path, capfd):
+    # the overflow reaches a least-squares solve; LAPACK must not see it
+    ds = tmp_path / "ovf"
+    write_dataset(overflow_dataset(), ds)
+    with np.errstate(all="ignore"):
+        code = run("fit", ds, "--rank", "1", "--out", tmp_path / "f")
+    assert code == 5
+    err = capfd.readouterr().err
+    assert "least squares requires a finite design and response" in err
+    assert "DLASCL" not in err
+
+
 def test_cv_overflowing_data_counts_failures_and_exits_5(tmp_path):
     ds = tmp_path / "ovf"
     write_dataset(overflow_dataset(), ds)

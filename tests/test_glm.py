@@ -130,6 +130,25 @@ def test_fit_glm_rank_deficiency_uses_ridge(rng):
     assert abs(coef[0] - 2.0) < 1e-6
 
 
+@pytest.mark.parametrize(
+    "where, value",
+    [("design", math.nan), ("design", math.inf), ("response", math.inf)],
+    ids=["nan-design", "inf-design", "inf-response"],
+)
+@pytest.mark.parametrize("solve", ["fit_glm", "ridged"])
+def test_least_squares_rejects_non_finite_input(rng, solve, where, value):
+    # handed to LAPACK, a nan design prints a DLASCL error to the terminal, an
+    # inf design does not return, and an inf response gives nan coefficients
+    Z = rng.standard_normal((12, 3))
+    r = rng.standard_normal(12)
+    (Z if where == "design" else r)[4] = value
+    with pytest.raises(ValueError, match="finite design and response"):
+        if solve == "fit_glm":
+            fit_glm(GlmProblem(r, Z))
+        else:
+            glm._solve_ridged(Z, r, {})
+
+
 def test_fit_glm_bernoulli_recovers_coefficients(rng):
     Z = rng.standard_normal((4000, 2))
     truth = np.array([1.0, -0.5])

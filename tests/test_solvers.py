@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from symreg import (
     prox_update_B,
 )
 from symreg.simulate import SignalShape, random_correlation, shape_signal, synth_dataset
-from symreg.glm import soft_threshold
+from symreg.glm import _solve_ls, _solve_ridged, soft_threshold
 from symreg.solvers import PROX_BATCH, NumericalError, _cp_block_design
 from symreg.tensor_ops import symcp_to_full, symmetrize
 
@@ -241,7 +243,7 @@ def _halvings(trace, cfg):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_prox_batched_matches_sequential(family, seed):
     data, gamma, factors = _prox_problem(seed, family)
-    for rho, steps in [(0.0, 1), (0.3, 5), (0.3, 20)]:
+    for rho, steps in [(0.0, 1), (0.0, 5), (0.0, 20), (0.3, 5), (0.3, 20)]:
         cfg = FitConfig(rank=3, rho=rho, prox_steps=steps)
         _run_both(data, gamma, factors, rho, cfg)
     # a small delta0 is accepted at once, on the ladder's first rung
@@ -262,21 +264,23 @@ def test_prox_batched_matches_sequential_when_rho_zeroes_entries(family):
 def test_prox_batched_matches_sequential_across_batches(family):
     # a large delta0 puts the accepted step past the first batch of candidates
     data, gamma, factors = _prox_problem(4, family)
-    cfg = FitConfig(rank=3, rho=0.3, prox_steps=4, delta0=2.0**30)
-    _, trace = _run_both(data, gamma, factors, 0.3, cfg)
-    assert min(_halvings(trace, cfg)) >= PROX_BATCH
+    for rho in (0.3, 0.0):
+        cfg = FitConfig(rank=3, rho=rho, prox_steps=4, delta0=2.0**30)
+        _, trace = _run_both(data, gamma, factors, rho, cfg)
+        assert min(_halvings(trace, cfg)) >= PROX_BATCH
 
 
 @pytest.mark.parametrize("family", [GAUSSIAN, BERNOULLI])
 def test_prox_exhausted_budget_keeps_B(family):
     data, gamma, factors = _prox_problem(5, family)
-    for halvings in (3, PROX_BATCH, 2 * PROX_BATCH + 1):
-        cfg = FitConfig(
-            rank=3, rho=0.3, delta0=2.0**80, line_search_max_halvings=halvings
-        )
-        out, trace = _run_both(data, gamma, factors, 0.3, cfg)
-        assert trace == [{"delta": None, "accepted": False}]
-        assert np.array_equal(out, factors.B)
+    for rho in (0.3, 0.0):
+        for halvings in (3, PROX_BATCH, 2 * PROX_BATCH + 1):
+            cfg = FitConfig(
+                rank=3, rho=rho, delta0=2.0**80, line_search_max_halvings=halvings
+            )
+            out, trace = _run_both(data, gamma, factors, rho, cfg)
+            assert trace == [{"delta": None, "accepted": False}]
+            assert np.array_equal(out, factors.B)
 
 
 def test_prox_non_finite_candidate_raises():
@@ -307,6 +311,26 @@ def test_prox_rejects_overflowed_negloglik():
         out, trace = _run_both(data, gamma, factors, 0.0, cfg)
     assert trace[0]["accepted"] and trace[0]["delta"] < 1.0
     assert objective(data, gamma, SymCPFactors(np.ones(1), out), 0.0) < 0.5
+
+
+@pytest.mark.parametrize("family", [GAUSSIAN, BERNOULLI])
+def test_prox_rho0_huge_steps_agree_with_sequential(family):
+    # at rho = 0 the predictors come from a quadratic in delta, not from the
+    # reconstructions; both must overflow, or not, at the same steps
+    data, gamma, factors = _prox_problem(6, family)
+    with np.errstate(all="ignore"):
+        # delta^2 overflows: the first candidate's predictor is not finite
+        for delta0 in (1e300, 1e200, 1e160):
+            cfg = FitConfig(rank=3, delta0=delta0)
+            with pytest.raises(ValueError):
+                reference_prox_update_B(data, gamma, factors, 0.0, cfg)
+            with pytest.raises(ValueError):
+                prox_update_B(data, gamma, factors, 0.0, cfg)
+        # finite predictors whose negloglik is too large for every rung
+        cfg = FitConfig(rank=3, delta0=1e100)
+        out, trace = _run_both(data, gamma, factors, 0.0, cfg)
+    assert trace == [{"delta": None, "accepted": False}]
+    assert np.array_equal(out, factors.B)
 
 
 # ---------------------------------------------------------------- fit_sym_tensor
@@ -565,6 +589,58 @@ def test_cp_block_design_null_space(rng):
     a = a - a.T
     scale = np.linalg.norm(design) * np.linalg.norm(b_other @ a)
     assert np.max(np.abs(design @ (b_other @ a).ravel())) <= 1e-13 * scale
+
+
+@functools.lru_cache(maxsize=None)
+def _premise_data(shape, p):
+    # random-correlation covariates; p = 8 is below the named shapes' minimum
+    if shape == "random":
+        b0 = random_symmetric(np.random.default_rng(p), p)
+    else:
+        b0 = shape_signal(SignalShape(shape, p))
+    return synth_dataset(b0, 500, p0=2, seed=p)
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+@pytest.mark.parametrize(
+    "shape, p",
+    [("random", 8), ("circle", 16), ("cross", 16), ("circle", 32), ("cross", 32)],
+)
+def test_cp_rho0_blocks_at_rank_2_up_are_always_ridged(shape, p, rank):
+    # the premise of fit_cp's direct ridge solve: at R >= 2 lstsq always finds
+    # the block design rank-deficient, so _solve_ls would return the ridge
+    # solution; checked from below pR records up to 500
+    data = _premise_data(shape, p)
+    rng = np.random.default_rng(100 * p + rank)
+    q = p * rank
+    for n in sorted({q // 2, q - 1, q + 1, 2 * q, 500}):
+        part = data.take(np.arange(n))
+        design = _cp_block_design(part, rng.standard_normal((p, rank)))
+        r = part.y - part.Z @ rng.standard_normal(part.p0)
+        assert np.linalg.lstsq(design, r, rcond=None)[2] < q
+        info = {}
+        assert np.array_equal(_solve_ridged(design, r, {}), _solve_ls(design, r, info))
+        assert info == {"ridged": True}
+
+
+def test_cp_rho0_least_squares_blocks_skip_lstsq_from_rank_2(monkeypatch):
+    widths = []
+    lstsq = np.linalg.lstsq
+
+    def spy(a, b, *args, **kwargs):
+        widths.append(np.shape(a)[1])
+        return lstsq(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    p = 16
+    data = synth_dataset(shape_signal(SignalShape("circle", p)), 120, p0=2, seed=5)
+    res = fit_cp(data, FitConfig(rank=3, rho=0.0, max_outer_iters=3, seed=5))
+    # only the gamma GLM (2 columns) reaches lstsq; the ridged blocks do not
+    assert widths == [2] * res.iterations
+    assert res.meta["ridged"] is True
+    widths.clear()
+    res = fit_cp(data, FitConfig(rank=1, rho=0.0, max_outer_iters=3, seed=5))
+    assert widths.count(p) == 2 * res.iterations
 
 
 def test_cp_rho0_rank3_records_ridged_blocks():
