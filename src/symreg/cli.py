@@ -1,12 +1,14 @@
-# Command-line surface: simulate / fit / cv / replicate. Every command writes
-# its outputs plus one manifest.json into --out. Exit codes: 0 success,
-# 2 usage or validation, 3 I/O, 4 hit max iterations without reaching the
-# tolerance (results are still written), 5 numerical failure in a solver
-# (GlmConvergenceError or NumericalError; no results are written).
+# Command-line surface: simulate / fit / cv / replicate. Each command writes
+# its outputs into --out through io and returns (exit code, manifest config,
+# inputs); main times the whole command and writes the one manifest.json.
+# Exit codes: 0 success, 2 usage or validation, 3 I/O, 4 hit max iterations
+# without reaching the tolerance (results and manifest are still written),
+# 5 numerical failure in a solver (GlmConvergenceError or NumericalError; no
+# results are written).
 
 import argparse
-import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -76,7 +78,7 @@ def _load_dataset(args):
         raise CliError(EXIT_IO, f"cannot read dataset: {exc}")
 
 
-def cmd_simulate(args, argv):
+def cmd_simulate(args):
     try:
         shape = simulate.SignalShape(args.shape, args.p)
     except ValueError as exc:
@@ -89,25 +91,9 @@ def cmd_simulate(args, argv):
     except ValueError as exc:
         raise CliError(EXIT_USAGE, f"invalid simulation flags: {exc}")
     out = _outdir(args)
-    with io.Stopwatch() as sw:
-        data = simulate.gen_dataset(spec)
-        io.write_dataset(data, out)
-    io.write_manifest(
-        out,
-        "simulate",
-        {
-            "shape": args.shape,
-            "p": args.p,
-            "n": args.n,
-            "p0": args.p0,
-            "sigma": args.sigma,
-        },
-        inputs=[],
-        seed=args.seed,
-        duration=sw.seconds,
-        extra={"argv": argv},
-    )
-    return EXIT_OK
+    io.write_dataset(simulate.gen_dataset(spec), out)
+    config = {name: getattr(args, name) for name in ("shape", "p", "n", "p0", "sigma")}
+    return EXIT_OK, config, []
 
 
 def _fit_estimator(data, config, estimator):
@@ -123,54 +109,32 @@ def _fit_estimator(data, config, estimator):
     return solvers.fit_sym_tensor(data, config, init)
 
 
-def _write_factors(path, factors):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(io.fmt(v) for v in factors.weights) + "\n")
-        for m in factors.matrices:
-            for row in m:
-                fh.write(",".join(io.fmt(v) for v in row) + "\n")
-
-
-def cmd_fit(args, argv):
+def cmd_fit(args):
     data, _ = _load_dataset(args)
     config = _build_config(args)
     out = _outdir(args)
-    with io.Stopwatch() as sw:
-        try:
-            result = _fit_estimator(data, config, args.estimator)
-        except (GlmConvergenceError, solvers.NumericalError) as exc:
-            raise CliError(EXIT_NUMERICAL, f"solver failed: {exc}")
-        yhat = evaluate.predict_mean(result, data)
-
-        with open(out / "gamma.csv", "w", encoding="utf-8", newline="\n") as fh:
-            for v in result.gamma:
-                fh.write(io.fmt(v) + "\n")
-        _write_factors(out / "factors.csv", result.factors)
-        io.write_matrix_csv(out / "coef_full.csv", result.coef_full)
-        with open(out / "trace.csv", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("iteration,objective\n")
-            for i, v in enumerate(result.objective_trace):
-                fh.write(f"{i},{io.fmt(v)}\n")
-        metrics = {
-            "mse_pred_in": evaluate.mse_pred(yhat, data.y),
-            "nnz_B": sum(int(np.count_nonzero(m)) for m in result.factors.matrices),
-            "converged": bool(result.converged),
-            "iterations": int(result.iterations),
-            "objective": float(result.objective_trace[-1]),
-        }
-        with open(out / "metrics.json", "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(metrics, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    io.write_manifest(
-        out,
-        "fit",
-        {"estimator": args.estimator, **_config_snapshot(config)},
-        inputs=[args.data],
-        seed=args.seed,
-        duration=sw.seconds,
-        extra={"argv": argv},
-    )
-    return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
+    try:
+        result = _fit_estimator(data, config, args.estimator)
+    except (GlmConvergenceError, solvers.NumericalError) as exc:
+        raise CliError(EXIT_NUMERICAL, f"solver failed: {exc}")
+    factors = result.factors
+    io.write_rows(out / "gamma.csv", ([io.fmt(v)] for v in result.gamma))
+    io.write_rows(out / "factors.csv", [map(io.fmt, factors.weights)] + [
+        map(io.fmt, row) for m in factors.matrices for row in m
+    ])
+    io.write_matrix_csv(out / "coef_full.csv", result.coef_full)
+    io.write_rows(out / "trace.csv", [["iteration", "objective"]] + [
+        [str(i), io.fmt(v)] for i, v in enumerate(result.objective_trace)
+    ])
+    io.write_json(out / "metrics.json", {
+        "mse_pred_in": evaluate.mse_pred(evaluate.predict_mean(result, data), data.y),
+        "nnz_B": sum(int(np.count_nonzero(m)) for m in factors.matrices),
+        "converged": bool(result.converged),
+        "iterations": int(result.iterations),
+        "objective": float(result.objective_trace[-1]),
+    })
+    code = EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
+    return code, {"estimator": args.estimator, **_config_snapshot(config)}, [args.data]
 
 
 def _config_snapshot(config):
@@ -187,7 +151,7 @@ def _parse_grid(text, flag, cast):
     return vals
 
 
-def cmd_cv(args, argv):
+def cmd_cv(args):
     data, extras = _load_dataset(args)
     rho_grid = _parse_grid(args.rho_grid, "--rho-grid", float)
     rank_grid = _parse_grid(args.rank_grid, "--rank-grid", int)
@@ -208,41 +172,28 @@ def cmd_cv(args, argv):
         raise CliError(EXIT_USAGE, f"invalid CV plan: {exc}")
     config = _build_config(args, rank=rank_grid[0], rho=rho_grid[0])
     out = _outdir(args)
-    with io.Stopwatch() as sw:
-        try:
-            sel = evaluate.cv_select(data, plan, config, estimator=args.estimator)
-        except (GlmConvergenceError, solvers.NumericalError) as exc:
-            raise CliError(EXIT_NUMERICAL, f"cross-validation failed: {exc}")
-        header = ["fold"] + [f"rho={rho};rank={rank}" for rho, rank in sel.grid]
-        with open(out / "cv_table.csv", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            rows = sel.table_rows()
-            for f in range(plan.k):
-                fh.write(",".join([str(f + 1)] + [io.fmt(v) for v in rows[f]]) + "\n")
-            fh.write(",".join(["overall"] + [io.fmt(v) for v in rows[-1]]) + "\n")
-        with open(out / "selected.json", "w", encoding="utf-8", newline="\n") as fh:
-            json.dump({"rho": sel.rho, "rank": sel.rank}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    io.write_manifest(
-        out,
-        "cv",
-        {
-            "k": args.k,
-            "rho_grid": rho_grid,
-            "rank_grid": rank_grid,
-            "estimator": args.estimator,
-            "strata_column": args.strata_column,
-            **_config_snapshot(config),
-        },
-        inputs=[args.data],
-        seed=args.seed,
-        duration=sw.seconds,
-        extra={"argv": argv},
-    )
-    return EXIT_OK
+    try:
+        sel = evaluate.cv_select(data, plan, config, estimator=args.estimator)
+    except (GlmConvergenceError, solvers.NumericalError) as exc:
+        raise CliError(EXIT_NUMERICAL, f"cross-validation failed: {exc}")
+    labels = [str(f + 1) for f in range(plan.k)] + ["overall"]
+    io.write_rows(out / "cv_table.csv", [
+        ["fold"] + [f"rho={rho};rank={rank}" for rho, rank in sel.grid]
+    ] + [[label] + [io.fmt(v) for v in row]
+         for label, row in zip(labels, sel.table_rows())])
+    io.write_json(out / "selected.json", {"rho": sel.rho, "rank": sel.rank})
+    # folds numbered from 1, as in cv_table.csv
+    io.write_json(out / "failures.json", [
+        {"rho": sel.grid[g][0], "rank": sel.grid[g][1], "fold": f + 1, "reason": why}
+        for g, f, why in sel.failures
+    ])
+    return EXIT_OK, dict(
+        k=args.k, rho_grid=rho_grid, rank_grid=rank_grid, estimator=args.estimator,
+        strata_column=args.strata_column, **_config_snapshot(config),
+    ), [args.data]
 
 
-def cmd_replicate(args, argv):
+def cmd_replicate(args):
     shapes = [s.strip() for s in args.shape.split(",") if s.strip()]
     for s in shapes:
         if s not in simulate.SHAPE_NAMES:
@@ -257,54 +208,34 @@ def cmd_replicate(args, argv):
     config = _build_config(args)
     out = _outdir(args)
 
-    fields = []
-    for m in evaluate.METRIC_NAMES:
-        fields += [f"{m}_mean", f"{m}_sd"]
-    with io.Stopwatch() as sw:
-        lines = ["shape,n,estimator," + ",".join(fields) + ",replications,failures"]
-        for shape_name in shapes:
-            for n in n_list:
-                try:
-                    spec = evaluate.ExperimentSpec(
-                        sim=simulate.SimSpec(
-                            shape=simulate.SignalShape(shape_name, args.p),
-                            n=n,
-                            sigma=args.sigma,
-                            seed=args.seed,
-                        ),
-                        config=config,
-                        estimators=tuple(estimators),
-                        replications=args.replications,
-                    )
-                except ValueError as exc:
-                    raise CliError(EXIT_USAGE, f"invalid replication spec: {exc}")
-                rows = evaluate.replicate_experiment(spec)["summary"]
-                for est in estimators:
-                    row = rows[est]
-                    cells = [shape_name, str(n), est]
-                    cells += [io.fmt(row[f]) for f in fields]
-                    cells += [str(row["replications"]), str(row["failures"])]
-                    lines.append(",".join(cells))
-        with open(out / "summary.csv", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-    io.write_manifest(
-        out,
-        "replicate",
-        {
-            "shape": shapes,
-            "p": args.p,
-            "n_list": n_list,
-            "estimators": estimators,
-            "replications": args.replications,
-            "sigma": args.sigma,
-            **_config_snapshot(config),
-        },
-        inputs=[],
-        seed=args.seed,
-        duration=sw.seconds,
-        extra={"argv": argv},
-    )
-    return EXIT_OK
+    fields = [f"{m}_{stat}" for m in evaluate.METRIC_NAMES for stat in ("mean", "sd")]
+    lines = [["shape", "n", "estimator", *fields, "replications", "failures"]]
+    for shape_name in shapes:
+        for n in n_list:
+            try:
+                spec = evaluate.ExperimentSpec(
+                    sim=simulate.SimSpec(
+                        shape=simulate.SignalShape(shape_name, args.p),
+                        n=n,
+                        sigma=args.sigma,
+                        seed=args.seed,
+                    ),
+                    config=config,
+                    estimators=tuple(estimators),
+                    replications=args.replications,
+                )
+            except ValueError as exc:
+                raise CliError(EXIT_USAGE, f"invalid replication spec: {exc}")
+            rows = evaluate.replicate_experiment(spec)["summary"]
+            for est in estimators:
+                row = rows[est]
+                lines.append([shape_name, str(n), est] + [io.fmt(row[f]) for f in fields]
+                             + [str(row["replications"]), str(row["failures"])])
+    io.write_rows(out / "summary.csv", lines)
+    return EXIT_OK, dict(
+        shape=shapes, p=args.p, n_list=n_list, estimators=estimators,
+        replications=args.replications, sigma=args.sigma, **_config_snapshot(config),
+    ), []
 
 
 def build_parser():
@@ -372,14 +303,18 @@ def main(argv=None):
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
+    t0 = time.monotonic()
     try:
-        return args.func(args, argv)
+        code, config, inputs = args.func(args)
+        io.write_manifest(Path(args.out), args.command, config, inputs, args.seed,
+                          time.monotonic() - t0, argv)
     except CliError as exc:
         print(f"symreg: {exc}", file=sys.stderr)
         return exc.code
     except OSError as exc:
         print(f"symreg: I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
+    return code
 
 
 if __name__ == "__main__":

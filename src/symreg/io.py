@@ -1,4 +1,8 @@
-# Plain-text dataset directory format and run manifests.
+# Everything symreg puts on disk: the plain-text dataset directory format,
+# the CLI's output files and run manifests. Every file is written by
+# write_text (UTF-8, LF line endings, one write), as comma-joined rows by
+# write_rows, or as JSON by write_json (indent 2, sorted keys, trailing
+# newline).
 #
 # A dataset directory holds:
 #   subjects.csv    header id,y,z1..z{p0} (optional extra columns, e.g. a
@@ -12,7 +16,7 @@
 
 import csv
 import json
-import time
+import os
 from pathlib import Path
 
 import numpy as np
@@ -33,12 +37,23 @@ def fmt(x):
     return repr(float(x))
 
 
-def write_matrix_csv(path, m):
-    m = np.asarray(m, dtype=float)
-    # repr of the Python floats from tolist() is fmt of each entry, in one write
-    text = "".join(",".join(map(repr, row)) + "\n" for row in m.tolist())
+def write_text(path, text):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
+
+
+def write_rows(path, rows):
+    """One line per row of string cells, joined by commas."""
+    write_text(path, "".join(",".join(row) + "\n" for row in rows))
+
+
+def write_json(path, obj):
+    write_text(path, json.dumps(obj, indent=2, sort_keys=True, default=str) + "\n")
+
+
+def write_matrix_csv(path, m):
+    # repr of the Python floats from tolist() is fmt of each entry
+    write_rows(path, (map(repr, row) for row in np.asarray(m, dtype=float).tolist()))
 
 
 def read_matrix_csv(path):
@@ -65,17 +80,13 @@ def write_dataset(data, outdir, ids=None):
     if ids is None:
         ids = [f"{i:06d}" for i in range(1, n + 1)]
     header = ["id", "y"] + [f"z{j}" for j in range(1, p0 + 1)]
-    with open(outdir / "subjects.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(n):
-            row = [ids[i], fmt(data.y[i])] + [fmt(v) for v in data.Z[i]]
-            fh.write(",".join(row) + "\n")
+    write_rows(outdir / "subjects.csv", [header] + [
+        [ids[i], fmt(data.y[i])] + [fmt(v) for v in data.Z[i]] for i in range(n)
+    ])
     for i in range(n):
         write_matrix_csv(outdir / "matrices" / f"{ids[i]}.csv", data.X[i])
-    meta = {"family": data.family.name, "p": int(data.p), "p0": int(p0)}
-    with open(outdir / "meta.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(outdir / "meta.json",
+               {"family": data.family.name, "p": int(data.p), "p0": int(p0)})
     return ids
 
 
@@ -158,30 +169,27 @@ def read_dataset(path, log_response=False):
     return data, extras
 
 
-def write_manifest(outdir, command, config, inputs, seed, duration, extra=None):
-    """Single manifest per output directory; records enough to re-run the job."""
-    payload = {
+# environment variables that set BLAS or replication-harness threads
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+               "SYMREG_THREADS")
+
+
+def write_manifest(outdir, command, config, inputs, seed, duration, argv):
+    """Single manifest per output directory: enough to re-run the job, and the
+    numeric environment (numpy, BLAS, thread settings) it ran in."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    write_json(Path(outdir) / "manifest.json", {
+        "argv": argv,
         "command": command,
         "config": config,
+        "duration_seconds": duration,
+        "environment": {
+            "numpy": np.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "threads": {name: os.environ.get(name) for name in THREAD_VARS},
+        },
         "inputs": [str(i) for i in inputs],
         "output_dir": str(outdir),
         "rng": {"algorithm": RNG_ALGORITHM, "seed": seed},
-        "duration_seconds": duration,
         "version": ARTIFACT_VERSION,
-    }
-    if extra:
-        payload.update(extra)
-    with open(Path(outdir) / "manifest.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
-    return payload
-
-
-class Stopwatch:
-    def __enter__(self):
-        self.t0 = time.monotonic()
-        return self
-
-    def __exit__(self, *exc):
-        self.seconds = time.monotonic() - self.t0
-        return False
+    })

@@ -173,6 +173,7 @@ def test_fit_solver_failure_exits_5(sim_dir, tmp_path, monkeypatch, error):
     out = tmp_path / "f"
     assert run("fit", sim_dir, "--estimator", "pipeline", "--out", out) == 5
     assert not (out / "metrics.json").exists()
+    assert not (out / "manifest.json").exists()
     # a usage error on the same command is still a usage error
     assert run("fit", sim_dir, "--tol", "2", "--out", tmp_path / "g") == 2
 
@@ -252,6 +253,7 @@ def test_cv_outputs_and_stratification(tmp_path):
     assert len(rows) == 1 + 3 + 1  # header, k folds, overall
     selected = json.loads((out / "selected.json").read_text())
     assert selected == {"rho": 0.5, "rank": 1}
+    assert json.loads((out / "failures.json").read_text()) == []
 
 
 def test_cv_missing_strata_column_exits_2(tmp_path):
@@ -309,3 +311,96 @@ def test_replicate_unknown_estimator_exits_2(tmp_path):
     assert run("replicate", "--shape", "two_box", "--p", "16", "--n-list", "40",
                "--replications", "1", "--estimators", "magic",
                "--out", tmp_path / "r") == 2
+
+
+# ---------------------------------------------------------------- manifest
+
+MANIFEST_KEYS = {"argv", "command", "config", "duration_seconds", "environment",
+                 "inputs", "output_dir", "rng", "version"}
+SOLVER_DEFAULTS = {"delta0": 1.0, "prox_steps": 5, "renormalize_columns": False,
+                   "seed": 0, "tol": 0.0001}
+
+MANIFEST_CASES = {
+    "simulate": (
+        ["simulate", "--shape", "cross", "--p", "16", "--n", "12", "--seed", "4"], 0,
+        {"shape": "cross", "p": 16, "n": 12, "p0": 5, "sigma": 1.0},
+    ),
+    "fit": (
+        ["fit", "DATA", "--estimator", "sym_cp", "--rank", "2", "--rho", "0.25",
+         "--max-outer-iters", "2"], 4,  # the iteration cap still writes a manifest
+        {**SOLVER_DEFAULTS, "estimator": "sym_cp", "rank": 2, "rho": 0.25,
+         "max_outer_iters": 2},
+    ),
+    "cv": (
+        ["cv", "DATA", "--k", "2", "--rho-grid", "0.5,0", "--rank-grid", "1",
+         "--estimator", "cp", "--max-outer-iters", "5", "--seed", "3"], 0,
+        {**SOLVER_DEFAULTS, "k": 2, "rho_grid": [0.5, 0.0], "rank_grid": [1],
+         "estimator": "cp", "strata_column": None, "rank": 1, "rho": 0.5,
+         "max_outer_iters": 5, "seed": 3},
+    ),
+    "replicate": (
+        ["replicate", "--shape", "two_box", "--p", "16", "--n-list", "20",
+         "--replications", "1", "--estimators", "cp", "--rank", "1",
+         "--max-outer-iters", "5"], 0,
+        {**SOLVER_DEFAULTS, "shape": ["two_box"], "p": 16, "n_list": [20],
+         "estimators": ["cp"], "replications": 1, "sigma": 1.0, "rank": 1,
+         "rho": 0.0, "max_outer_iters": 5},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(MANIFEST_CASES))
+def test_manifest_contract(sim_dir, tmp_path, monkeypatch, command):
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    template, code, config = MANIFEST_CASES[command]
+    out = tmp_path / "out"
+    argv = [str(sim_dir) if a == "DATA" else a for a in template] + ["--out", str(out)]
+    assert main(argv) == code
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert set(manifest) == MANIFEST_KEYS
+    assert manifest["command"] == command
+    assert manifest["config"] == config
+    assert manifest["argv"] == argv
+    assert manifest["inputs"] == [str(sim_dir)] * template.count("DATA")
+    assert manifest["output_dir"] == str(out)
+    seed = int(argv[argv.index("--seed") + 1]) if "--seed" in argv else 0
+    assert manifest["rng"] == {"algorithm": "numpy-pcg64", "seed": seed}
+    assert manifest["duration_seconds"] > 0
+    env = manifest["environment"]
+    assert env["numpy"] == np.__version__
+    assert set(env["blas"]) == {"name", "version"}
+    assert env["threads"] == {
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "OMP_NUM_THREADS": "1",
+        "MKL_NUM_THREADS": None,
+        "SYMREG_THREADS": os.environ.get("SYMREG_THREADS"),
+    }
+
+
+def test_cv_failures_json_and_manifest_replay(tmp_path, monkeypatch):
+    fit_one = evaluate._fit_one
+
+    def fail_at_rho_half(data, config, estimator):
+        if config.rho == 0.5:
+            raise GlmConvergenceError("forced failure")
+        return fit_one(data, config, estimator)
+
+    monkeypatch.setattr(evaluate, "_fit_one", fail_at_rho_half)
+    ds = make_strata_dataset(tmp_path)
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run("cv", ds, "--k", "3", "--rho-grid", "0,0.5", "--rank-grid", "1",
+               "--strata-column", "group", "--estimator", "cp",
+               "--max-outer-iters", "10", "--out", a) == 0
+    failures = json.loads((a / "failures.json").read_text(encoding="utf-8"))
+    assert failures == [
+        {"rho": 0.5, "rank": 1, "fold": fold, "reason": "forced failure"}
+        for fold in (1, 2, 3)
+    ]
+    assert json.loads((a / "selected.json").read_text()) == {"rho": 0.0, "rank": 1}
+
+    argv = json.loads((a / "manifest.json").read_text())["argv"]
+    argv[argv.index("--out") + 1] = str(b)
+    assert main(argv) == 0
+    for name in ("cv_table.csv", "selected.json", "failures.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
