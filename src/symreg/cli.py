@@ -210,6 +210,7 @@ def cmd_replicate(args):
 
     fields = [f"{m}_{stat}" for m in evaluate.METRIC_NAMES for stat in ("mean", "sd")]
     lines = [["shape", "n", "estimator", *fields, "replications", "failures"]]
+    failures = []
     for shape_name in shapes:
         for n in n_list:
             try:
@@ -226,12 +227,14 @@ def cmd_replicate(args):
                 )
             except ValueError as exc:
                 raise CliError(EXIT_USAGE, f"invalid replication spec: {exc}")
-            rows = evaluate.replicate_experiment(spec)["summary"]
+            result = evaluate.replicate_experiment(spec)
             for est in estimators:
-                row = rows[est]
+                row = result["summary"][est]
                 lines.append([shape_name, str(n), est] + [io.fmt(row[f]) for f in fields]
                              + [str(row["replications"]), str(row["failures"])])
+            failures += [{"shape": shape_name, "n": n, **f} for f in result["failures"]]
     io.write_rows(out / "summary.csv", lines)
+    io.write_json(out / "failures.json", failures)
     return EXIT_OK, dict(
         shape=shapes, p=args.p, n_list=n_list, estimators=estimators,
         replications=args.replications, sigma=args.sigma, **_config_snapshot(config),

@@ -6,6 +6,7 @@
 # are ordered by index, so outputs do not depend on scheduling.
 
 import os
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -147,7 +148,9 @@ def cv_select(data, plan, config, estimator="sym_tensor"):
     """Grid search (rho, rank) by k-fold CV on held-out prediction MSE.
 
     Failed fits exclude their grid point (recorded in failures). Ties prefer
-    larger rho, then smaller rank.
+    larger rho, then smaller rank. When every grid point fails, the
+    NumericalError names the number of failed fits and each distinct reason
+    once, with its count.
     """
     folds = kfold_split(data.n, plan)
     grid = [(rho, rank) for rho in plan.rho_grid for rank in plan.rank_grid]
@@ -173,7 +176,11 @@ def cv_select(data, plan, config, estimator="sym_tensor"):
 
     candidates = [g for g in range(len(grid)) if complete[g]]
     if not candidates:
-        raise NumericalError("every grid point failed in cross-validation")
+        reasons = Counter(why for _, _, why in failures)
+        raise NumericalError(
+            f"every grid point failed in cross-validation ({len(failures)} failed "
+            "fits: " + "; ".join(f"{why} [x{k}]" for why, k in reasons.items()) + ")"
+        )
     best = min(candidates, key=lambda g: (mean_mse[g], -grid[g][0], grid[g][1]))
     return CvSelection(
         rho=grid[best][0],
@@ -234,31 +241,36 @@ def _replication_metrics(spec, rep):
 METRIC_NAMES = ("mse_coef", "mse_pred_in", "mse_pred_out")
 
 
+def _try_replication(spec, rep):
+    """(metrics, None) for one replication, or (None, reason) if its fit failed."""
+    try:
+        return _replication_metrics(spec, rep), None
+    except (GlmConvergenceError, NumericalError) as exc:
+        return None, str(exc)
+
+
 def replicate_experiment(spec):
     """Mean and sd of each metric per estimator across seeded replications.
 
     Failed replications are excluded from the summary and counted
     ("failures"); "capped" counts the successful ones whose fit stopped at
-    max_outer_iters without converging. Rows are reduced in replication
-    order, so results do not depend on worker scheduling.
+    max_outer_iters without converging. The returned "failures" lists each
+    failed replication r (seed sim.seed ^ r) with its reason. Rows are
+    reduced in replication order, so results do not depend on worker
+    scheduling.
     """
     reps = range(spec.replications)
     workers = worker_count()
-    per_rep = [None] * spec.replications
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {r: pool.submit(_replication_metrics, spec, r) for r in reps}
-        for r in reps:
-            try:
-                per_rep[r] = futures[r].result()
-            except (GlmConvergenceError, NumericalError):
-                per_rep[r] = None
+            outcomes = list(pool.map(lambda r: _try_replication(spec, r), reps))
     else:
-        for r in reps:
-            try:
-                per_rep[r] = _replication_metrics(spec, r)
-            except (GlmConvergenceError, NumericalError):
-                per_rep[r] = None
+        outcomes = [_try_replication(spec, r) for r in reps]
+    per_rep = [metrics for metrics, _ in outcomes]
+    failures = [
+        {"replication": r, "reason": why}
+        for r, (_, why) in enumerate(outcomes) if why is not None
+    ]
 
     summary = {}
     done = [m for m in per_rep if m is not None]
@@ -273,4 +285,4 @@ def replicate_experiment(spec):
             row[f"{metric}_mean"] = float(vals.mean()) if vals.size else float("nan")
             row[f"{metric}_sd"] = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
         summary[est] = row
-    return {"summary": summary, "per_replication": per_rep}
+    return {"summary": summary, "per_replication": per_rep, "failures": failures}

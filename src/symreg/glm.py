@@ -1,7 +1,7 @@
 # Exponential-family plumbing: losses, (weighted) GLM fits with offsets via
 # least squares / IRLS, the soft-threshold operator, and an l1-penalized GLM
-# solved by proximal gradient with backtracking. The matrix solvers build all
-# of their block updates out of these pieces.
+# solved by proximal gradient (a fixed 1/L step if gaussian, backtracking if
+# bernoulli). The matrix solvers build all of their block updates from these.
 
 import math
 
@@ -220,20 +220,22 @@ def soft_threshold(v, t):
 
 
 def fit_glm_lasso(problem, rho, coef0=None, max_iter=2000, kkt_tol=None, info=None):
-    """Minimize negloglik + rho*||coef||_1 by proximal gradient with backtracking.
+    """Minimize negloglik + rho*||coef||_1 by proximal gradient.
 
-    The step starts at 1/L (L a spectral-norm Lipschitz bound) and halves
-    until the quadratic majorization holds, so the penalized objective is
-    non-increasing across iterations. Convergence is declared on the KKT
-    residual: |grad_j + rho*sign(coef_j)| for active j, max(|grad_j|-rho, 0)
-    for zero j. `info` (a caller-supplied dict) receives "iterations",
-    "objective_trace" and "converged" (whether the KKT test passed).
+    The penalized objective is non-increasing across iterations. Convergence
+    is declared on the KKT residual: |grad_j + rho*sign(coef_j)| for active j,
+    max(|grad_j|-rho, 0) for zero j. `info` (a caller-supplied dict) receives
+    "iterations", "objective_trace" and "converged" (whether the KKT test
+    passed).
 
     The gaussian loss is quadratic, so it runs on inner products cached once
-    per call (G = Z'Z, c = Z'(y - offset)) instead of the n-row design, and
-    carries G @ coef between iterations: one q x q matvec per candidate. Its
-    iterates run ahead of the KKT test in windows of LASSO_WINDOW (see
-    _lasso_gram); the result is that of testing every iterate in turn.
+    per call (G = Z'Z, c = Z'(y - offset)) instead of the n-row design, steps
+    at exactly 1/L with L = eigmax(G), which needs no search, and carries
+    G @ coef between iterations: one q x q matvec per step. Its iterates run
+    ahead of the KKT test in windows of LASSO_WINDOW (see _lasso_gram); the
+    result is that of testing every iterate in turn. The bernoulli step starts
+    at 1/L (L a spectral-norm bound) and halves until the quadratic
+    majorization holds.
     """
     if rho < 0:
         raise ValueError("rho must be nonnegative")
@@ -330,28 +332,10 @@ def _lasso_gram(problem, rho, coef, max_iter, kkt_tol):
             raise ValueError("negloglik requires finite y and eta")
         return value
 
+    # a quadratic's majorization gap at step 1/L, d'Gd/2 - L||d||^2/2, is
+    # never positive for L = eigmax(G): no step search (Beck & Teboulle 2009)
     lip = float(np.linalg.eigvalsh(G)[-1])
-    delta0 = 1.0 / lip if lip > 0 else 1.0
-
-    def step(coef, gx, nll, grad):
-        """Backtracking prox step; None when no rung is accepted or it moves nothing."""
-        delta = delta0
-        for _ in range(60):
-            # soft_threshold inlined; rho >= 0 was checked on entry
-            v = coef - delta * grad
-            cand = np.sign(v) * np.maximum(np.abs(v) - rho * delta, 0.0)
-            diff = cand - coef
-            g_diff = G.dot(diff)
-            cand_gx = gx + g_diff
-            cand_nll = gram_nll(cand, cand_gx)
-            # a quadratic's majorization gap is exactly diff'G diff / 2; testing
-            # it avoids the cancellation in nll(cand) - nll. The slack covers
-            # float cancellation once the true decrease is ~eps*|nll|.
-            slack = 1e-14 * (1.0 + abs(nll) + abs(cand_nll))
-            if 0.5 * float(diff.dot(g_diff)) <= diff.dot(diff) / (2.0 * delta) + slack:
-                return (cand, cand_gx, cand_nll) if np.count_nonzero(diff) else None
-            delta /= 2.0
-        return None
+    delta = 1.0 / lip if lip > 0 else 1.0
 
     gx = G @ coef
     nll = gram_nll(coef, gx)
@@ -368,15 +352,20 @@ def _lasso_gram(problem, rho, coef, max_iter, kkt_tol):
                 break
             tested = m + 1
             grad = np.subtract(gx, c, out=grads[m])
+            # soft_threshold inlined; rho >= 0 was checked on entry
+            v = coef - delta * grad
+            cand = np.sign(v) * np.maximum(np.abs(v) - rho * delta, 0.0)
+            diff = cand - coef
+            cand_gx = gx + G.dot(diff)
             try:
-                nxt = step(coef, gx, nll, grad)
+                cand_nll = gram_nll(cand, cand_gx)
             except ValueError as exc:
                 error = exc
                 break
-            if nxt is None:
+            if not np.count_nonzero(diff):
                 ended = True
                 break
-            coef, gx, nll = nxt
+            coef, gx, nll = cand, cand_gx, cand_nll
         passed = np.flatnonzero(
             _kkt_residual(grads[:tested], coefs[:tested], rho).max(axis=1) <= kkt_tol
         )

@@ -262,7 +262,7 @@ def test_cv_missing_strata_column_exits_2(tmp_path):
                "--strata-column", "nope", "--out", tmp_path / "cv2") == 2
 
 
-def test_cv_every_grid_point_failing_exits_5(tmp_path, monkeypatch):
+def test_cv_every_grid_point_failing_exits_5(tmp_path, monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise GlmConvergenceError("forced failure")
 
@@ -271,7 +271,11 @@ def test_cv_every_grid_point_failing_exits_5(tmp_path, monkeypatch):
     out = tmp_path / "cv"
     assert run("cv", ds, "--k", "3", "--rho-grid", "0.5", "--rank-grid", "1",
                "--out", out) == 5
-    assert not (out / "selected.json").exists()
+    # the reasons reach stderr, each distinct one once with its count
+    err = capsys.readouterr().err
+    assert "3 failed fits: forced failure [x3]" in err
+    assert err.count("forced failure") == 1
+    assert list(out.iterdir()) == []
 
 
 # ---------------------------------------------------------------- replicate
@@ -286,6 +290,7 @@ def test_replicate_row_count_and_sd(tmp_path):
     rows = read_lines(out / "summary.csv")
     header = rows[0].split(",")
     assert len(rows) == 1 + 2 * 2 * 2  # header + shapes*n*estimators
+    assert json.loads((out / "failures.json").read_text(encoding="utf-8")) == []
     sd_cols = [i for i, h in enumerate(header) if h.endswith("_sd")]
     for row in rows[1:]:
         cells = row.split(",")
@@ -305,6 +310,28 @@ def test_replicate_cp_symcp_identical_pred_means(tmp_path):
     by_est = {r.split(",")[2]: r.split(",") for r in rows[1:]}
     for idx in (idx_in, idx_out):
         assert abs(float(by_est["cp"][idx]) - float(by_est["sym_cp"][idx])) <= 1e-10
+
+
+def test_replicate_failures_json(tmp_path, monkeypatch):
+    metrics = evaluate._replication_metrics
+
+    def fail_on_replication_1(spec, rep):
+        if rep == 1:
+            raise NumericalError("forced failure")
+        return metrics(spec, rep)
+
+    monkeypatch.setattr(evaluate, "_replication_metrics", fail_on_replication_1)
+    out = tmp_path / "rep"
+    assert run("replicate", "--shape", "two_box,cross", "--p", "16", "--n-list", "40",
+               "--replications", "2", "--estimators", "cp", "--rank", "1",
+               "--max-outer-iters", "5", "--out", out) == 0
+    assert json.loads((out / "failures.json").read_text(encoding="utf-8")) == [
+        {"shape": shape, "n": 40, "replication": 1, "reason": "forced failure"}
+        for shape in ("two_box", "cross")
+    ]
+    assert [row.split(",")[-1] for row in read_lines(out / "summary.csv")[1:]] == [
+        "1", "1"
+    ]
 
 
 def test_replicate_unknown_estimator_exits_2(tmp_path):

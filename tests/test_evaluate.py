@@ -17,7 +17,9 @@ from symreg import (
     mse_pred,
     replicate_experiment,
 )
+from symreg import evaluate
 from symreg.simulate import synth_dataset
+from symreg.solvers import NumericalError
 from symreg.tensor_ops import symcp_to_full
 
 from conftest import random_symmetric
@@ -213,6 +215,30 @@ def test_replicate_counts_capped_fits():
         "sym_tensor": 0,
     }
     assert [m["cp"]["converged"] for m in out["per_replication"]] == [False, False]
+
+
+@pytest.mark.parametrize("threads", ["0", "2"])
+def test_replicate_records_failure_reasons(monkeypatch, threads):
+    metrics = evaluate._replication_metrics
+
+    def fail_on_replication_1(spec, rep):
+        if rep == 1:
+            raise NumericalError("forced failure")
+        return metrics(spec, rep)
+
+    monkeypatch.setattr(evaluate, "_replication_metrics", fail_on_replication_1)
+    monkeypatch.setenv("SYMREG_THREADS", threads)
+    spec = ExperimentSpec(
+        sim=SimSpec(shape=SignalShape("two_box", 16), n=40, seed=5),
+        config=FitConfig(rank=1, rho=0.0, seed=5, **FAST),
+        estimators=("cp",),
+        replications=3,
+    )
+    out = replicate_experiment(spec)
+    assert out["failures"] == [{"replication": 1, "reason": "forced failure"}]
+    assert [m is None for m in out["per_replication"]] == [False, True, False]
+    assert out["summary"]["cp"]["failures"] == 1
+    assert out["summary"]["cp"]["replications"] == 3
 
 
 def test_replicate_deterministic_per_seed():

@@ -427,12 +427,16 @@ def test_lasso_gram_path_matches_reference(make, seed, rho, max_iter):
 
 
 # The Gaussian loop on cached inner products as it ran before its KKT test was
-# batched over windows: each iterate is tested before the next step is taken.
-# The reference for the windowed loop, which must match it exactly. With
-# fail_at=k the k-th negloglik evaluation (1-based) counts as non-finite;
-# `residuals`, when given, receives each tested iterate's KKT residual.
+# batched over windows and before its backtracking search was dropped: each
+# iterate is tested before the next step is taken, and each step halves from
+# 1/L until the majorization test passes. The reference for the windowed
+# fixed-step loop, which must match it exactly. With fail_at=k the k-th
+# negloglik evaluation (1-based) counts as non-finite; `residuals`, when
+# given, receives each tested iterate's KKT residual, and `halvings` each
+# accepted step's number of halvings.
 def reference_gram_lasso(
-    problem, rho, coef0=None, max_iter=2000, kkt_tol=None, fail_at=None, residuals=None
+    problem, rho, coef0=None, max_iter=2000, kkt_tol=None, fail_at=None,
+    residuals=None, halvings=None,
 ):
     Z, y, offset = problem.Z, problem.y, problem.offset
     q = problem.q
@@ -469,7 +473,7 @@ def reference_gram_lasso(
             break
 
         delta, accepted = delta0, False
-        for _ in range(60):
+        for halved in range(60):
             cand = soft_threshold(coef - delta * grad, rho * delta)
             diff = cand - coef
             g_diff = G @ diff
@@ -481,6 +485,8 @@ def reference_gram_lasso(
                 accepted = True
                 break
             delta /= 2.0
+        if accepted and halvings is not None:
+            halvings.append(halved)
         if not accepted or not diff.any():
             break
         coef, nll = cand, cand_nll
@@ -489,9 +495,10 @@ def reference_gram_lasso(
     return coef, it + 1, np.asarray(trace), converged
 
 
-def _assert_matches_gram_reference(problem, rho, coef0=None, fail_at=None, **kw):
+def _assert_matches_gram_reference(problem, rho, coef0=None, fail_at=None,
+                                   halvings=None, **kw):
     ref, ref_iters, ref_trace, ref_converged = reference_gram_lasso(
-        problem, rho, coef0=coef0, fail_at=fail_at, **kw
+        problem, rho, coef0=coef0, fail_at=fail_at, halvings=halvings, **kw
     )
     info = {}
     coef = fit_glm_lasso(problem, rho, coef0=coef0, info=info, **kw)
@@ -500,6 +507,30 @@ def _assert_matches_gram_reference(problem, rho, coef0=None, fail_at=None, **kw)
     assert info["converged"] is ref_converged
     assert np.array_equal(info["objective_trace"], ref_trace)
     return info
+
+
+def _scaled(problem, root):
+    # Z, y and offset times root: G and c scale by root**2, and so must rho for
+    # the optimum to stay where it is
+    return GlmProblem(problem.y * root, problem.Z * root, problem.offset * root)
+
+
+def _small_gram_block(seed):
+    problem, coef0 = _cp_block_problem(seed)
+    return _scaled(problem, 1e-3), coef0
+
+
+def _large_gram_block(seed):
+    problem, coef0 = _cp_block_problem(seed)
+    return _scaled(problem, 1e3), coef0
+
+
+def _top_eigvec_start(seed):
+    # the warm start lies on G's top eigenvector, where d'Gd = L||d||^2 makes
+    # the majorization test of the first step tight
+    problem, _ = _cp_block_problem(seed)
+    top = np.linalg.eigh(problem.Z.T @ problem.Z)[1][:, -1]
+    return problem, 10.0 * top
 
 
 @pytest.mark.parametrize(
@@ -512,11 +543,31 @@ def _assert_matches_gram_reference(problem, rho, coef0=None, fail_at=None, **kw)
         (_cp_block_problem, 4, 0.5, 500),
         (_cp_block_problem, 5, 5.0, 500),
         (_cp_block_problem, 7, 0.5, 500),
+        (_cp_block_problem, 8, 0.0, 500),
+        (_cp_block_problem, 8, 1e-3, 500),
+        (_cp_block_problem, 4, 1000.0, 500),  # above max|c| = 372.8: coef -> 0
+        (_small_gram_block, 4, 0.5e-6, 500),
+        (_large_gram_block, 4, 0.5e6, 500),
+        (_small_gram_block, 5, 0.0, 500),
+        (_large_gram_block, 5, 0.0, 500),
+        (_top_eigvec_start, 7, 0.0, 500),
+        (_top_eigvec_start, 7, 0.5, 500),
     ],
 )
 def test_lasso_windows_match_gram_reference(make, seed, rho, max_iter):
+    # the fixed 1/L step of the gram path is exact because the reference's
+    # backtracking search never halves on a quadratic; check that premise too
     problem, coef0 = make(seed)
-    _assert_matches_gram_reference(problem, rho, coef0, max_iter=max_iter)
+    halvings = []
+    info = _assert_matches_gram_reference(problem, rho, coef0, halvings=halvings,
+                                          max_iter=max_iter)
+    assert halvings and not any(halvings)
+    # non-increasing up to the rounding of the objective's cancelling terms
+    trace = info["objective_trace"]
+    assert np.all(np.diff(trace) <= 1e-13 * np.maximum(np.abs(trace[:-1]), 1.0))
+    if rho > np.abs(problem.Z.T @ (problem.y - problem.offset)).max():
+        assert info["converged"] is True
+        assert not fit_glm_lasso(problem, rho, coef0, max_iter=max_iter).any()
 
 
 def test_lasso_windows_converge_at_iterate_zero(rng):
