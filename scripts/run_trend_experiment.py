@@ -10,8 +10,7 @@
 import argparse
 
 from symreg import ExperimentSpec, FitConfig, SignalShape, SimSpec, replicate_experiment
-
-ESTIMATORS = ("cp", "sym_cp", "sym_tensor")
+from symreg.evaluate import ESTIMATORS
 
 
 def main():

@@ -13,6 +13,7 @@ from .glm import (
     Family,
     GlmConvergenceError,
     GlmProblem,
+    NumericalError,
     fit_glm,
     fit_glm_lasso,
     soft_threshold,
@@ -22,14 +23,12 @@ from .solvers import (
     Dataset,
     FitConfig,
     FitResult,
-    NumericalError,
     SymCPFactors,
     construct_init,
     default_pipeline,
     fit_cp,
     fit_sym_cp,
     fit_sym_tensor,
-    grad_loss_B,
     objective,
     prox_update_B,
 )

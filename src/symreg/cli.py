@@ -1,10 +1,14 @@
 # Command-line surface: simulate / fit / cv / replicate. Each command writes
 # its outputs into --out through io and returns (exit code, manifest config,
-# inputs); main times the whole command and writes the one manifest.json.
-# Exit codes: 0 success, 2 usage or validation, 3 I/O, 4 hit max iterations
-# without reaching the tolerance (results and manifest are still written),
-# 5 numerical failure in a solver (GlmConvergenceError or NumericalError; no
-# results are written).
+# inputs): 0 on success, 4 when a fit hit max iterations without reaching the
+# tolerance. main times the whole command and writes the one manifest.json.
+# Every failure is an exception; main alone turns its type into an exit code
+# and one stderr line, and writes no manifest: NumericalError (its subclass
+# GlmConvergenceError included) gives 5, ValueError (io.DataFormatError and
+# every constructor check included) gives 2, OSError gives 3. A ValueError
+# can mean usage because none leaves a fit: np.linalg.LinAlgError is a
+# ValueError, and _block_descent and fit_sym_tensor's initial lam-GLM wrap
+# every ValueError or LinAlgError of a fit into NumericalError.
 
 import argparse
 import sys
@@ -14,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluate, io, simulate, solvers
-from .glm import GlmConvergenceError
+from .glm import NumericalError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -31,21 +35,12 @@ SOLVER_FLAGS = (
 )
 
 
-class CliError(Exception):
-    def __init__(self, code, message):
-        super().__init__(message)
-        self.code = code
-
-
 def _build_config(args, rank=None, rho=None):
-    try:
-        return solvers.FitConfig(
-            rank=rank if rank is not None else args.rank,
-            rho=rho if rho is not None else args.rho,
-            **{name: getattr(args, name) for name in SOLVER_FLAGS},
-        )
-    except ValueError as exc:
-        raise CliError(EXIT_USAGE, f"invalid solver configuration: {exc}")
+    return solvers.FitConfig(
+        rank=rank if rank is not None else args.rank,
+        rho=rho if rho is not None else args.rho,
+        **{name: getattr(args, name) for name in SOLVER_FLAGS},
+    )
 
 
 def _add_solver_flags(p, defaults):
@@ -58,38 +53,20 @@ def _add_solver_flags(p, defaults):
 
 
 def _outdir(args):
+    """--out, created and probed for writing before any fit runs."""
     out = Path(args.out)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        probe = out / ".write_probe"
-        probe.touch()
-        probe.unlink()
-    except OSError as exc:
-        raise CliError(EXIT_IO, f"cannot write to --out {out}: {exc}")
+    out.mkdir(parents=True, exist_ok=True)
+    probe = out / ".write_probe"
+    probe.touch()
+    probe.unlink()
     return out
 
 
-def _load_dataset(args):
-    try:
-        return io.read_dataset(args.data, log_response=args.log_response)
-    except io.DataFormatError as exc:
-        raise CliError(EXIT_USAGE, str(exc))
-    except OSError as exc:
-        raise CliError(EXIT_IO, f"cannot read dataset: {exc}")
-
-
 def cmd_simulate(args):
-    try:
-        shape = simulate.SignalShape(args.shape, args.p)
-    except ValueError as exc:
-        flag = "--shape" if args.shape not in simulate.SHAPE_NAMES else "--p"
-        raise CliError(EXIT_USAGE, f"invalid {flag}: {exc}")
-    try:
-        spec = simulate.SimSpec(
-            shape=shape, n=args.n, p0=args.p0, sigma=args.sigma, seed=args.seed
-        )
-    except ValueError as exc:
-        raise CliError(EXIT_USAGE, f"invalid simulation flags: {exc}")
+    spec = simulate.SimSpec(
+        shape=simulate.SignalShape(args.shape, args.p), n=args.n, p0=args.p0,
+        sigma=args.sigma, seed=args.seed,
+    )
     out = _outdir(args)
     io.write_dataset(simulate.gen_dataset(spec), out)
     config = {name: getattr(args, name) for name in ("shape", "p", "n", "p0", "sigma")}
@@ -110,13 +87,10 @@ def _fit_estimator(data, config, estimator):
 
 
 def cmd_fit(args):
-    data, _ = _load_dataset(args)
+    data, _ = io.read_dataset(args.data, log_response=args.log_response)
     config = _build_config(args)
     out = _outdir(args)
-    try:
-        result = _fit_estimator(data, config, args.estimator)
-    except (GlmConvergenceError, solvers.NumericalError) as exc:
-        raise CliError(EXIT_NUMERICAL, f"solver failed: {exc}")
+    result = _fit_estimator(data, config, args.estimator)
     factors = result.factors
     io.write_rows(out / "gamma.csv", ([io.fmt(v)] for v in result.gamma))
     io.write_rows(out / "factors.csv", [map(io.fmt, factors.weights)] + [
@@ -142,40 +116,31 @@ def _config_snapshot(config):
 
 
 def _parse_grid(text, flag, cast):
-    try:
-        vals = [cast(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise CliError(EXIT_USAGE, f"invalid {flag}: {exc}")
-    if not vals:
-        raise CliError(EXIT_USAGE, f"invalid {flag}: empty grid")
-    return vals
+    """The comma-separated values of a list flag; empty entries are skipped."""
+    tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
+    if not tokens:
+        raise ValueError(f"{flag} is an empty list")
+    return [cast(tok) for tok in tokens]
 
 
 def cmd_cv(args):
-    data, extras = _load_dataset(args)
+    data, extras = io.read_dataset(args.data, log_response=args.log_response)
     rho_grid = _parse_grid(args.rho_grid, "--rho-grid", float)
     rank_grid = _parse_grid(args.rank_grid, "--rank-grid", int)
     strata = None
     if args.strata_column:
         if args.strata_column not in extras:
-            raise CliError(
-                EXIT_USAGE,
-                f"--strata-column {args.strata_column!r} not found in subjects.csv",
+            raise ValueError(
+                f"--strata-column {args.strata_column!r} not found in subjects.csv"
             )
         strata = np.asarray([float(v) for v in extras[args.strata_column]])
-    try:
-        plan = evaluate.CvPlan(
-            rho_grid=rho_grid, rank_grid=rank_grid, k=args.k, strata=strata,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise CliError(EXIT_USAGE, f"invalid CV plan: {exc}")
+    plan = evaluate.CvPlan(
+        rho_grid=rho_grid, rank_grid=rank_grid, k=args.k, strata=strata,
+        seed=args.seed,
+    )
     config = _build_config(args, rank=rank_grid[0], rho=rho_grid[0])
     out = _outdir(args)
-    try:
-        sel = evaluate.cv_select(data, plan, config, estimator=args.estimator)
-    except (GlmConvergenceError, solvers.NumericalError) as exc:
-        raise CliError(EXIT_NUMERICAL, f"cross-validation failed: {exc}")
+    sel = evaluate.cv_select(data, plan, config, estimator=args.estimator)
     labels = [str(f + 1) for f in range(plan.k)] + ["overall"]
     io.write_rows(out / "cv_table.csv", [
         ["fold"] + [f"rho={rho};rank={rank}" for rho, rank in sel.grid]
@@ -194,45 +159,32 @@ def cmd_cv(args):
 
 
 def cmd_replicate(args):
-    shapes = [s.strip() for s in args.shape.split(",") if s.strip()]
-    for s in shapes:
-        if s not in simulate.SHAPE_NAMES:
-            raise CliError(EXIT_USAGE, f"invalid --shape: unknown shape {s!r}")
+    shapes = _parse_grid(args.shape, "--shape", str)
     n_list = _parse_grid(args.n_list, "--n-list", int)
-    estimators = [e.strip() for e in args.estimators.split(",") if e.strip()]
-    for e in estimators:
-        if e not in evaluate.ESTIMATORS:
-            raise CliError(EXIT_USAGE, f"invalid --estimators: unknown {e!r}")
-    if args.replications < 1:
-        raise CliError(EXIT_USAGE, "invalid --replications: must be >= 1")
+    estimators = _parse_grid(args.estimators, "--estimators", str)
     config = _build_config(args)
+    # every spec is checked before the first replication runs
+    specs = [
+        evaluate.ExperimentSpec(
+            sim=simulate.SimSpec(shape=simulate.SignalShape(shape_name, args.p), n=n,
+                                 sigma=args.sigma, seed=args.seed),
+            config=config, estimators=estimators, replications=args.replications,
+        )
+        for shape_name in shapes for n in n_list
+    ]
     out = _outdir(args)
 
     fields = [f"{m}_{stat}" for m in evaluate.METRIC_NAMES for stat in ("mean", "sd")]
     lines = [["shape", "n", "estimator", *fields, "replications", "failures"]]
     failures = []
-    for shape_name in shapes:
-        for n in n_list:
-            try:
-                spec = evaluate.ExperimentSpec(
-                    sim=simulate.SimSpec(
-                        shape=simulate.SignalShape(shape_name, args.p),
-                        n=n,
-                        sigma=args.sigma,
-                        seed=args.seed,
-                    ),
-                    config=config,
-                    estimators=tuple(estimators),
-                    replications=args.replications,
-                )
-            except ValueError as exc:
-                raise CliError(EXIT_USAGE, f"invalid replication spec: {exc}")
-            result = evaluate.replicate_experiment(spec)
-            for est in estimators:
-                row = result["summary"][est]
-                lines.append([shape_name, str(n), est] + [io.fmt(row[f]) for f in fields]
-                             + [str(row["replications"]), str(row["failures"])])
-            failures += [{"shape": shape_name, "n": n, **f} for f in result["failures"]]
+    for spec in specs:
+        shape_name, n = spec.sim.shape.name, spec.sim.n
+        result = evaluate.replicate_experiment(spec)
+        for est in estimators:
+            row = result["summary"][est]
+            lines.append([shape_name, str(n), est] + [io.fmt(row[f]) for f in fields]
+                         + [str(row["replications"]), str(row["failures"])])
+        failures += [{"shape": shape_name, "n": n, **f} for f in result["failures"]]
     io.write_rows(out / "summary.csv", lines)
     io.write_json(out / "failures.json", failures)
     return EXIT_OK, dict(
@@ -311,9 +263,12 @@ def main(argv=None):
         code, config, inputs = args.func(args)
         io.write_manifest(Path(args.out), args.command, config, inputs, args.seed,
                           time.monotonic() - t0, argv)
-    except CliError as exc:
-        print(f"symreg: {exc}", file=sys.stderr)
-        return exc.code
+    except NumericalError as exc:
+        print(f"symreg: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except ValueError as exc:
+        print(f"symreg: invalid input: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except OSError as exc:
         print(f"symreg: I/O error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -12,11 +12,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .glm import GlmConvergenceError
+from .glm import NumericalError
 from .simulate import SimSpec, shape_signal, synth_dataset
 from .solvers import (
     FitConfig,
-    NumericalError,
     default_pipeline,
     fit_cp,
     fit_sym_cp,
@@ -157,13 +156,14 @@ def cv_select(data, plan, config, estimator="sym_tensor"):
     fold_mse = np.full((plan.k, len(grid)), np.nan)
     failures = []
     all_idx = np.arange(data.n)
-    for g, (rho, rank) in enumerate(grid):
-        cfg = replace(config, rank=rank, rho=rho)
+    # every grid point's config is checked before the first fold is fit
+    configs = [replace(config, rank=rank, rho=rho) for rho, rank in grid]
+    for g, cfg in enumerate(configs):
         for f, test_idx in enumerate(folds):
             train_idx = np.setdiff1d(all_idx, test_idx)
             try:
                 res = _fit_one(data.take(train_idx), cfg, estimator)
-            except (GlmConvergenceError, NumericalError) as exc:
+            except NumericalError as exc:
                 failures.append((g, f, str(exc)))
                 continue
             test = data.take(test_idx)
@@ -245,7 +245,7 @@ def _try_replication(spec, rep):
     """(metrics, None) for one replication, or (None, reason) if its fit failed."""
     try:
         return _replication_metrics(spec, rep), None
-    except (GlmConvergenceError, NumericalError) as exc:
+    except NumericalError as exc:
         return None, str(exc)
 
 

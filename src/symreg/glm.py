@@ -16,7 +16,11 @@ IRLS_MAX_ITER = 100
 LASSO_WINDOW = 64
 
 
-class GlmConvergenceError(RuntimeError):
+class NumericalError(RuntimeError):
+    """A fit failed numerically; the CLI exits 5 on it and on every subclass."""
+
+
+class GlmConvergenceError(NumericalError):
     pass
 
 

@@ -4,6 +4,7 @@
 # pure function of (spec, seed); the RNG is numpy's PCG64 so identical seeds
 # give bit-identical datasets.
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,8 +91,8 @@ class SimSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ValueError("sigma must be finite and nonnegative")
         if self.p0 < 0:
             raise ValueError("p0 must be nonnegative")
         g = np.ones(self.p0) if self.gamma0 is None else np.asarray(self.gamma0, float)

@@ -17,6 +17,7 @@ from .glm import (
     GAUSSIAN,
     Family,
     GlmProblem,
+    NumericalError,
     _solve_ridged,
     fit_glm,
     fit_glm_lasso,
@@ -30,10 +31,6 @@ from .tensor_ops import check_symmetric, cp_to_full, khatri_rao, symcp_to_full, 
 # almost always holds the accepted step; a 24-column gemm costs about as much
 # as 4-5 single-candidate gemvs.
 PROX_BATCH = 24
-
-
-class NumericalError(RuntimeError):
-    pass
 
 
 @dataclass
@@ -106,15 +103,15 @@ class FitConfig:
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError("rank must be positive")
-        if self.rho < 0:
-            raise ValueError("rho must be nonnegative")
+        if not (math.isfinite(self.rho) and self.rho >= 0):
+            raise ValueError("rho must be finite and nonnegative")
         if not (0.0 < self.tol < 1.0):
             raise ValueError("tol must lie in (0, 1)")
         for name in ("max_outer_iters", "prox_steps", "line_search_max_halvings"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        if self.delta0 <= 0:
-            raise ValueError("delta0 must be positive")
+        if not (math.isfinite(self.delta0) and self.delta0 > 0):
+            raise ValueError("delta0 must be finite and positive")
         if self.lasso_max_iter < 1:
             raise ValueError("lasso_max_iter must be positive")
         if not (math.isfinite(self.lasso_kkt_tol) and self.lasso_kkt_tol >= 0):
@@ -228,17 +225,6 @@ def objective(data, gamma, factors, rho):
 def _grad_B(data, B, lam, w):
     """sum_i w_i * 2 X_i B diag(lam): the negloglik gradient in B, w = dnll/deta."""
     return 2.0 * (np.tensordot(w, data.X, axes=1) @ B) * lam
-
-
-def grad_loss_B(data, gamma, factors):
-    """Gradient of the unpenalized negloglik in B: sum_i w_i * 2 X_i B diag(lam).
-
-    w_i is the derivative of the negloglik in eta_i (mu_i - y_i under the
-    canonical links used here); descent steps subtract this gradient.
-    """
-    eta = _eta(data, gamma, factors.to_full())
-    w = data.family.dnll_deta(data.y, eta)
-    return _grad_B(data, factors.B, factors.lam, w)
 
 
 def prox_update_B(data, gamma, factors, rho, config, trace=None):
@@ -400,7 +386,6 @@ def fit_sym_tensor(data, config, init):
         return SymCPFactors(lam, B)
 
     result = _block_descent(data, config, factors, update, glm_info)
-    result.meta["factor_column_norms"] = np.linalg.norm(result.factors.B, axis=0)
     result.meta["lam_init"] = "glm" if init.lam is None else "given"
     return result
 
@@ -481,7 +466,7 @@ def fit_sym_cp(data, config, cp_result=None):
         base,
         coef_full=symmetrize(base.coef_full),
         config=config,
-        meta=dict(base.meta, cp_coef_full=base.coef_full),
+        meta=dict(base.meta),
     )
 
 
@@ -508,6 +493,9 @@ def default_pipeline(data, config):
     Returns the symmetric-tensor FitResult with both baselines attached in
     meta ("baseline_cp", "baseline_sym_cp").
     """
+    # construct_init's rank check, made before the CP fit instead of after it
+    if config.rank > data.p:
+        raise ValueError(f"rank must lie in [1, {data.p}], got {config.rank}")
     cp_res = fit_cp(data, config)
     sym_cp_res = fit_sym_cp(data, config, cp_result=cp_res)
     init = construct_init(sym_cp_res.coef_full, config.rank)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from symreg import Dataset
+from symreg.solvers import _eta, _grad_B
 
 
 @pytest.fixture
@@ -20,3 +21,14 @@ def overflow_dataset():
     X = rng.standard_normal((10, 3, 3))
     y = np.where(np.arange(10) % 2 == 0, 1e308, -1e308)
     return Dataset(y, rng.standard_normal((10, 2)), (X + X.transpose(0, 2, 1)) / 2.0)
+
+
+def grad_loss_B(data, gamma, factors):
+    """Gradient of the unpenalized negloglik in B: sum_i w_i * 2 X_i B diag(lam).
+
+    w_i is the derivative of the negloglik in eta_i (mu_i - y_i under the
+    canonical links used here). Built on the runtime gradient the prox step
+    descends along, so tests of this helper test solvers._grad_B.
+    """
+    w = data.family.dnll_deta(data.y, _eta(data, gamma, factors.to_full()))
+    return _grad_B(data, factors.B, factors.lam, w)

@@ -28,7 +28,6 @@ from symreg import (
     fit_glm_lasso,
     fit_sym_cp,
     fit_sym_tensor,
-    grad_loss_B,
     kfold_split,
     objective,
     replicate_experiment,
@@ -39,7 +38,7 @@ from symreg.io import write_dataset
 from symreg.simulate import shape_signal, synth_dataset
 from symreg.tensor_ops import symcp_to_full
 
-from conftest import random_symmetric
+from conftest import grad_loss_B, random_symmetric
 
 
 def report(number, label, ok, detail=""):

@@ -340,6 +340,42 @@ def test_replicate_unknown_estimator_exits_2(tmp_path):
                "--out", tmp_path / "r") == 2
 
 
+# ---------------------------------------------------------------- usage errors
+
+REPLICATE = ["replicate", "--shape", "two_box", "--p", "16", "--n-list", "20",
+             "--replications", "1"]
+USAGE_ERRORS = {
+    "cv_k_above_n": ["cv", "DATA", "--k", "100", "--rho-grid", "0", "--rank-grid", "1"],
+    "cv_rank_0": ["cv", "DATA", "--rho-grid", "0", "--rank-grid", "1,0"],
+    "cv_rho_negative": ["cv", "DATA", "--rho-grid", "0,-1", "--rank-grid", "1"],
+    # construct_init needs rank <= p; the pipeline checks it before its CP fit
+    "fit_pipeline_rank_above_p": ["fit", "DATA", "--estimator", "pipeline",
+                                  "--rank", "17"],
+    "replicate_rank_above_p": REPLICATE + ["--rank", "17"],
+    "replicate_empty_shape": REPLICATE[:2] + [","] + REPLICATE[3:],
+    "replicate_empty_estimators": REPLICATE + ["--estimators", ","],
+    "fit_rho_nan": ["fit", "DATA", "--rho", "nan"],
+    "fit_rho_inf": ["fit", "DATA", "--rho", "inf"],
+    "fit_delta0_nan": ["fit", "DATA", "--estimator", "sym_tensor", "--delta0", "nan"],
+    "simulate_sigma_nan": ["simulate", "--shape", "two_box", "--p", "16", "--n", "5",
+                           "--sigma", "nan"],
+    "replicate_sigma_nan": REPLICATE + ["--sigma", "nan"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_usage_error_exits_2_with_one_line(sim_dir, tmp_path, capsys, case):
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = [str(sim_dir) if a == "DATA" else a for a in USAGE_ERRORS[case]]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("symreg:")] == [
+        err.strip()
+    ]
+    assert not (out / "manifest.json").exists()
+
+
 # ---------------------------------------------------------------- manifest
 
 MANIFEST_KEYS = {"argv", "command", "config", "duration_seconds", "environment",

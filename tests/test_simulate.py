@@ -119,5 +119,8 @@ def test_sim_spec_validation():
         SimSpec(shape=shape, n=0)
     with pytest.raises(ValueError):
         SimSpec(shape=shape, n=5, sigma=-1.0)
+    for sigma in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="sigma"):
+            SimSpec(shape=shape, n=5, sigma=sigma)
     with pytest.raises(ValueError):
         SimSpec(shape=shape, n=5, gamma0=(1.0, 2.0))  # wrong length for p0=5

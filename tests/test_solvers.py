@@ -17,7 +17,6 @@ from symreg import (
     fit_glm,
     fit_sym_cp,
     fit_sym_tensor,
-    grad_loss_B,
     mse_coef,
     mse_pred,
     objective,
@@ -29,7 +28,7 @@ from symreg.glm import GlmConvergenceError, _solve_ls, _solve_ridged, soft_thres
 from symreg.solvers import PROX_BATCH, NumericalError, _cp_block_design
 from symreg.tensor_ops import symcp_to_full, symmetrize
 
-from conftest import overflow_dataset, random_symmetric
+from conftest import grad_loss_B, overflow_dataset, random_symmetric
 
 
 def toy_dataset(rng, n=20, p=4, p0=2, family=GAUSSIAN, sigma=0.5):
@@ -53,6 +52,10 @@ def toy_dataset(rng, n=20, p=4, p0=2, family=GAUSSIAN, sigma=0.5):
         ("lasso_kkt_tol", -1e-8),
         ("lasso_kkt_tol", float("nan")),
         ("lasso_kkt_tol", float("inf")),
+        ("rho", float("nan")),
+        ("rho", float("inf")),
+        ("delta0", float("nan")),
+        ("delta0", float("inf")),
     ],
 )
 def test_config_rejects_bad_lasso_controls(field, value):
