@@ -16,6 +16,7 @@ from .glm import NumericalError
 from .simulate import SimSpec, shape_signal, synth_dataset
 from .solvers import (
     FitConfig,
+    check_rank,
     default_pipeline,
     fit_cp,
     fit_sym_cp,
@@ -156,8 +157,12 @@ def cv_select(data, plan, config, estimator="sym_tensor"):
     fold_mse = np.full((plan.k, len(grid)), np.nan)
     failures = []
     all_idx = np.arange(data.n)
-    # every grid point's config is checked before the first fold is fit
+    # every grid point's config, and the pipeline's rank bound, are checked
+    # before the first fold is fit
     configs = [replace(config, rank=rank, rho=rho) for rho, rank in grid]
+    if estimator in ("sym_tensor", "pipeline"):
+        for rank in plan.rank_grid:
+            check_rank(rank, data.p)
     for g, cfg in enumerate(configs):
         for f, test_idx in enumerate(folds):
             train_idx = np.setdiff1d(all_idx, test_idx)

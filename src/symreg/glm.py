@@ -1,7 +1,8 @@
 # Exponential-family plumbing: losses, (weighted) GLM fits with offsets via
 # least squares / IRLS, the soft-threshold operator, and an l1-penalized GLM
-# solved by proximal gradient (a fixed 1/L step if gaussian, backtracking if
-# bernoulli). The matrix solvers build all of their block updates from these.
+# solved by proximal gradient (FISTA with restart at a fixed 1/L step if
+# gaussian, backtracking if bernoulli). The matrix solvers build all of their
+# block updates from these.
 
 import math
 
@@ -10,10 +11,6 @@ import numpy as np
 RIDGE = 1e-8  # fallback perturbation for rank-deficient designs
 IRLS_GRAD_TOL = 1e-8
 IRLS_MAX_ITER = 100
-# Gaussian lasso iterates computed ahead of each batched KKT test. A window
-# costs one array pass of (LASSO_WINDOW, q) instead of one test per iterate;
-# a call that converges early wastes at most one window of steps.
-LASSO_WINDOW = 64
 
 
 class NumericalError(RuntimeError):
@@ -223,22 +220,24 @@ def soft_threshold(v, t):
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
-def fit_glm_lasso(problem, rho, coef0=None, max_iter=2000, kkt_tol=None, info=None):
+def fit_glm_lasso(problem, rho, coef0=None, max_iter=2000, kkt_tol=1e-9, info=None):
     """Minimize negloglik + rho*||coef||_1 by proximal gradient.
 
-    The penalized objective is non-increasing across iterations. Convergence
-    is declared on the KKT residual: |grad_j + rho*sign(coef_j)| for active j,
-    max(|grad_j|-rho, 0) for zero j. `info` (a caller-supplied dict) receives
-    "iterations", "objective_trace" and "converged" (whether the KKT test
-    passed).
+    The penalized objective is non-increasing across iterations, so no call
+    ends above its warm start. Convergence is declared on the KKT residual,
+    |grad_j + rho*sign(coef_j)| for active j and max(|grad_j|-rho, 0) for
+    zero j, relative to the block: a call converges once the residual's max
+    is at most kkt_tol * max(||grad at coef = 0||_inf, rho), the scale of the
+    smallest rho that zeroes every coefficient. `info` (a caller-supplied
+    dict) receives "iterations", "objective_trace", "converged" (whether the
+    KKT test passed) and "kkt" (the returned iterate's residual over that
+    scale).
 
     The gaussian loss is quadratic, so it runs on inner products cached once
-    per call (G = Z'Z, c = Z'(y - offset)) instead of the n-row design, steps
-    at exactly 1/L with L = eigmax(G), which needs no search, and carries
-    G @ coef between iterations: one q x q matvec per step. Its iterates run
-    ahead of the KKT test in windows of LASSO_WINDOW (see _lasso_gram); the
-    result is that of testing every iterate in turn. The bernoulli step starts
-    at 1/L (L a spectral-norm bound) and halves until the quadratic
+    per call (G = Z'Z, c = Z'(y - offset)) instead of the n-row design. It
+    runs FISTA at the exact step 1/L, L = eigmax(G), with gradient-based
+    restart and a monotone safeguard (see _lasso_gram). The bernoulli step
+    starts at 1/L (L a spectral-norm bound) and halves until the quadratic
     majorization holds.
     """
     if rho < 0:
@@ -250,25 +249,28 @@ def fit_glm_lasso(problem, rho, coef0=None, max_iter=2000, kkt_tol=None, info=No
         raise ValueError("coef0 must be finite")
     if problem.q == 0:
         return np.zeros(0)
-    if kkt_tol is None:
-        kkt_tol = 1e-9 * max(1.0, rho)
 
     solve = _lasso_gram if problem.family == GAUSSIAN else _lasso_design
-    coef, iterations, trace, converged = solve(problem, rho, coef, max_iter, kkt_tol)
+    coef, iterations, trace, converged, kkt = solve(problem, rho, coef, max_iter, kkt_tol)
     if info is not None:
         info["iterations"] = iterations
         info["objective_trace"] = trace
         info["converged"] = converged
+        info["kkt"] = kkt
     return coef
 
 
 def _kkt_residual(grad, coef, rho):
-    """|grad_j + rho*sign_j| on active j, |grad_j| - rho on zero j, floored at 0.
-
-    Elementwise, so rows of stacked (grad, coef) give each row's residual.
-    """
+    """max over j of |grad_j + rho*sign_j| on active j, |grad_j| - rho on zero j,
+    floored at 0."""
     sign = np.sign(coef)
-    return np.maximum(np.abs(grad + rho * sign) - rho * (sign == 0.0), 0.0)
+    return float(np.maximum(np.abs(grad + rho * sign) - rho * (sign == 0.0), 0.0).max())
+
+
+def _kkt_scale(grad0, rho):
+    """max(||grad0||_inf, rho), or 1 where both are 0; grad0 is the loss
+    gradient at coef = 0, so coef = 0 is optimal for rho >= ||grad0||_inf."""
+    return max(float(np.abs(grad0).max()), rho) or 1.0
 
 
 def _lasso_design(problem, rho, coef, max_iter, kkt_tol):
@@ -278,13 +280,13 @@ def _lasso_design(problem, rho, coef, max_iter, kkt_tol):
     lip = fam.lipschitz_factor() * sigma_max**2
     delta0 = 1.0 / lip if lip > 0 else 1.0
     nll = fam.negloglik(y, Z @ coef + offset)
+    scale = _kkt_scale(Z.T @ fam.dnll_deta(y, offset), rho)
 
     trace = [nll + rho * np.abs(coef).sum()]
-    converged = False
-    for it in range(max_iter):
+    for it in range(max_iter + 1):
         grad = Z.T @ fam.dnll_deta(y, Z @ coef + offset)
-        if _kkt_residual(grad, coef, rho).max() <= kkt_tol:
-            converged = True
+        kkt = _kkt_residual(grad, coef, rho) / scale
+        if kkt <= kkt_tol or it == max_iter:
             break
 
         delta, accepted = delta0, False
@@ -304,81 +306,76 @@ def _lasso_design(problem, rho, coef, max_iter, kkt_tol):
             break
         coef, nll = cand, cand_nll
         trace.append(nll + rho * np.abs(coef).sum())
-    return coef, it + 1, np.asarray(trace), converged
+    return coef, min(it + 1, max_iter), np.asarray(trace), bool(kkt <= kkt_tol), float(kkt)
 
 
 def _lasso_gram(problem, rho, coef, max_iter, kkt_tol):
     """fit_glm_lasso for the gaussian family, on cached inner products.
 
-    The KKT test feeds no iterate, so the proximal steps run ahead of it:
-    a window stores up to LASSO_WINDOW iterates and their gradients, then
-    one array pass tests them all, and the search ends at the first that
-    passes. The residual is elementwise arithmetic and a max, so each row's
-    verdict, and hence coef, "iterations", "converged" and the trace, equal
-    those of testing each iterate before stepping from it. A step that
-    raises or stalls ends the window early; its error is raised only if
-    neither the iterate it stepped from nor an earlier one in the window
-    passes. The iterate reached at max_iter is not tested.
+    FISTA (Beck & Teboulle 2009) at the fixed step 1/L: a quadratic's
+    majorization gap at that step, d'Gd/2 - L||d||^2/2, is never positive,
+    so no step search is needed. Momentum restarts (O'Donoghue & Candes
+    2015) when the step from the extrapolated point y to x+ points against
+    the last move, (y - x+).(x+ - x) > 0. A candidate that raises the
+    objective is replaced by a plain proximal step from x, which cannot, and
+    the momentum restarts. The KKT test, the trace and the result follow the
+    monotone iterate x. G @ x is carried with one q x q matvec per step, and
+    G @ y is the same linear combination of carried products. A plain step
+    that moves nothing ends the call unconverged.
     """
-    Z, q = problem.Z, problem.q
+    Z = problem.Z
     r = problem.y - problem.offset
     if not np.all(np.isfinite(r)):
         raise ValueError("negloglik requires finite y and eta")
     G, c, half_rr = Z.T @ Z, Z.T @ r, 0.5 * float(r @ r)
-
-    # Each iterate makes ~15 numpy calls on q-vectors, so call overhead is
-    # most of the cost: .dot and count_nonzero compute the same products and
-    # test as @ and .any() (bit for bit, as the tests check) with less of it.
-    def gram_nll(x, gx):
-        # 1/2 ||r - Z x||^2 expanded on the cached inner products
-        value = 0.5 * float(x.dot(gx)) - float(c.dot(x)) + half_rr
-        if not math.isfinite(value):
-            raise ValueError("negloglik requires finite y and eta")
-        return value
-
-    # a quadratic's majorization gap at step 1/L, d'Gd/2 - L||d||^2/2, is
-    # never positive for L = eigmax(G): no step search (Beck & Teboulle 2009)
+    scale = _kkt_scale(c, rho)
     lip = float(np.linalg.eigvalsh(G)[-1])
     delta = 1.0 / lip if lip > 0 else 1.0
+    shrink = rho * delta
 
-    gx = G @ coef
-    nll = gram_nll(coef, gx)
-    rows = min(LASSO_WINDOW, max_iter + 1)
-    coefs, grads, nlls = np.empty((rows, q)), np.empty((rows, q)), np.empty(rows)
-    traces = []
-    start = 0  # iteration index of the window's first row
-    while True:
-        ended, error, tested = False, None, 0
-        for m in range(rows):
-            coefs[m], nlls[m] = coef, nll
-            if start + m == max_iter:
-                ended = True
+    # Each step makes ~30 numpy calls on q-vectors, so call overhead is most
+    # of the cost: .dot and count_nonzero do the work of @ and .any() with
+    # less of it.
+    def prox_step(y, gy, x, gx, l1):
+        # the step from y and its objective change from x; soft_threshold
+        # inlined, rho >= 0 was checked on entry
+        v = y - delta * (gy - c)
+        x1 = np.sign(v) * np.maximum(np.abs(v) - shrink, 0.0)
+        gx1, l1_1, move = G.dot(x1), float(np.abs(x1).sum()), x1 - x
+        # F(x1) - F(x), as (x1 - x)'(G(x1 + x)/2 - c) by the symmetry of G:
+        # no cancellation against r'r/2, so the monotone test stays exact
+        # where F itself is only known to rounding
+        change = float(move.dot(0.5 * (gx1 + gx) - c)) + rho * (l1_1 - l1)
+        if not math.isfinite(change):
+            raise ValueError("negloglik requires finite y and eta")
+        return x1, gx1, l1_1, move, change
+
+    x, gx, l1 = coef, G.dot(coef), float(np.abs(coef).sum())
+    # 1/2 ||r - Z x||^2 expanded on the cached inner products
+    f = 0.5 * float(x.dot(gx)) - float(c.dot(x)) + half_rr + rho * l1
+    if not math.isfinite(f):
+        raise ValueError("negloglik requires finite y and eta")
+    trace = [f]
+    y, gy, t, beta = x, gx, 1.0, 0.0
+    for it in range(max_iter + 1):
+        kkt = _kkt_residual(gx - c, x, rho) / scale
+        if kkt <= kkt_tol or it == max_iter:
+            break
+        x1, gx1, l1_1, move, change = prox_step(y, gy, x, gx, l1)
+        restart = change > 0.0 and beta > 0.0
+        if restart:  # the monotone safeguard
+            x1, gx1, l1_1, move, change = prox_step(x, gx, x, gx, l1)
+        if beta == 0.0 or restart:  # a plain step: stop if it stalls
+            if not np.count_nonzero(move):
                 break
-            tested = m + 1
-            grad = np.subtract(gx, c, out=grads[m])
-            # soft_threshold inlined; rho >= 0 was checked on entry
-            v = coef - delta * grad
-            cand = np.sign(v) * np.maximum(np.abs(v) - rho * delta, 0.0)
-            diff = cand - coef
-            cand_gx = gx + G.dot(diff)
-            try:
-                cand_nll = gram_nll(cand, cand_gx)
-            except ValueError as exc:
-                error = exc
-                break
-            if not np.count_nonzero(diff):
-                ended = True
-                break
-            coef, gx, nll = cand, cand_gx, cand_nll
-        passed = np.flatnonzero(
-            _kkt_residual(grads[:tested], coefs[:tested], rho).max(axis=1) <= kkt_tol
-        )
-        if passed.size == 0 and error is not None:
-            raise error
-        last = int(passed[0]) if passed.size else m
-        traces.append(nlls[: last + 1] + rho * np.abs(coefs[: last + 1]).sum(axis=1))
-        if passed.size or ended:
-            trace = np.concatenate(traces)
-            iterations = min(start + last + 1, max_iter)
-            return coefs[last].copy(), iterations, trace, bool(passed.size)
-        start += rows
+        else:  # the gradient restart test
+            restart = float((y - x1).dot(move)) > 0.0
+        if restart:
+            t, beta, y, gy = 1.0, 0.0, x1, gx1
+        else:
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            beta = (t - 1.0) / t_next
+            t, y, gy = t_next, x1 + beta * move, gx1 + beta * (gx1 - gx)
+        x, gx, l1, f = x1, gx1, l1_1, f + change
+        trace.append(f)
+    return x, min(it + 1, max_iter), np.asarray(trace), bool(kkt <= kkt_tol), float(kkt)

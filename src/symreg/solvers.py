@@ -96,9 +96,10 @@ class FitConfig:
     line_search_max_halvings: int = 50
     seed: int = 0
     renormalize_columns: bool = False
-    # inner l1-GLM controls for the CP block updates (rho > 0 or bernoulli)
+    # inner l1-GLM controls for the CP block updates (rho > 0 or bernoulli);
+    # lasso_kkt_tol is relative to the block's scale (see fit_glm_lasso)
     lasso_max_iter: int = 500
-    lasso_kkt_tol: float = 1e-8
+    lasso_kkt_tol: float = 1e-4
 
     def __post_init__(self):
         if self.rank < 1:
@@ -413,14 +414,15 @@ def fit_cp(data, config):
     vec(B_other A) with A antisymmetric adds nothing to the predictor. So
     least-squares blocks at R >= 2 go straight to the ridge solve that
     fit_glm's lstsq would fall back to (meta["ridged"]); at R = 1 they run
-    fit_glm. Lasso blocks with nonzero factors rarely meet their KKT
-    tolerance; meta records "lasso_calls" and how many stopped at
-    lasso_max_iter without converging ("lasso_capped").
+    fit_glm. Lasso blocks stop at a KKT residual of lasso_kkt_tol relative
+    to the block (see fit_glm_lasso); meta records "lasso_calls", their
+    summed "lasso_iterations" and how many stopped at lasso_max_iter without
+    converging ("lasso_capped").
     """
     p, R = data.p, config.rank
     least_squares = config.rho == 0 and data.family == GAUSSIAN
     glm_info = {}
-    lasso_converged = []
+    lasso_converged, lasso_iterations = [], []
 
     def solve_block(b_other, zoff, b):
         design = _cp_block_design(data, b_other)
@@ -439,6 +441,7 @@ def fit_cp(data, config):
             info=info,
         )
         lasso_converged.append(info["converged"])
+        lasso_iterations.append(info["iterations"])
         return coef.reshape(p, R)
 
     def update(gamma, factors):
@@ -450,6 +453,7 @@ def fit_cp(data, config):
     init = CPFactors(rng.standard_normal((p, R)), rng.standard_normal((p, R)))
     result = _block_descent(data, config, init, update, glm_info)
     result.meta["lasso_calls"] = len(lasso_converged)
+    result.meta["lasso_iterations"] = sum(lasso_iterations)
     result.meta["lasso_capped"] = lasso_converged.count(False)
     return result
 
@@ -470,6 +474,12 @@ def fit_sym_cp(data, config, cp_result=None):
     )
 
 
+def check_rank(rank, p):
+    """The symmetric estimator's rank bound: R eigenpairs of a p x p matrix."""
+    if not 1 <= rank <= p:
+        raise ValueError(f"rank must lie in [1, {p}], got {rank}")
+
+
 def construct_init(b_sym, rank):
     """Eigen-decomposition initializer: best rank-R symmetric approximation.
 
@@ -479,8 +489,7 @@ def construct_init(b_sym, rank):
     """
     b_sym = check_symmetric(b_sym, "b_sym")
     p = b_sym.shape[0]
-    if not 1 <= rank <= p:
-        raise ValueError(f"rank must lie in [1, {p}], got {rank}")
+    check_rank(rank, p)
     vals, vecs = np.linalg.eigh(b_sym)
     order = sorted(range(p), key=lambda i: (-abs(vals[i]), -vals[i], i))
     keep = order[:rank]
@@ -494,8 +503,7 @@ def default_pipeline(data, config):
     meta ("baseline_cp", "baseline_sym_cp").
     """
     # construct_init's rank check, made before the CP fit instead of after it
-    if config.rank > data.p:
-        raise ValueError(f"rank must lie in [1, {data.p}], got {config.rank}")
+    check_rank(config.rank, data.p)
     cp_res = fit_cp(data, config)
     sym_cp_res = fit_sym_cp(data, config, cp_result=cp_res)
     init = construct_init(sym_cp_res.coef_full, config.rank)

@@ -278,6 +278,16 @@ def test_cv_every_grid_point_failing_exits_5(tmp_path, monkeypatch, capsys):
     assert list(out.iterdir()) == []
 
 
+def test_cv_rank_above_p_exits_2_before_any_fit(sim_dir, tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(evaluate, "_fit_one", lambda *args: calls.append(args))
+    out = tmp_path / "cv"
+    assert run("cv", sim_dir, "--k", "2", "--rho-grid", "0.5", "--rank-grid", "1,17",
+               "--out", out) == 2
+    assert calls == []
+    assert "rank must lie in [1, 16], got 17" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- replicate
 
 def test_replicate_row_count_and_sd(tmp_path):

@@ -16,7 +16,6 @@ from symreg import (
     soft_threshold,
 )
 from symreg import glm
-from symreg.glm import LASSO_WINDOW
 
 
 # ---------------------------------------------------------------- negloglik
@@ -334,49 +333,129 @@ def test_lasso_design_rejects_overflowed_negloglik():
     assert np.abs(Z @ coef).max() <= 4.0
 
 
-# The Gaussian proximal-gradient loop as it ran on the n-row design before the
-# solver moved to cached inner products; the reference for the Gram path.
-def reference_gaussian_lasso(problem, rho, coef0=None, max_iter=2000, kkt_tol=None):
-    Z, y, offset, fam = problem.Z, problem.y, problem.offset, GAUSSIAN
-    q = problem.q
-    if kkt_tol is None:
-        kkt_tol = 1e-9 * max(1.0, rho)
-    coef = np.zeros(q) if coef0 is None else np.asarray(coef0, dtype=float).copy()
+# FISTA with gradient restart and a monotone safeguard, written out on the
+# n-row design: gradients Z'(Z x - r) and objectives from residuals, no
+# cached inner products. The reference for the Gram path's algebra.
+def reference_fista_design(problem, rho, coef0=None, max_iter=2000, kkt_tol=1e-9):
+    Z, r = problem.Z, problem.y - problem.offset
+    scale = max(np.abs(Z.T @ r).max(), rho) or 1.0
+    delta = 1.0 / np.linalg.norm(Z, 2) ** 2
 
-    sigma_max = np.linalg.norm(Z, 2) if Z.size else 0.0
-    lip = fam.lipschitz_factor() * sigma_max**2
-    delta0 = 1.0 / lip if lip > 0 else 1.0
+    def objective(x):
+        return 0.5 * np.sum((r - Z @ x) ** 2) + rho * np.abs(x).sum()
 
-    nll = fam.negloglik(y, Z @ coef + offset)
-    trace = [nll + rho * np.abs(coef).sum()]
-    for it in range(max_iter):
-        eta = Z @ coef + offset
-        grad = Z.T @ fam.dnll_deta(y, eta)
+    def prox(x):
+        return soft_threshold(x - delta * (Z.T @ (Z @ x - r)), rho * delta)
 
-        active = coef != 0.0
-        kkt = np.where(
-            active,
-            np.abs(grad + rho * np.sign(coef)),
-            np.maximum(np.abs(grad) - rho, 0.0),
-        )
-        if np.max(kkt, initial=0.0) <= kkt_tol:
+    def kkt(x):
+        grad = Z.T @ (Z @ x - r)
+        return float(np.where(
+            x != 0.0, np.abs(grad + rho * np.sign(x)), np.maximum(np.abs(grad) - rho, 0.0)
+        ).max()) / scale
+
+    x = np.zeros(problem.q) if coef0 is None else np.asarray(coef0, dtype=float)
+    y, t, beta = x, 1.0, 0.0
+    trace = [objective(x)]
+    for it in range(max_iter + 1):
+        if kkt(x) <= kkt_tol or it == max_iter:
             break
-
-        delta, accepted = delta0, False
-        for _ in range(60):
-            cand = soft_threshold(coef - delta * grad, rho * delta)
-            diff = cand - coef
-            cand_nll = fam.negloglik(y, Z @ cand + offset)
-            slack = 1e-14 * (1.0 + abs(nll) + abs(cand_nll))
-            if cand_nll <= nll + grad @ diff + (diff @ diff) / (2.0 * delta) + slack:
-                accepted = True
-                break
-            delta /= 2.0
-        if not accepted or not np.any(diff):
+        x1 = prox(y)
+        restart = beta > 0 and objective(x1) > trace[-1]
+        if restart:
+            x1 = prox(x)
+        if (beta == 0 or restart) and np.array_equal(x1, x):
             break
-        coef, nll = cand, cand_nll
-        trace.append(nll + rho * np.abs(coef).sum())
-    return coef, it + 1, np.asarray(trace)
+        if beta > 0 and not restart:
+            restart = (y - x1) @ (x1 - x) > 0
+        if restart:
+            t, beta = 1.0, 0.0
+        else:
+            t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+            t, beta = t_next, (t - 1.0) / t_next
+        y, x = x1 + beta * (x1 - x), x1
+        trace.append(objective(x))
+    return x, min(it + 1, max_iter), np.asarray(trace), bool(kkt(x) <= kkt_tol)
+
+
+# The same loop on cached inner products, in the Gram path's arithmetic: it
+# must match bit for bit. The objective is evaluated once at the start; each
+# step adds F(x1) - F(x) = (x1 - x)'(G(x1 + x)/2 - c) + rho*(|x1|_1 - |x|_1).
+# With fail_at=k the k-th objective evaluation (1-based) counts as
+# non-finite. `counts`, when given, receives how often the momentum
+# restarted on the gradient test and on the monotone safeguard.
+def reference_fista_gram(problem, rho, coef0=None, max_iter=2000, kkt_tol=1e-9,
+                         fail_at=None, counts=None):
+    Z, r = problem.Z, problem.y - problem.offset
+    G, c, half_rr = Z.T @ Z, Z.T @ r, 0.5 * float(r @ r)
+    scale = max(float(np.abs(c).max()), rho) or 1.0
+    lip = float(np.linalg.eigvalsh(G)[-1])
+    delta = 1.0 / lip if lip > 0 else 1.0
+    evaluations = 0
+
+    def checked(value):
+        nonlocal evaluations
+        evaluations += 1
+        if not math.isfinite(value) or evaluations == fail_at:
+            raise ValueError("negloglik requires finite y and eta")
+        return value
+
+    def prox(y, gy, x, gx):
+        x1 = soft_threshold(y - delta * (gy - c), rho * delta)
+        gx1 = G @ x1
+        change = float((x1 - x) @ (0.5 * (gx1 + gx) - c))
+        change += rho * (float(np.abs(x1).sum()) - float(np.abs(x).sum()))
+        return x1, gx1, checked(change)
+
+    def kkt(x, gx):
+        grad = gx - c
+        return float(np.where(
+            x != 0.0, np.abs(grad + rho * np.sign(x)), np.maximum(np.abs(grad) - rho, 0.0)
+        ).max()) / scale
+
+    x = np.zeros(problem.q) if coef0 is None else np.asarray(coef0, dtype=float)
+    gx = G @ x
+    f = 0.5 * float(x @ gx) - float(c @ x) + half_rr
+    f = checked(f + rho * float(np.abs(x).sum()))
+    y, gy, t, beta = x, gx, 1.0, 0.0
+    trace = [f]
+    for it in range(max_iter + 1):
+        if kkt(x, gx) <= kkt_tol or it == max_iter:
+            break
+        x1, gx1, change = prox(y, gy, x, gx)
+        safeguard = beta > 0 and change > 0
+        if safeguard:
+            x1, gx1, change = prox(x, gx, x, gx)
+        if (beta == 0 or safeguard) and np.array_equal(x1, x):
+            break
+        restart = beta > 0 and not safeguard and float((y - x1) @ (x1 - x)) > 0
+        if counts is not None:
+            counts["safeguard"] += safeguard
+            counts["restart"] += restart
+        if safeguard or restart:
+            t, beta = 1.0, 0.0
+            y, gy = x1, gx1
+        else:
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            t, beta = t_next, (t - 1.0) / t_next
+            y, gy = x1 + beta * (x1 - x), gx1 + beta * (gx1 - gx)
+        x, gx, f = x1, gx1, f + change
+        trace.append(f)
+    res = kkt(x, gx)
+    return x, min(it + 1, max_iter), np.asarray(trace), bool(res <= kkt_tol), res
+
+
+def _assert_matches_gram_reference(problem, rho, coef0=None, counts=None, **kw):
+    ref, ref_iters, ref_trace, ref_converged, ref_kkt = reference_fista_gram(
+        problem, rho, coef0=coef0, counts=counts, **kw
+    )
+    info = {}
+    coef = fit_glm_lasso(problem, rho, coef0=coef0, info=info, **kw)
+    assert np.array_equal(coef, ref)
+    assert info["iterations"] == ref_iters
+    assert info["converged"] is ref_converged
+    assert info["kkt"] == ref_kkt
+    assert np.array_equal(info["objective_trace"], ref_trace)
+    return info
 
 
 def _random_problem(seed):
@@ -387,10 +466,9 @@ def _random_problem(seed):
     return GlmProblem(y, Z, offset=rng.standard_normal(n)), None
 
 
-def _cp_block_problem(seed):
-    # a CP factor block on symmetric X: rank-deficient by R(R-1)/2 = 3
+def _cp_block_problem(seed, n=120, p=8, r=3):
+    # a CP factor block on symmetric X: rank-deficient by R(R-1)/2
     rng = np.random.default_rng(seed)
-    n, p, r = 120, 8, 3
     X = rng.standard_normal((n, p, p))
     X = (X + X.transpose(0, 2, 1)) / 2.0
     b_other = rng.standard_normal((p, r))
@@ -398,115 +476,6 @@ def _cp_block_problem(seed):
     y = design @ rng.standard_normal(p * r) * 0.3 + rng.standard_normal(n)
     problem = GlmProblem(y, design, offset=0.1 * rng.standard_normal(n))
     return problem, rng.standard_normal(p * r)
-
-
-@pytest.mark.parametrize(
-    "make, seed, rho, max_iter",
-    [
-        (_random_problem, 1, 0.5, 2000),
-        (_random_problem, 2, 3.0, 2000),
-        (_random_problem, 3, 0.0, 2000),
-        (_cp_block_problem, 4, 0.5, 500),
-        (_cp_block_problem, 5, 5.0, 500),
-    ],
-)
-def test_lasso_gram_path_matches_reference(make, seed, rho, max_iter):
-    problem, coef0 = make(seed)
-    if make is _cp_block_problem:
-        assert np.linalg.matrix_rank(problem.Z) == problem.q - 3
-    ref, ref_iters, ref_trace = reference_gaussian_lasso(
-        problem, rho, coef0=coef0, max_iter=max_iter
-    )
-    info = {}
-    coef = fit_glm_lasso(problem, rho, coef0=coef0, max_iter=max_iter, info=info)
-    assert np.linalg.norm(coef - ref) <= 1e-10 * max(np.linalg.norm(ref), 1.0)
-    assert info["iterations"] == ref_iters
-    trace = info["objective_trace"]
-    assert trace.shape == ref_trace.shape
-    assert np.all(np.abs(trace - ref_trace) <= 1e-10 * np.abs(ref_trace))
-
-
-# The Gaussian loop on cached inner products as it ran before its KKT test was
-# batched over windows and before its backtracking search was dropped: each
-# iterate is tested before the next step is taken, and each step halves from
-# 1/L until the majorization test passes. The reference for the windowed
-# fixed-step loop, which must match it exactly. With fail_at=k the k-th
-# negloglik evaluation (1-based) counts as non-finite; `residuals`, when
-# given, receives each tested iterate's KKT residual, and `halvings` each
-# accepted step's number of halvings.
-def reference_gram_lasso(
-    problem, rho, coef0=None, max_iter=2000, kkt_tol=None, fail_at=None,
-    residuals=None, halvings=None,
-):
-    Z, y, offset = problem.Z, problem.y, problem.offset
-    q = problem.q
-    if kkt_tol is None:
-        kkt_tol = 1e-9 * max(1.0, rho)
-    coef = np.zeros(q) if coef0 is None else np.asarray(coef0, dtype=float).copy()
-    r = y - offset
-    G, c, half_rr = Z.T @ Z, Z.T @ r, 0.5 * float(r @ r)
-    evaluations = 0
-
-    def gram_nll(x, gx):
-        nonlocal evaluations
-        evaluations += 1
-        value = 0.5 * float(x @ gx) - float(c @ x) + half_rr
-        if not math.isfinite(value) or evaluations == fail_at:
-            raise ValueError("negloglik requires finite y and eta")
-        return value
-
-    lip = float(np.linalg.eigvalsh(G)[-1])
-    gx = G @ coef
-    nll = gram_nll(coef, gx)
-    delta0 = 1.0 / lip if lip > 0 else 1.0
-
-    trace = [nll + rho * np.abs(coef).sum()]
-    converged = False
-    for it in range(max_iter):
-        grad = gx - c
-        sign = np.sign(coef)
-        kkt = np.maximum(np.abs(grad + rho * sign) - rho * (sign == 0.0), 0.0)
-        if residuals is not None:
-            residuals.append(kkt.max())
-        if kkt.max() <= kkt_tol:
-            converged = True
-            break
-
-        delta, accepted = delta0, False
-        for halved in range(60):
-            cand = soft_threshold(coef - delta * grad, rho * delta)
-            diff = cand - coef
-            g_diff = G @ diff
-            cand_gx = gx + g_diff
-            cand_nll = gram_nll(cand, cand_gx)
-            lhs, rhs = 0.5 * float(diff @ g_diff), 0.0
-            slack = 1e-14 * (1.0 + abs(nll) + abs(cand_nll))
-            if lhs <= rhs + (diff @ diff) / (2.0 * delta) + slack:
-                accepted = True
-                break
-            delta /= 2.0
-        if accepted and halvings is not None:
-            halvings.append(halved)
-        if not accepted or not diff.any():
-            break
-        coef, nll = cand, cand_nll
-        gx = cand_gx
-        trace.append(nll + rho * np.abs(coef).sum())
-    return coef, it + 1, np.asarray(trace), converged
-
-
-def _assert_matches_gram_reference(problem, rho, coef0=None, fail_at=None,
-                                   halvings=None, **kw):
-    ref, ref_iters, ref_trace, ref_converged = reference_gram_lasso(
-        problem, rho, coef0=coef0, fail_at=fail_at, halvings=halvings, **kw
-    )
-    info = {}
-    coef = fit_glm_lasso(problem, rho, coef0=coef0, info=info, **kw)
-    assert np.array_equal(coef, ref)
-    assert info["iterations"] == ref_iters
-    assert info["converged"] is ref_converged
-    assert np.array_equal(info["objective_trace"], ref_trace)
-    return info
 
 
 def _scaled(problem, root):
@@ -527,10 +496,50 @@ def _large_gram_block(seed):
 
 def _top_eigvec_start(seed):
     # the warm start lies on G's top eigenvector, where d'Gd = L||d||^2 makes
-    # the majorization test of the first step tight
+    # the majorization of the first step tight
     problem, _ = _cp_block_problem(seed)
     top = np.linalg.eigh(problem.Z.T @ problem.Z)[1][:, -1]
     return problem, 10.0 * top
+
+
+@pytest.mark.parametrize(
+    "make, seed, rho, max_iter",
+    [
+        (_random_problem, 1, 0.5, 2000),
+        (_random_problem, 2, 3.0, 2000),
+        (_random_problem, 3, 0.0, 2000),
+        (_cp_block_problem, 4, 0.5, 500),
+        (_cp_block_problem, 5, 5.0, 500),
+    ],
+)
+def test_lasso_gram_path_matches_reference(make, seed, rho, max_iter):
+    problem, coef0 = make(seed)
+    if make is _cp_block_problem:
+        assert np.linalg.matrix_rank(problem.Z) == problem.q - 3
+    # at the CP fits' tolerance the two arithmetics take the same steps
+    ref, ref_iters, ref_trace, ref_converged = reference_fista_design(
+        problem, rho, coef0=coef0, max_iter=max_iter, kkt_tol=1e-4
+    )
+    info = {}
+    coef = fit_glm_lasso(problem, rho, coef0=coef0, max_iter=max_iter,
+                         kkt_tol=1e-4, info=info)
+    assert np.linalg.norm(coef - ref) <= 1e-10 * max(np.linalg.norm(ref), 1.0)
+    assert info["iterations"] == ref_iters
+    assert info["converged"] is ref_converged
+    trace = info["objective_trace"]
+    assert trace.shape == ref_trace.shape
+    assert np.all(np.abs(trace - ref_trace) <= 1e-10 * np.abs(ref_trace))
+    # near 1e-9 the monotone and restart tests compare objectives that differ
+    # by rounding, so the paths part; both reach the same optimum
+    ref, _, ref_trace, ref_converged = reference_fista_design(
+        problem, rho, coef0=coef0, max_iter=max_iter, kkt_tol=1e-9
+    )
+    info = {}
+    coef = fit_glm_lasso(problem, rho, coef0=coef0, max_iter=max_iter, info=info)
+    assert info["converged"] is ref_converged
+    assert abs(info["objective_trace"][-1] - ref_trace[-1]) <= 1e-13 * ref_trace[-1]
+    fitted = problem.Z @ ref
+    assert np.linalg.norm(problem.Z @ coef - fitted) <= 1e-7 * np.linalg.norm(fitted)
 
 
 @pytest.mark.parametrize(
@@ -554,79 +563,73 @@ def _top_eigvec_start(seed):
         (_top_eigvec_start, 7, 0.5, 500),
     ],
 )
-def test_lasso_windows_match_gram_reference(make, seed, rho, max_iter):
-    # the fixed 1/L step of the gram path is exact because the reference's
-    # backtracking search never halves on a quadratic; check that premise too
+def test_lasso_gram_matches_fista_reference(make, seed, rho, max_iter):
     problem, coef0 = make(seed)
-    halvings = []
-    info = _assert_matches_gram_reference(problem, rho, coef0, halvings=halvings,
-                                          max_iter=max_iter)
-    assert halvings and not any(halvings)
-    # non-increasing up to the rounding of the objective's cancelling terms
-    trace = info["objective_trace"]
-    assert np.all(np.diff(trace) <= 1e-13 * np.maximum(np.abs(trace[:-1]), 1.0))
-    if rho > np.abs(problem.Z.T @ (problem.y - problem.offset)).max():
-        assert info["converged"] is True
-        assert not fit_glm_lasso(problem, rho, coef0, max_iter=max_iter).any()
+    for kkt_tol in (1e-4, 1e-9):
+        info = _assert_matches_gram_reference(problem, rho, coef0, max_iter=max_iter,
+                                              kkt_tol=kkt_tol)
+        # non-increasing up to the rounding of the summed objective changes
+        trace = info["objective_trace"]
+        assert np.all(np.diff(trace) <= 1e-13 * np.maximum(np.abs(trace[:-1]), 1.0))
+        if rho > np.abs(problem.Z.T @ (problem.y - problem.offset)).max():
+            assert info["converged"] is True
+            assert not fit_glm_lasso(problem, rho, coef0, max_iter=max_iter).any()
 
 
-def test_lasso_windows_converge_at_iterate_zero(rng):
+def test_lasso_gram_restarts_and_safeguards_are_exercised():
+    # the reference comparisons above would not notice a wrong branch that
+    # never runs: both ways of dropping the momentum occur on CP blocks
+    counts = {"restart": 0, "safeguard": 0}
+    for seed in (4, 7):
+        problem, coef0 = _cp_block_problem(seed)
+        _assert_matches_gram_reference(problem, 0.5, coef0, counts=counts,
+                                       max_iter=500, kkt_tol=1e-9)
+    assert counts["restart"] > 0 and counts["safeguard"] > 0
+
+
+def test_lasso_converges_at_iterate_zero(rng):
     # zero is optimal once rho >= max|Z'r|: the start passes the KKT test
     Z = rng.standard_normal((30, 4))
     y = rng.standard_normal(30)
     problem = GlmProblem(y, Z)
     info = _assert_matches_gram_reference(problem, 2.0 * np.abs(Z.T @ y).max())
     assert info["iterations"] == 1 and info["converged"] is True
-    assert info["objective_trace"].shape == (1,)
-
-
-def test_lasso_windows_converge_inside_first_window(rng):
-    Z, _ = np.linalg.qr(rng.standard_normal((40, 5)))
-    problem = GlmProblem(rng.standard_normal(40), Z)
-    info = _assert_matches_gram_reference(problem, 0.3)
-    assert 1 < info["iterations"] < LASSO_WINDOW and info["converged"] is True
+    assert info["objective_trace"].shape == (1,) and info["kkt"] == 0.0
     assert type(info["iterations"]) is int
 
 
-@pytest.mark.parametrize("passing", [LASSO_WINDOW - 1, LASSO_WINDOW, LASSO_WINDOW + 1])
-def test_lasso_windows_converge_at_window_boundary(passing):
-    # the tolerance is the residual of iterate `passing`, lower than every
-    # earlier one, so that iterate is the first to pass: the last row of the
-    # first window, the first row of the second, or the one after it
-    problem, coef0 = _cp_block_problem(7)
-    residuals = []
-    reference_gram_lasso(problem, 0.5, coef0, max_iter=2 * LASSO_WINDOW,
-                         kkt_tol=0.0, residuals=residuals)
-    assert residuals[passing] < min(residuals[:passing])
-    info = _assert_matches_gram_reference(
-        problem, 0.5, coef0, max_iter=500, kkt_tol=residuals[passing]
-    )
-    assert info["iterations"] == passing + 1 and info["converged"] is True
-    # reached at max_iter, the same iterate joins the trace untested
-    info = _assert_matches_gram_reference(
-        problem, 0.5, coef0, max_iter=passing, kkt_tol=residuals[passing]
-    )
-    assert info["iterations"] == passing and info["converged"] is False
-
-
-@pytest.mark.parametrize(
-    "max_iter", [1, 2, LASSO_WINDOW - 1, LASSO_WINDOW, LASSO_WINDOW + 1, 2 * LASSO_WINDOW + 5]
-)
-def test_lasso_windows_stop_at_max_iter(max_iter):
+@pytest.mark.parametrize("max_iter", [1, 2, 63, 64, 65, 133])
+def test_lasso_gram_stops_at_max_iter(max_iter):
     problem, coef0 = _cp_block_problem(4)
     info = _assert_matches_gram_reference(problem, 0.5, coef0, max_iter=max_iter)
     assert info["iterations"] == max_iter and info["converged"] is False
     assert info["objective_trace"].shape == (max_iter + 1,)
+    assert info["kkt"] > 1e-9
 
 
-def test_lasso_windows_stop_at_a_stall():
+def test_lasso_gram_stops_at_a_stall():
     # G = I. Coordinate 0 sits at 1e20 with zero gradient: its KKT residual
     # is rho, but a step of rho*delta = 1 is below its ulp, so it never moves.
-    # Coordinate 1 reaches its optimum in one step; the step after moves
-    # nothing, and the search stops there, unconverged.
+    # Coordinate 1 reaches its optimum in one plain step; the next plain step
+    # moves nothing, and the search stops there, unconverged at kkt_tol = 0
     problem = GlmProblem([1e20, 2.5], np.eye(2))
-    info = _assert_matches_gram_reference(problem, 1.0, coef0=[1e20, 3.0])
+    info = _assert_matches_gram_reference(problem, 1.0, coef0=[1e20, 3.0], kkt_tol=0.0)
     assert info["iterations"] == 2 and info["converged"] is False
+
+
+def test_lasso_kkt_tolerance_is_relative_to_the_block():
+    # scaling Z, y and offset by root scales c and the KKT residual by
+    # root**2; with rho scaled alike the relative test stops at the same
+    # iterate whatever the scale
+    problem, coef0 = _cp_block_problem(5)
+    infos = []
+    for root in (1e-3, 1.0, 1e3):
+        info = {}
+        fit_glm_lasso(_scaled(problem, root), 0.5 * root**2, coef0, max_iter=500,
+                      kkt_tol=1e-4, info=info)
+        infos.append(info)
+    assert all(info["converged"] for info in infos)
+    assert len({info["iterations"] for info in infos}) == 1
 
 
 class _FailingMath:
@@ -639,37 +642,72 @@ class _FailingMath:
         self.calls += 1
         return self.calls != self.fail_at and math.isfinite(value)
 
-
-def _run_with_failure(monkeypatch, problem, rho, coef0, fail_at, **kw):
-    """Run fit_glm_lasso with its fail_at-th negloglik non-finite: it must
-    raise exactly when the reference does, and match it otherwise."""
-    monkeypatch.setattr(glm, "math", _FailingMath(fail_at))
-    try:
-        reference_gram_lasso(problem, rho, coef0=coef0, fail_at=fail_at, **kw)
-    except ValueError:
-        with pytest.raises(ValueError):
-            fit_glm_lasso(problem, rho, coef0=coef0, **kw)
-        return None
-    return _assert_matches_gram_reference(problem, rho, coef0, fail_at=fail_at, **kw)
+    def sqrt(self, value):
+        return math.sqrt(value)
 
 
-def test_lasso_windows_raise_non_finite_after_an_unconverged_window(monkeypatch):
-    # every step accepts its first rung, so evaluation k + 1 is iterate k's step
+def test_lasso_gram_raises_a_non_finite_objective(monkeypatch):
+    # a non-finite objective at any step raises, as in the reference
     problem, coef0 = _cp_block_problem(4)
-    for fail_at in (LASSO_WINDOW + 1, LASSO_WINDOW + 2, LASSO_WINDOW + 10):
-        assert _run_with_failure(monkeypatch, problem, 0.5, coef0, fail_at,
-                                 max_iter=500) is None
+    for fail_at in (1, 2, 40):
+        with pytest.raises(ValueError):
+            reference_fista_gram(problem, 0.5, coef0, max_iter=500, fail_at=fail_at)
+        monkeypatch.setattr(glm, "math", _FailingMath(fail_at))
+        with pytest.raises(ValueError, match="finite"):
+            fit_glm_lasso(problem, 0.5, coef0=coef0, max_iter=500)
 
 
-def test_lasso_windows_ignore_non_finite_past_convergence(monkeypatch, rng):
-    # the windowed loop steps past the converged iterate; a failure there is
-    # not raised, and one the reference reaches still is
-    Z, _ = np.linalg.qr(rng.standard_normal((40, 5)))
-    problem = GlmProblem(rng.standard_normal(40), Z)
-    _, ref_iters, _, converged = reference_gram_lasso(problem, 0.3)
-    assert converged
-    evaluations = ref_iters  # the start, then one per step taken
-    for fail_at in (evaluations + 1, evaluations + 5):
-        info = _run_with_failure(monkeypatch, problem, 0.3, None, fail_at)
-        assert info is not None and info["iterations"] == ref_iters
-    assert _run_with_failure(monkeypatch, problem, 0.3, None, evaluations) is None
+def _objective(problem, rho, x):
+    r = problem.y - problem.offset
+    return 0.5 * float(np.sum((r - problem.Z @ x) ** 2)) + rho * float(np.abs(x).sum())
+
+
+@st.composite
+def _lasso_cases(draw):
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        # a CP-style block: rank q - R(R-1)/2
+        p, r = draw(st.integers(2, 6)), draw(st.integers(1, 3))
+        problem, _ = _cp_block_problem(seed, n=draw(st.integers(5, 60)), p=p, r=r)
+        rank = problem.q - r * (r - 1) // 2
+    else:
+        n, q = draw(st.integers(3, 40)), draw(st.integers(1, 12))
+        Z = rng.standard_normal((n, q)) * rng.uniform(0.1, 3.0, q)
+        problem = GlmProblem(rng.standard_normal(n), Z, 0.3 * rng.standard_normal(n))
+        rank = None
+    c_max = float(np.abs(problem.Z.T @ (problem.y - problem.offset)).max())
+    rho = draw(st.sampled_from([0.0, 1e-3 * c_max, 0.1 * c_max, 1.5 * c_max]))
+    coef0 = None if draw(st.booleans()) else 3.0 * rng.standard_normal(problem.q)
+    kkt_tol = draw(st.sampled_from([1e-4, 1e-8]))
+    return problem, rank, rho, coef0, kkt_tol, c_max
+
+
+@settings(max_examples=100, deadline=None)
+@given(_lasso_cases())
+def test_lasso_gram_properties(case):
+    problem, rank, rho, coef0, kkt_tol, c_max = case
+    if rank is not None:
+        assert np.linalg.matrix_rank(problem.Z) <= rank
+    info = {}
+    coef = fit_glm_lasso(problem, rho, coef0=coef0, max_iter=3000, kkt_tol=kkt_tol,
+                         info=info)
+    trace = info["objective_trace"]
+    assert np.all(np.diff(trace) <= 1e-13 * np.maximum(np.abs(trace[:-1]), 1.0))
+    start = np.zeros(problem.q) if coef0 is None else coef0
+    before, after = _objective(problem, rho, start), _objective(problem, rho, coef)
+    assert after <= before + 1e-13 * max(abs(before), 1.0)
+    if info["converged"]:
+        # the residual recomputed on the n-row design, within rounding
+        Z, r = problem.Z, problem.y - problem.offset
+        grad = Z.T @ (Z @ coef - r)
+        residual = np.where(
+            coef != 0.0, np.abs(grad + rho * np.sign(coef)), np.maximum(np.abs(grad) - rho, 0.0)
+        ).max()
+        scale = max(c_max, rho) or 1.0
+        slack = 1e-12 * (np.linalg.norm(Z, 2) ** 2 * np.abs(coef).max() + c_max)
+        assert info["kkt"] <= kkt_tol
+        assert residual <= kkt_tol * scale + slack
+    if rho > c_max:
+        assert info["converged"] is True
+        assert not coef.any()

@@ -128,23 +128,25 @@ GOLDEN = {
         "lasso_calls": 0,
         "lasso_capped": 0,
     },
+    # re-recorded when the Gaussian CP lasso moved to FISTA with restart, stopping
+    # at a KKT residual of 1e-4 relative to its block instead of at its cap
     "cp_lasso": {
         "objective_trace": [
-            6834.734552180622, 159.93751054624724, 86.90121545401283, 80.12241349422693,
-            77.18403766766814, 74.96487444673663, 73.05607984793048, 71.35944454639366,
-            69.6062453175732,
+            6834.734552180622, 160.090279944019, 86.55987443911782, 79.32391089247639,
+            76.11856758554654, 74.0128389423224, 72.34083412794678, 70.67835787117306,
+            68.99848691858696,
         ],
-        "coef_full": "553ae857451fe69efdf67ada650d5a7e81bb25a00ca575205ce1204f3dfe15b4",
-        "gamma": "771a5d454d85f5e798c1f47c024d6002226aa4891b6dced21e17d5c4b016373b",
+        "coef_full": "51773fd95a3e0fd47a97e7c066c9ad8a40db340ff8559557bb183c4c56a8581e",
+        "gamma": "ee6666fd8075943884d0e644ef89e10750ed3dcd9b0e6d9166b70779cb89a1f4",
         "factors": {
-            "B1": "7529aea93558d4eea889cbe4430aaed7218f2876ddfafb10066af1dca0926c72",
-            "B2": "4a36f64ddc95a8ed94f8df2b6f0b20f29d98f20d4296d51f31b367532a780b08",
+            "B1": "8aaa0b1f10b7c0cc884354826264240b34c0d2d8c1f1805b2808c351d1a3dd6b",
+            "B2": "2054b6dd0450c9686acfea33f51eea47786224cd0d68fb8bd849b2f29d083f9f",
         },
         "iterations": 8,
         "converged": False,
         "ridged": False,
         "lasso_calls": 16,
-        "lasso_capped": 16,
+        "lasso_capped": 0,
     },
     "cp_bernoulli": {
         "objective_trace": [
@@ -225,18 +227,20 @@ GOLDEN = {
         "lasso_calls": None,
         "lasso_capped": None,
     },
+    # re-recorded when the Gaussian CP lasso moved to FISTA with restart, stopping
+    # at a KKT residual of 1e-4 relative to its block instead of at its cap
     "pipeline_gaussian": {
         "objective_trace": [
-            269.238746032754, 72.97614464526865, 71.53920384547202, 71.34362983338842,
-            71.2990258873051, 71.28158079623935, 71.27552993713842,
+            252.23322762373982, 73.25992882685871, 71.91575375243099, 71.48576114205974,
+            71.42420534065546, 71.40050785631844, 71.38930664245045, 71.38440630422105,
         ],
-        "coef_full": "db466f516a9728f11f3d8efb10e6ad0a97e2faee5cba2bebe4047f6bb177128f",
-        "gamma": "5d313c2b8c1f80cc4e3a033ef2394b266ea015454edd2a645a4a6ea92c224731",
+        "coef_full": "18f28ba37ff459cef835fcdc4c88116563fdf9bf70049d3f665adbd21e2a88ed",
+        "gamma": "dacd8e0868d23bc298a905a2919cf964bac42138761d11d0bdb413746838c005",
         "factors": {
-            "lam": "35c05a5faddee020f605f7ec3e42629dd8e3ea6960860e2990ec8ecebdd75386",
-            "B": "30014f78f30230c7471cbc1ff93e253d9da43b99f50ccf96147f7c22708f9515",
+            "lam": "8b36283266c0b4f10320a09405f7aea8e748f1317684edd08066fe844ec1978e",
+            "B": "a5880abd64929235a6d8dc8e87e0a407f9dabb224de24ea11d3c12e29f75250f",
         },
-        "iterations": 6,
+        "iterations": 7,
         "converged": True,
         "ridged": False,
         "lasso_calls": None,

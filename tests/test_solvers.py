@@ -654,23 +654,32 @@ def test_cp_rho0_rank3_records_ridged_blocks():
     assert res.meta["lasso_calls"] == 0
 
 
-def test_cp_reports_capped_lasso_calls():
+def test_cp_lasso_calls_converge_at_the_default_tolerance():
     data = synth_dataset(shape_signal(SignalShape("cross", 16)), 120, p0=2, seed=3)
     res = fit_cp(data, FitConfig(rank=2, rho=0.5, max_outer_iters=4, seed=3))
     assert res.meta["lasso_calls"] == 2 * res.iterations
-    # the null direction keeps every block off its KKT tolerance
+    assert res.meta["lasso_capped"] == 0
+    assert res.meta["lasso_iterations"] >= res.meta["lasso_calls"]
+
+
+def test_cp_reports_capped_lasso_calls():
+    data = synth_dataset(shape_signal(SignalShape("cross", 16)), 120, p0=2, seed=3)
+    cfg = FitConfig(rank=2, rho=0.5, max_outer_iters=4, seed=3, lasso_max_iter=1)
+    res = fit_cp(data, cfg)
+    assert res.meta["lasso_calls"] == 2 * res.iterations
     assert res.meta["lasso_capped"] == res.meta["lasso_calls"]
+    assert res.meta["lasso_iterations"] == res.meta["lasso_calls"]
 
 
-# fit_cp objective trace recorded before the Gaussian lasso moved from the
-# n-row design to cached inner products; the iterates must not change
+# fit_cp objective trace of the FISTA lasso at its default relative KKT
+# tolerance; the iterates must not change
 PINNED_CP_TRACE = [
-    3990.2028307834325, 239.54664109056446, 63.92631189903089, 54.15911516786623,
-    49.70011082491294, 46.372363207467515, 44.49519091865122, 43.43427986478268,
-    42.75079892012302, 42.263786171178, 41.84989302088194, 41.496991594171575,
-    41.16692421924509, 40.884535027289346, 40.6279079724019, 40.395290376573506,
-    40.21340782056231, 40.05970043467671, 39.91741441241762, 39.8036674258818,
-    39.70812196529249,
+    3990.2028307834325, 194.63139929739876, 63.31702765394702, 58.151304384139756,
+    55.13546185099514, 51.14064075077044, 47.703743311489966, 45.137493684664285,
+    43.713340257856146, 42.95922317536868, 42.58400193576269, 42.3563464881124,
+    42.20879884620646, 42.10343075098383, 42.02068524153442, 41.95255808441891,
+    41.89515702620482, 41.84521869204302, 41.800183824020635, 41.758790336276505,
+    41.72035234796904,
 ]
 
 
