@@ -382,9 +382,10 @@ def reference_fista_design(problem, rho, coef0=None, max_iter=2000, kkt_tol=1e-9
 # step adds F(x1) - F(x) = (x1 - x)'(G(x1 + x)/2 - c) + rho*(|x1|_1 - |x|_1).
 # With fail_at=k the k-th objective evaluation (1-based) counts as
 # non-finite. `counts`, when given, receives how often the momentum
-# restarted on the gradient test and on the monotone safeguard.
+# restarted on the gradient test and on the monotone safeguard, and
+# `residuals` the scaled KKT residual of every iterate tested.
 def reference_fista_gram(problem, rho, coef0=None, max_iter=2000, kkt_tol=1e-9,
-                         fail_at=None, counts=None):
+                         fail_at=None, counts=None, residuals=None):
     Z, r = problem.Z, problem.y - problem.offset
     G, c, half_rr = Z.T @ Z, Z.T @ r, 0.5 * float(r @ r)
     scale = max(float(np.abs(c).max()), rho) or 1.0
@@ -419,7 +420,10 @@ def reference_fista_gram(problem, rho, coef0=None, max_iter=2000, kkt_tol=1e-9,
     y, gy, t, beta = x, gx, 1.0, 0.0
     trace = [f]
     for it in range(max_iter + 1):
-        if kkt(x, gx) <= kkt_tol or it == max_iter:
+        res = kkt(x, gx)
+        if residuals is not None:
+            residuals.append(res)
+        if res <= kkt_tol or it == max_iter:
             break
         x1, gx1, change = prox(y, gy, x, gx)
         safeguard = beta > 0 and change > 0
@@ -444,9 +448,10 @@ def reference_fista_gram(problem, rho, coef0=None, max_iter=2000, kkt_tol=1e-9,
     return x, min(it + 1, max_iter), np.asarray(trace), bool(res <= kkt_tol), res
 
 
-def _assert_matches_gram_reference(problem, rho, coef0=None, counts=None, **kw):
+def _assert_matches_gram_reference(problem, rho, coef0=None, counts=None, fail_at=None,
+                                   **kw):
     ref, ref_iters, ref_trace, ref_converged, ref_kkt = reference_fista_gram(
-        problem, rho, coef0=coef0, counts=counts, **kw
+        problem, rho, coef0=coef0, counts=counts, fail_at=fail_at, **kw
     )
     info = {}
     coef = fit_glm_lasso(problem, rho, coef0=coef0, info=info, **kw)
@@ -563,7 +568,7 @@ def test_lasso_gram_path_matches_reference(make, seed, rho, max_iter):
         (_top_eigvec_start, 7, 0.5, 500),
     ],
 )
-def test_lasso_gram_matches_fista_reference(make, seed, rho, max_iter):
+def test_lasso_windows_match_gram_reference(make, seed, rho, max_iter):
     problem, coef0 = make(seed)
     for kkt_tol in (1e-4, 1e-9):
         info = _assert_matches_gram_reference(problem, rho, coef0, max_iter=max_iter,
@@ -587,7 +592,11 @@ def test_lasso_gram_restarts_and_safeguards_are_exercised():
     assert counts["restart"] > 0 and counts["safeguard"] > 0
 
 
-def test_lasso_converges_at_iterate_zero(rng):
+# The test_lasso_windows_* tests are named after the loop's earlier form,
+# which ran the KKT test once per window of 64 iterates; their cases still
+# stop on either side of iterate 64 and compare every path with the
+# reference above.
+def test_lasso_windows_converge_at_iterate_zero(rng):
     # zero is optimal once rho >= max|Z'r|: the start passes the KKT test
     Z = rng.standard_normal((30, 4))
     y = rng.standard_normal(30)
@@ -598,8 +607,37 @@ def test_lasso_converges_at_iterate_zero(rng):
     assert type(info["iterations"]) is int
 
 
+def test_lasso_windows_converge_inside_first_window(rng):
+    Z, _ = np.linalg.qr(rng.standard_normal((40, 5)))
+    problem = GlmProblem(rng.standard_normal(40), Z)
+    info = _assert_matches_gram_reference(problem, 0.3)
+    assert 1 < info["iterations"] < 64 and info["converged"] is True
+    assert type(info["iterations"]) is int
+
+
+@pytest.mark.parametrize("passing", [63, 64, 65])
+def test_lasso_windows_converge_at_window_boundary(passing):
+    # the tolerance is the residual of iterate `passing`, lower than every
+    # earlier one, so that iterate is the first to pass and the call ends
+    # there; reached at max_iter, the same iterate is tested and passes
+    problem, coef0 = _cp_block_problem(7)
+    residuals = []
+    reference_fista_gram(problem, 0.0, coef0, max_iter=2 * 64, kkt_tol=0.0,
+                         residuals=residuals)
+    assert residuals[passing] < min(residuals[:passing])
+    info = _assert_matches_gram_reference(
+        problem, 0.0, coef0, max_iter=500, kkt_tol=residuals[passing]
+    )
+    assert info["iterations"] == passing + 1 and info["converged"] is True
+    assert info["kkt"] == residuals[passing]
+    info = _assert_matches_gram_reference(
+        problem, 0.0, coef0, max_iter=passing, kkt_tol=residuals[passing]
+    )
+    assert info["iterations"] == passing and info["converged"] is True
+
+
 @pytest.mark.parametrize("max_iter", [1, 2, 63, 64, 65, 133])
-def test_lasso_gram_stops_at_max_iter(max_iter):
+def test_lasso_windows_stop_at_max_iter(max_iter):
     problem, coef0 = _cp_block_problem(4)
     info = _assert_matches_gram_reference(problem, 0.5, coef0, max_iter=max_iter)
     assert info["iterations"] == max_iter and info["converged"] is False
@@ -607,7 +645,7 @@ def test_lasso_gram_stops_at_max_iter(max_iter):
     assert info["kkt"] > 1e-9
 
 
-def test_lasso_gram_stops_at_a_stall():
+def test_lasso_windows_stop_at_a_stall():
     # G = I. Coordinate 0 sits at 1e20 with zero gradient: its KKT residual
     # is rho, but a step of rho*delta = 1 is below its ulp, so it never moves.
     # Coordinate 1 reaches its optimum in one plain step; the next plain step
@@ -646,15 +684,42 @@ class _FailingMath:
         return math.sqrt(value)
 
 
-def test_lasso_gram_raises_a_non_finite_objective(monkeypatch):
-    # a non-finite objective at any step raises, as in the reference
-    problem, coef0 = _cp_block_problem(4)
-    for fail_at in (1, 2, 40):
-        with pytest.raises(ValueError):
-            reference_fista_gram(problem, 0.5, coef0, max_iter=500, fail_at=fail_at)
-        monkeypatch.setattr(glm, "math", _FailingMath(fail_at))
+def _run_with_failure(monkeypatch, problem, rho, coef0, fail_at, **kw):
+    """Run fit_glm_lasso with its fail_at-th objective evaluation non-finite:
+    it must raise exactly when the reference does, and match it otherwise."""
+    monkeypatch.setattr(glm, "math", _FailingMath(fail_at))
+    try:
+        reference_fista_gram(problem, rho, coef0=coef0, fail_at=fail_at, **kw)
+    except ValueError:
         with pytest.raises(ValueError, match="finite"):
-            fit_glm_lasso(problem, 0.5, coef0=coef0, max_iter=500)
+            fit_glm_lasso(problem, rho, coef0=coef0, **kw)
+        return None
+    return _assert_matches_gram_reference(problem, rho, coef0, fail_at=fail_at, **kw)
+
+
+def test_lasso_windows_raise_non_finite_after_an_unconverged_window(monkeypatch):
+    # a non-finite objective at any step raises, as in the reference: at the
+    # start, in the first steps, and past iterate 64 of an unconverged call
+    problem, coef0 = _cp_block_problem(4)
+    for fail_at in (1, 2, 40, 65, 66, 74):
+        assert _run_with_failure(monkeypatch, problem, 0.5, coef0, fail_at,
+                                 max_iter=500) is None
+
+
+def test_lasso_windows_ignore_non_finite_past_convergence(monkeypatch, rng):
+    # the loop stops at the converged iterate: a failure at an evaluation
+    # after it is never reached, and the last one it makes still raises
+    Z, _ = np.linalg.qr(rng.standard_normal((40, 5)))
+    problem = GlmProblem(rng.standard_normal(40), Z)
+    counts = {"restart": 0, "safeguard": 0}
+    _, ref_iters, _, converged, _ = reference_fista_gram(problem, 0.3, counts=counts)
+    assert converged
+    # the start, one per step, one more per safeguarded step
+    evaluations = ref_iters + counts["safeguard"]
+    for fail_at in (evaluations + 1, evaluations + 5):
+        info = _run_with_failure(monkeypatch, problem, 0.3, None, fail_at)
+        assert info is not None and info["iterations"] == ref_iters
+    assert _run_with_failure(monkeypatch, problem, 0.3, None, evaluations) is None
 
 
 def _objective(problem, rho, x):
