@@ -1,8 +1,8 @@
 # Exponential-family plumbing: losses, (weighted) GLM fits with offsets via
 # least squares / IRLS, the soft-threshold operator, and an l1-penalized GLM
-# solved by proximal gradient (FISTA with restart at a fixed 1/L step if
-# gaussian, backtracking if bernoulli). The matrix solvers build all of their
-# block updates from these.
+# solved by one FISTA loop with restart at a fixed 1/L step for both
+# families (L = eigmax(Z'Z), divided by 4 for bernoulli). The matrix solvers
+# build all of their block updates from these.
 
 import math
 
@@ -233,12 +233,11 @@ def fit_glm_lasso(problem, rho, coef0=None, max_iter=2000, kkt_tol=1e-9, info=No
     KKT test passed) and "kkt" (the returned iterate's residual over that
     scale).
 
-    The gaussian loss is quadratic, so it runs on inner products cached once
-    per call (G = Z'Z, c = Z'(y - offset)) instead of the n-row design. It
-    runs FISTA at the exact step 1/L, L = eigmax(G), with gradient-based
-    restart and a monotone safeguard (see _lasso_gram). The bernoulli step
-    starts at 1/L (L a spectral-norm bound) and halves until the quadratic
-    majorization holds.
+    Both families run one FISTA loop (_lasso_fista) at the fixed step 1/L,
+    L = eigmax(Z'Z) * family.lipschitz_factor(). The loss's Hessian is
+    Z'WZ with W = diag(mu'(eta)), and mu' is at most 1 (gaussian) or 1/4
+    (bernoulli), so the Hessian is never above L*I: the quadratic
+    majorization holds at every step and no step search is needed.
     """
     if rho < 0:
         raise ValueError("rho must be nonnegative")
@@ -250,8 +249,7 @@ def fit_glm_lasso(problem, rho, coef0=None, max_iter=2000, kkt_tol=1e-9, info=No
     if problem.q == 0:
         return np.zeros(0)
 
-    solve = _lasso_gram if problem.family == GAUSSIAN else _lasso_design
-    coef, iterations, trace, converged, kkt = solve(problem, rho, coef, max_iter, kkt_tol)
+    coef, iterations, trace, converged, kkt = _lasso_fista(problem, rho, coef, max_iter, kkt_tol)
     if info is not None:
         info["iterations"] = iterations
         info["objective_trace"] = trace
@@ -273,72 +271,25 @@ def _kkt_scale(grad0, rho):
     return max(float(np.abs(grad0).max()), rho) or 1.0
 
 
-def _lasso_design(problem, rho, coef, max_iter, kkt_tol):
-    """fit_glm_lasso on the n-row design: one pass over Z per candidate."""
-    Z, y, offset, fam = problem.Z, problem.y, problem.offset, problem.family
-    sigma_max = np.linalg.norm(Z, 2) if Z.size else 0.0
-    lip = fam.lipschitz_factor() * sigma_max**2
-    delta0 = 1.0 / lip if lip > 0 else 1.0
-    nll = fam.negloglik(y, Z @ coef + offset)
-    scale = _kkt_scale(Z.T @ fam.dnll_deta(y, offset), rho)
+# The setups of _lasso_fista, one per family, take G = Z'Z and the step
+# delta and return (gradient, prox_step, scale, k, nll) at the warm start;
+# prox_step(y, ky, x, kx, l1, nll) returns
+# (x1, kx1, l1_1, nll1, move, F(x1) - F(x)). Call overhead is most of a
+# step's cost, so .dot and count_nonzero stand in for @ and .any(), and
+# soft_threshold is inlined (rho >= 0 was checked on entry).
 
-    trace = [nll + rho * np.abs(coef).sum()]
-    for it in range(max_iter + 1):
-        grad = Z.T @ fam.dnll_deta(y, Z @ coef + offset)
-        kkt = _kkt_residual(grad, coef, rho) / scale
-        if kkt <= kkt_tol or it == max_iter:
-            break
-
-        delta, accepted = delta0, False
-        for _ in range(60):
-            cand = soft_threshold(coef - delta * grad, rho * delta)
-            diff = cand - coef
-            cand_nll = fam.negloglik(y, Z @ cand + offset)
-            # slack covers float cancellation once the true decrease is ~eps*|nll|;
-            # an overflowed cand_nll would make it inf and pass any test
-            slack = 1e-14 * (1.0 + abs(nll) + abs(cand_nll))
-            bound = nll + grad @ diff + (diff @ diff) / (2.0 * delta) + slack
-            if math.isfinite(cand_nll) and cand_nll <= bound:
-                accepted = True
-                break
-            delta /= 2.0
-        if not accepted or not diff.any():
-            break
-        coef, nll = cand, cand_nll
-        trace.append(nll + rho * np.abs(coef).sum())
-    return coef, min(it + 1, max_iter), np.asarray(trace), bool(kkt <= kkt_tol), float(kkt)
-
-
-def _lasso_gram(problem, rho, coef, max_iter, kkt_tol):
-    """fit_glm_lasso for the gaussian family, on cached inner products.
-
-    FISTA (Beck & Teboulle 2009) at the fixed step 1/L: a quadratic's
-    majorization gap at that step, d'Gd/2 - L||d||^2/2, is never positive,
-    so no step search is needed. Momentum restarts (O'Donoghue & Candes
-    2015) when the step from the extrapolated point y to x+ points against
-    the last move, (y - x+).(x+ - x) > 0. A candidate that raises the
-    objective is replaced by a plain proximal step from x, which cannot, and
-    the momentum restarts. The KKT test, the trace and the result follow the
-    monotone iterate x. G @ x is carried with one q x q matvec per step, and
-    G @ y is the same linear combination of carried products. A plain step
-    that moves nothing ends the call unconverged.
-    """
+def _gaussian_steps(problem, rho, coef, G, delta):
+    """k = G x, on the inner products cached once per call (G = Z'Z,
+    c = Z'(y - offset)) instead of the n-row design; no nll is carried."""
     Z = problem.Z
     r = problem.y - problem.offset
     if not np.all(np.isfinite(r)):
         raise ValueError("negloglik requires finite y and eta")
-    G, c, half_rr = Z.T @ Z, Z.T @ r, 0.5 * float(r @ r)
+    c, half_rr = Z.T @ r, 0.5 * float(r @ r)
     scale = _kkt_scale(c, rho)
-    lip = float(np.linalg.eigvalsh(G)[-1])
-    delta = 1.0 / lip if lip > 0 else 1.0
     shrink = rho * delta
 
-    # Each step makes ~30 numpy calls on q-vectors, so call overhead is most
-    # of the cost: .dot and count_nonzero do the work of @ and .any() with
-    # less of it.
-    def prox_step(y, gy, x, gx, l1):
-        # the step from y and its objective change from x; soft_threshold
-        # inlined, rho >= 0 was checked on entry
+    def prox_step(y, gy, x, gx, l1, nll):
         v = y - delta * (gy - c)
         x1 = np.sign(v) * np.maximum(np.abs(v) - shrink, 0.0)
         gx1, l1_1, move = G.dot(x1), float(np.abs(x1).sum()), x1 - x
@@ -348,34 +299,80 @@ def _lasso_gram(problem, rho, coef, max_iter, kkt_tol):
         change = float(move.dot(0.5 * (gx1 + gx) - c)) + rho * (l1_1 - l1)
         if not math.isfinite(change):
             raise ValueError("negloglik requires finite y and eta")
-        return x1, gx1, l1_1, move, change
+        return x1, gx1, l1_1, None, move, change
 
-    x, gx, l1 = coef, G.dot(coef), float(np.abs(coef).sum())
+    gx = G.dot(coef)
     # 1/2 ||r - Z x||^2 expanded on the cached inner products
-    f = 0.5 * float(x.dot(gx)) - float(c.dot(x)) + half_rr + rho * l1
+    nll = 0.5 * float(coef.dot(gx)) - float(c.dot(coef)) + half_rr
+    return (lambda gx: gx - c), prox_step, scale, gx, nll
+
+
+def _bernoulli_steps(problem, rho, coef, G, delta):
+    """k = eta = Z x + offset; the change is nll1 - nll, nll carried."""
+    Z, y_obs, offset, fam = problem.Z, problem.y, problem.offset, problem.family
+    shrink = rho * delta
+
+    def gradient(eta):
+        return Z.T.dot(fam.dnll_deta(y_obs, eta))
+
+    def prox_step(y, eta_y, x, eta_x, l1, nll):
+        v = y - delta * gradient(eta_y)
+        x1 = np.sign(v) * np.maximum(np.abs(v) - shrink, 0.0)
+        eta1, l1_1 = Z.dot(x1) + offset, float(np.abs(x1).sum())
+        nll1 = fam.negloglik(y_obs, eta1)
+        change = nll1 - nll + rho * (l1_1 - l1)
+        if change > 0.0:
+            # a rise, or an overflowed nll1: the candidate is rejected and the
+            # step stays at x, so a rejected plain step ends the call
+            x1, eta1, l1_1, nll1 = x, eta_x, l1, nll
+        return x1, eta1, l1_1, nll1, x1 - x, change
+
+    eta = Z.dot(coef) + offset
+    return gradient, prox_step, _kkt_scale(gradient(offset), rho), eta, fam.negloglik(y_obs, eta)
+
+
+def _lasso_fista(problem, rho, coef, max_iter, kkt_tol):
+    """fit_glm_lasso's loop for both families: FISTA (Beck & Teboulle 2009)
+    at the fixed step 1/L. Momentum restarts (O'Donoghue & Candes 2015) when
+    the step from the extrapolated point y to x+ points against the last
+    move, (y - x+).(x+ - x) > 0. A candidate that raises the objective is
+    replaced by a plain proximal step from x, which cannot, and the momentum
+    restarts. The KKT test, the trace and the result follow the monotone
+    iterate x. Each iterate carries a product linear in it, so y's is the
+    same linear combination of carried products as y. A plain step that
+    moves nothing ends the call unconverged.
+    """
+    G = problem.Z.T @ problem.Z
+    lip = problem.family.lipschitz_factor() * float(np.linalg.eigvalsh(G)[-1])
+    setup = _gaussian_steps if problem.family == GAUSSIAN else _bernoulli_steps
+    gradient, prox_step, scale, kx, nll = setup(
+        problem, rho, coef, G, 1.0 / lip if lip > 0 else 1.0
+    )
+    x, l1 = coef, float(np.abs(coef).sum())
+    f = nll + rho * l1
     if not math.isfinite(f):
         raise ValueError("negloglik requires finite y and eta")
     trace = [f]
-    y, gy, t, beta = x, gx, 1.0, 0.0
+    y, ky, t, beta = x, kx, 1.0, 0.0
     for it in range(max_iter + 1):
-        kkt = _kkt_residual(gx - c, x, rho) / scale
+        kkt = _kkt_residual(gradient(kx), x, rho) / scale
         if kkt <= kkt_tol or it == max_iter:
             break
-        x1, gx1, l1_1, move, change = prox_step(y, gy, x, gx, l1)
+        x1, kx1, l1_1, nll1, move, change = prox_step(y, ky, x, kx, l1, nll)
         restart = change > 0.0 and beta > 0.0
         if restart:  # the monotone safeguard
-            x1, gx1, l1_1, move, change = prox_step(x, gx, x, gx, l1)
+            x1, kx1, l1_1, nll1, move, change = prox_step(x, kx, x, kx, l1, nll)
         if beta == 0.0 or restart:  # a plain step: stop if it stalls
             if not np.count_nonzero(move):
                 break
         else:  # the gradient restart test
             restart = float((y - x1).dot(move)) > 0.0
         if restart:
-            t, beta, y, gy = 1.0, 0.0, x1, gx1
+            t, beta, y, ky = 1.0, 0.0, x1, kx1
         else:
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             beta = (t - 1.0) / t_next
-            t, y, gy = t_next, x1 + beta * move, gx1 + beta * (gx1 - gx)
-        x, gx, l1, f = x1, gx1, l1_1, f + change
+            t, y, ky = t_next, x1 + beta * move, kx1 + beta * (kx1 - kx)
+        x, kx, l1, nll, f = x1, kx1, l1_1, nll1, f + change
         trace.append(f)
     return x, min(it + 1, max_iter), np.asarray(trace), bool(kkt <= kkt_tol), float(kkt)

@@ -776,3 +776,59 @@ def test_lasso_gram_properties(case):
     if rho > c_max:
         assert info["converged"] is True
         assert not coef.any()
+
+
+@st.composite
+def _bernoulli_lasso_cases(draw):
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        p, r = draw(st.integers(2, 6)), draw(st.integers(1, 3))
+        block, _ = _cp_block_problem(seed, n=draw(st.integers(5, 60)), p=p, r=r)
+        Z, offset = block.Z, block.offset
+    else:
+        n, q = draw(st.integers(3, 40)), draw(st.integers(1, 12))
+        Z = rng.standard_normal((n, q)) * rng.uniform(0.1, 3.0, q)
+        offset = 0.3 * rng.standard_normal(n)
+    n, q = Z.shape
+    eta = Z @ rng.standard_normal(q) / np.sqrt(q) + offset
+    y = (rng.random(n) < BERNOULLI.mean(eta)).astype(float)
+    problem = GlmProblem(y, Z, offset, family=BERNOULLI)
+    c_max = float(np.abs(Z.T @ BERNOULLI.dnll_deta(y, offset)).max())
+    rho = draw(st.sampled_from([0.0, 1e-3 * c_max, 0.1 * c_max, 1.5 * c_max]))
+    coef0 = None if draw(st.booleans()) else rng.standard_normal(q)
+    kkt_tol = draw(st.sampled_from([1e-4, 1e-8]))
+    return problem, rho, coef0, kkt_tol, c_max
+
+
+@settings(max_examples=100, deadline=None)
+@given(_bernoulli_lasso_cases())
+def test_lasso_bernoulli_properties(case):
+    problem, rho, coef0, kkt_tol, c_max = case
+    Z, y, offset = problem.Z, problem.y, problem.offset
+
+    def objective(x):
+        return BERNOULLI.negloglik(y, Z @ x + offset) + rho * float(np.abs(x).sum())
+
+    info = {}
+    coef = fit_glm_lasso(problem, rho, coef0=coef0, max_iter=3000, kkt_tol=kkt_tol,
+                         info=info)
+    # a step is taken only if its computed change is <= 0
+    assert np.all(np.diff(info["objective_trace"]) <= 0.0)
+    # each change is a difference of two rounded losses, so the recomputed
+    # objective may exceed the warm start's by a few ulps per step
+    start = np.zeros(problem.q) if coef0 is None else coef0
+    before, after = objective(start), objective(coef)
+    assert after <= before + 4e-16 * info["iterations"] * max(abs(before), 1.0)
+    if info["converged"]:
+        # the residual recomputed on the n-row design, within rounding
+        grad = Z.T @ BERNOULLI.dnll_deta(y, Z @ coef + offset)
+        residual = np.where(
+            coef != 0.0, np.abs(grad + rho * np.sign(coef)), np.maximum(np.abs(grad) - rho, 0.0)
+        ).max()
+        slack = 1e-12 * (np.linalg.norm(Z, 2) ** 2 * np.abs(coef).max() + c_max)
+        assert info["kkt"] <= kkt_tol
+        assert residual <= kkt_tol * (max(c_max, rho) or 1.0) + slack
+    if rho > c_max:
+        assert info["converged"] is True
+        assert not coef.any()

@@ -148,17 +148,18 @@ GOLDEN = {
         "lasso_calls": 16,
         "lasso_capped": 0,
     },
+    # re-recorded when the Bernoulli CP lasso moved from backtracking ISTA to
+    # the gaussian path's FISTA loop at the fixed step 1/L, L = eigmax(Z'Z)/4
     "cp_bernoulli": {
         "objective_trace": [
-            327.6959471996064, 58.21889362511858, 30.430754962705322,
-            24.739000269267972, 22.337323019750745, 20.74091986707072,
-            19.41848821957545,
+            327.6959471996064, 30.465745133757913, 20.2933636968279, 13.04967208548147,
+            10.285674584186848, 9.356800450487317, 8.95665301327681,
         ],
-        "coef_full": "cc4ff1f977169d7d6a72264b41ccf051bf37d90792ac81f31defa1df7b3fdf9a",
-        "gamma": "d04f8c1d49ab88798a653c464e0b509188752d86e1a347d43915ad97fdda97dd",
+        "coef_full": "17eb5a43d28e54f98e994c50203989c1d29e4367ab6e4e5baea0d97328449744",
+        "gamma": "6d64338c2a5f732521239daa54ae2cff4481e7c7efa8175a946b51c4a7a02b43",
         "factors": {
-            "B1": "6b773bca9a4d793fdcf9aa77c34b84c5e9549d489d19d8ae18e08703e520e691",
-            "B2": "58e75e2d7ca9fbf5e3a9fc4b5e0ca14420930b4b90bae455b3166ac3dfc13444",
+            "B1": "a4be4f182b120f6ccdea0ee9b4b3a42a931e4ee51406be71925985b8045369ee",
+            "B2": "25af7d7c5ca27596112c1b065d207d7dd968e1012ca2b3755d9130a9f9a404ec",
         },
         "iterations": 6,
         "converged": False,
@@ -246,16 +247,18 @@ GOLDEN = {
         "lasso_calls": None,
         "lasso_capped": None,
     },
+    # re-recorded with cp_bernoulli: the CP baseline it starts from moved
     "pipeline_bernoulli": {
         "objective_trace": [
-            87.92536967527579, 36.479940497463, 34.46205012753308, 33.81934598991861,
-            33.489632310782845, 33.044080184514385, 32.60848287367104,
+            174.44088985603935, 34.42322670164372, 25.037449095331915,
+            22.257901308508146, 20.628855261459606, 19.63622423030091,
+            18.668690752052633,
         ],
-        "coef_full": "9a3a8ddbe5d6c07ff07a1a5ee3267f35938a02be598e6e19a5d894f9b9bf326e",
-        "gamma": "6ea0f98f8abdcf572c55e81bff6c018a7fbeee4374c0fbdc9b99d6a2271f222c",
+        "coef_full": "3266d8133dc7083c41343a0e4158c29ca71c5e12bebfc97bc9ff770bc5a3309b",
+        "gamma": "50a25ced9b3d397278d4e709520c88a54ce25d1efbe0dffe601c0ff7f7f2f534",
         "factors": {
-            "lam": "51aaf6f338ff0a1b2862685a55644405fcdb3bc6b4a60eaeed67ba8fa71b9459",
-            "B": "0f2173dcec49c35275f2539940cfa9263fc87fb956ee09d4443ab3dbf47097c8",
+            "lam": "aafbfb07c515025f7fff108062e00d5a9d339f65981f2fe636be150e9e41c188",
+            "B": "e07d33c57616749c17895e163984b5ab3807d4c68d3a88b54de68ec4ab02fc45",
         },
         "iterations": 6,
         "converged": False,
