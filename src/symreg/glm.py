@@ -1,15 +1,15 @@
 # Exponential-family plumbing: losses, (weighted) GLM fits with offsets via
-# least squares / IRLS, the soft-threshold operator, and an l1-penalized GLM
-# solved by one FISTA loop with restart at a fixed 1/L step for both
-# families (L = eigmax(Z'Z), divided by 4 for bernoulli). The matrix solvers
-# build all of their block updates from these.
+# least squares / IRLS (stopped on the Newton decrement), the soft-threshold
+# operator, and an l1-penalized GLM solved by one FISTA loop with restart at
+# a fixed 1/L step for both families (L = eigmax(Z'Z), divided by 4 for
+# bernoulli). The matrix solvers build all of their block updates from these.
 
 import math
 
 import numpy as np
 
 RIDGE = 1e-8  # fallback perturbation for rank-deficient designs
-IRLS_GRAD_TOL = 1e-8
+NEWTON_TOL = 1e-12  # IRLS stops once the full step predicts less, relative to nll
 IRLS_MAX_ITER = 100
 
 
@@ -158,11 +158,15 @@ def fit_glm(problem, coef0=None, info=None):
 
     gaussian reduces to least squares of (y - offset) on Z, solved by lstsq;
     a non-finite Z or y - offset raises ValueError before LAPACK runs.
-    bernoulli runs IRLS with step halving until the gradient inf-norm is
-    <= 1e-8 or 100 iterations. Rank-deficient designs are solved with a 1e-8
-    ridge and flagged in `info` (a caller-supplied dict). fit_cp sends its
-    unpenalized gaussian blocks at R >= 2, which are always rank-deficient,
-    straight to that ridge solve (_solve_ridged) instead of through here.
+    bernoulli runs IRLS (Newton) with step halving until lambda^2/2 =
+    -grad.step/2, the decrease the full step predicts (Boyd & Vandenberghe
+    2004, 9.5), is <= NEWTON_TOL * max(1, |nll|): far above nll's rounding,
+    far below the outer tol, so the float floor stops the loop. Above it, a
+    step search that runs out is real ascent: GlmConvergenceError. `info` (a
+    caller-supplied dict) gets "iterations", "converged" (the test passed
+    within IRLS_MAX_ITER) and "ridged": rank-deficient designs are solved
+    with a 1e-8 ridge. fit_cp sends its always rank-deficient unpenalized
+    gaussian blocks at R >= 2 straight to that ridge solve (_solve_ridged).
     """
     q = problem.q
     if q == 0:
@@ -173,13 +177,10 @@ def fit_glm(problem, coef0=None, info=None):
     Z, y, offset = problem.Z, problem.y, problem.offset
     coef = np.zeros(q) if coef0 is None else np.asarray(coef0, dtype=float).copy()
     nll = problem.family.negloglik(y, Z @ coef + offset)
-    fails = 0
+    converged = False
     for it in range(IRLS_MAX_ITER):
-        eta = Z @ coef + offset
-        mu = _sigmoid(eta)
+        mu = _sigmoid(Z @ coef + offset)
         grad = Z.T @ (mu - y)
-        if np.max(np.abs(grad), initial=0.0) <= IRLS_GRAD_TOL:
-            break
         w = np.maximum(mu * (1.0 - mu), 1e-10)
         H = Z.T @ (w[:, None] * Z)
         try:
@@ -188,24 +189,22 @@ def fit_glm(problem, coef0=None, info=None):
             step = np.linalg.solve(H + RIDGE * np.eye(q), -grad)
             if info is not None:
                 info["ridged"] = True
-        t, accepted = 1.0, False
-        for _ in range(30):
-            cand = coef + t * step
+        if -0.5 * float(grad @ step) <= NEWTON_TOL * max(1.0, abs(nll)):
+            converged = True
+            break
+        for halvings in range(30):
+            cand = coef + 0.5**halvings * step
             cand_nll = problem.family.negloglik(y, Z @ cand + offset)
             if cand_nll <= nll:
-                coef, nll, accepted = cand, cand_nll, True
+                coef, nll = cand, cand_nll
                 break
-            t /= 2.0
-        if not accepted:
-            fails += 1
-            if fails >= 2:
-                raise GlmConvergenceError(
-                    "IRLS objective increases with step halving exhausted"
-                )
         else:
-            fails = 0
+            raise GlmConvergenceError(
+                "IRLS objective increases with step halving exhausted"
+            )
     if info is not None:
         info["iterations"] = it + 1
+        info["converged"] = converged
     return coef
 
 

@@ -156,6 +156,61 @@ def test_fit_glm_bernoulli_recovers_coefficients(rng):
     assert np.all(np.abs(coef - truth) < 0.15)
 
 
+def _logistic_problem(rng, n=400):
+    Z = rng.standard_normal((n, 3))
+    offset = 0.3 * rng.standard_normal(n)
+    eta = Z @ np.array([1.0, -0.5, 0.2]) + offset
+    y = (rng.random(n) < BERNOULLI.mean(eta)).astype(float)
+    return GlmProblem(y, Z, offset, BERNOULLI)
+
+
+def test_fit_glm_stops_on_the_newton_decrement(rng):
+    problem = _logistic_problem(rng)
+    info = {}
+    coef = fit_glm(problem, info=info)
+    assert info["converged"] is True
+    eta = problem.Z @ coef + problem.offset
+    mu = BERNOULLI.mean(eta)
+    grad = problem.Z.T @ (mu - problem.y)
+    H = problem.Z.T @ ((mu * (1.0 - mu))[:, None] * problem.Z)
+    half_decrement = -0.5 * float(grad @ np.linalg.solve(H, -grad))
+    nll = BERNOULLI.negloglik(problem.y, eta)
+    assert half_decrement <= glm.NEWTON_TOL * max(1.0, nll)
+
+
+def test_fit_glm_warm_start_at_its_result_stops_at_once(rng):
+    problem = _logistic_problem(rng)
+    coef = fit_glm(problem)
+    info = {}
+    again = fit_glm(problem, coef0=coef, info=info)
+    assert np.array_equal(again, coef)
+    assert info["iterations"] == 1 and info["converged"] is True
+
+
+def test_fit_glm_exhausted_step_search_raises_at_once(rng, monkeypatch):
+    # every candidate scores above the starting nll: with the decrement far
+    # above the floor, the first search that runs out is ascent
+    problem = _logistic_problem(rng)
+    real = Family.negloglik
+    calls = []
+
+    def rising(self, y, eta):
+        calls.append(None)
+        return real(self, y, eta) + (1e6 if len(calls) > 1 else 0.0)
+
+    monkeypatch.setattr(Family, "negloglik", rising)
+    with pytest.raises(glm.GlmConvergenceError, match="step halving exhausted"):
+        fit_glm(problem)
+    assert len(calls) == 1 + 30  # the start, then one search of 30 halvings
+
+
+def test_fit_glm_reports_the_iteration_cap(rng, monkeypatch):
+    monkeypatch.setattr(glm, "IRLS_MAX_ITER", 1)
+    info = {}
+    fit_glm(_logistic_problem(rng), info=info)
+    assert info["iterations"] == 1 and info["converged"] is False
+
+
 # ---------------------------------------------------------------- soft_threshold
 
 def test_soft_threshold_values():

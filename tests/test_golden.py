@@ -149,17 +149,20 @@ GOLDEN = {
         "lasso_capped": 0,
     },
     # re-recorded when the Bernoulli CP lasso moved from backtracking ISTA to
-    # the gaussian path's FISTA loop at the fixed step 1/L, L = eigmax(Z'Z)/4
+    # the gaussian path's FISTA loop at the fixed step 1/L, L = eigmax(Z'Z)/4,
+    # and again when IRLS (its gamma blocks) moved from the |grad| <= 1e-8 test
+    # to the Newton-decrement stop, which ends a call about one iteration sooner
     "cp_bernoulli": {
         "objective_trace": [
-            327.6959471996064, 30.465745133757913, 20.2933636968279, 13.04967208548147,
-            10.285674584186848, 9.356800450487317, 8.95665301327681,
+            327.6959471996064, 30.46574623482433, 20.293364336333713,
+            13.049673476928046, 10.285676821955791, 9.356802013072269,
+            8.956654615732141,
         ],
-        "coef_full": "17eb5a43d28e54f98e994c50203989c1d29e4367ab6e4e5baea0d97328449744",
-        "gamma": "6d64338c2a5f732521239daa54ae2cff4481e7c7efa8175a946b51c4a7a02b43",
+        "coef_full": "89268952374810bca7a09617b2b34e517c4876e58fb15e941eb4a8a9da141cf9",
+        "gamma": "19a90632ba233a11bd50c9f2b517460c9f9702abcc668ad48a3aa1171f27e142",
         "factors": {
-            "B1": "a4be4f182b120f6ccdea0ee9b4b3a42a931e4ee51406be71925985b8045369ee",
-            "B2": "25af7d7c5ca27596112c1b065d207d7dd968e1012ca2b3755d9130a9f9a404ec",
+            "B1": "41fd32b55294514204daa2fbb2c72ca6ace2cb3dfad9f1cd0cbe36434dfbdfb7",
+            "B2": "f3d500e4e5d5e686a15983a35aee9cd6f026043aa7efd242074a73be55698832",
         },
         "iterations": 6,
         "converged": False,
@@ -247,18 +250,19 @@ GOLDEN = {
         "lasso_calls": None,
         "lasso_capped": None,
     },
-    # re-recorded with cp_bernoulli: the CP baseline it starts from moved
+    # re-recorded with cp_bernoulli: the CP baseline it starts from moved, and
+    # its own gamma- and lam-GLM blocks run the same IRLS
     "pipeline_bernoulli": {
         "objective_trace": [
-            174.44088985603935, 34.42322670164372, 25.037449095331915,
-            22.257901308508146, 20.628855261459606, 19.63622423030091,
-            18.668690752052633,
+            174.44092946554102, 34.42322957186515, 25.037453099391602,
+            22.257902803408037, 20.628840265495317, 19.636218503734845,
+            18.668687857734724,
         ],
-        "coef_full": "3266d8133dc7083c41343a0e4158c29ca71c5e12bebfc97bc9ff770bc5a3309b",
-        "gamma": "50a25ced9b3d397278d4e709520c88a54ce25d1efbe0dffe601c0ff7f7f2f534",
+        "coef_full": "5fa54af26b9c3a6a9bffaa55f62e300890f993905b190a8550c31cc22aefc844",
+        "gamma": "a1eae99f3c6d5f4fa0e511248c6052d346397350efd02374dd7248ab8417ba44",
         "factors": {
-            "lam": "aafbfb07c515025f7fff108062e00d5a9d339f65981f2fe636be150e9e41c188",
-            "B": "e07d33c57616749c17895e163984b5ab3807d4c68d3a88b54de68ec4ab02fc45",
+            "lam": "d09635fbc50c00b6bdcce257b7ccf73fbd8d9ef600fc7b770096b4e6e0171206",
+            "B": "47148dd29456c1f7e41ac7879aab1b0ae31aa1957328ea870a7b8a1eac376f1d",
         },
         "iterations": 6,
         "converged": False,
