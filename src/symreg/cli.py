@@ -30,9 +30,7 @@ EXIT_NUMERICAL = 5
 # FitConfig fields every fitting command takes as --flags, with FitConfig's
 # defaults; rank and rho are set per command (fit and replicate by flag, cv
 # by its grids).
-SOLVER_FLAGS = (
-    "max_outer_iters", "tol", "prox_steps", "delta0", "seed", "renormalize_columns"
-)
+SOLVER_FLAGS = ("max_outer_iters", "tol", "prox_steps", "delta0", "seed")
 
 
 def _build_config(args, rank=None, rho=None):
@@ -46,10 +44,7 @@ def _build_config(args, rank=None, rho=None):
 def _add_solver_flags(p, defaults):
     for name in SOLVER_FLAGS:
         flag, default = "--" + name.replace("_", "-"), getattr(defaults, name)
-        if isinstance(default, bool):
-            p.add_argument(flag, action="store_true")
-        else:
-            p.add_argument(flag, type=type(default), default=default)
+        p.add_argument(flag, type=type(default), default=default)
 
 
 def _outdir(args):
@@ -73,6 +68,14 @@ def cmd_simulate(args):
     return EXIT_OK, config, []
 
 
+def _read_dataset(args):
+    """The --data directory; each ingest warning goes to stderr as one line."""
+    data, extras = io.read_dataset(args.data, log_response=args.log_response)
+    for warning in data.meta["warnings"]:
+        print(f"symreg: warning: {warning}", file=sys.stderr)
+    return data, extras
+
+
 def _fit_estimator(data, config, estimator):
     if estimator == "cp":
         return solvers.fit_cp(data, config)
@@ -87,7 +90,7 @@ def _fit_estimator(data, config, estimator):
 
 
 def cmd_fit(args):
-    data, _ = io.read_dataset(args.data, log_response=args.log_response)
+    data, _ = _read_dataset(args)
     config = _build_config(args)
     out = _outdir(args)
     result = _fit_estimator(data, config, args.estimator)
@@ -124,7 +127,7 @@ def _parse_grid(text, flag, cast):
 
 
 def cmd_cv(args):
-    data, extras = io.read_dataset(args.data, log_response=args.log_response)
+    data, extras = _read_dataset(args)
     rho_grid = _parse_grid(args.rho_grid, "--rho-grid", float)
     rank_grid = _parse_grid(args.rank_grid, "--rank-grid", int)
     strata = None

@@ -5,6 +5,7 @@
 # bernoulli). The matrix solvers build all of their block updates from these.
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +31,7 @@ def _sigmoid(eta):
     return out
 
 
+@dataclass(frozen=True)
 class Family:
     """Closed forms for one exponential family under its canonical link.
 
@@ -38,19 +40,11 @@ class Family:
     bernoulli: logit link, mu = 1/(1+exp(-eta)).
     """
 
-    def __init__(self, name):
-        if name not in ("gaussian", "bernoulli"):
-            raise ValueError(f"unknown family {name!r}")
-        self.name = name
+    name: str
 
-    def __repr__(self):
-        return f"Family({self.name!r})"
-
-    def __eq__(self, other):
-        return isinstance(other, Family) and other.name == self.name
-
-    def __hash__(self):
-        return hash(("Family", self.name))
+    def __post_init__(self):
+        if self.name not in ("gaussian", "bernoulli"):
+            raise ValueError(f"unknown family {self.name!r}")
 
     def mean(self, eta):
         eta = np.asarray(eta, dtype=float)

@@ -72,13 +72,12 @@ def read_matrix_csv(path):
     return m
 
 
-def write_dataset(data, outdir, ids=None):
+def write_dataset(data, outdir):
     """Write subjects.csv, matrices/ and meta.json for one Dataset."""
     outdir = Path(outdir)
     (outdir / "matrices").mkdir(parents=True, exist_ok=True)
     n, p0 = data.n, data.p0
-    if ids is None:
-        ids = [f"{i:06d}" for i in range(1, n + 1)]
+    ids = [f"{i:06d}" for i in range(1, n + 1)]
     header = ["id", "y"] + [f"z{j}" for j in range(1, p0 + 1)]
     write_rows(outdir / "subjects.csv", [header] + [
         [ids[i], fmt(data.y[i])] + [fmt(v) for v in data.Z[i]] for i in range(n)
@@ -87,14 +86,13 @@ def write_dataset(data, outdir, ids=None):
         write_matrix_csv(outdir / "matrices" / f"{ids[i]}.csv", data.X[i])
     write_json(outdir / "meta.json",
                {"family": data.family.name, "p": int(data.p), "p0": int(p0)})
-    return ids
 
 
 def read_dataset(path, log_response=False):
     """Load a dataset directory; returns (Dataset, extra_columns dict).
 
     Matrices asymmetric beyond 1e-8 are rejected; smaller asymmetries are
-    symmetrized with a warning recorded in Dataset.meta["warnings"].
+    symmetrized, and Dataset.meta["warnings"] gets one line that counts them.
     """
     path = Path(path)
     subjects = path / "subjects.csv"
@@ -141,7 +139,7 @@ def read_dataset(path, log_response=False):
             if not np.all((y == 0) | (y == 1)):
                 raise DataFormatError("bernoulli responses must be 0 or 1")
 
-    warnings = []
+    asyms = []
     mats = []
     p = None
     for sid in ids:
@@ -162,9 +160,11 @@ def read_dataset(path, log_response=False):
             )
         if asym > 0:
             m = (m + m.T) / 2.0
-            warnings.append(f"{mpath.name}: symmetrized (max asymmetry {asym:.3e})")
+            asyms.append(asym)
         mats.append(m)
 
+    warnings = [f"symmetrized {len(asyms)} of {len(ids)} matrices "
+                f"(max asymmetry {max(asyms):.3e})"] if asyms else []
     data = Dataset(y, Z, np.stack(mats), family, {"warnings": warnings, "ids": ids})
     return data, extras
 

@@ -31,6 +31,10 @@ from .tensor_ops import check_symmetric, cp_to_full, khatri_rao, symcp_to_full, 
 # almost always holds the accepted step; a 24-column gemm costs about as much
 # as 4-5 single-candidate gemvs.
 PROX_BATCH = 24
+# stopping rule of fit_cp's l1-GLM blocks (rho > 0 or bernoulli); the KKT
+# tolerance is relative to the block's scale (see fit_glm_lasso)
+CP_LASSO_MAX_ITER = 500
+CP_LASSO_KKT_TOL = 1e-4
 
 
 @dataclass
@@ -95,11 +99,6 @@ class FitConfig:
     delta0: float = 1.0
     line_search_max_halvings: int = 50
     seed: int = 0
-    renormalize_columns: bool = False
-    # inner l1-GLM controls for the CP block updates (rho > 0 or bernoulli);
-    # lasso_kkt_tol is relative to the block's scale (see fit_glm_lasso)
-    lasso_max_iter: int = 500
-    lasso_kkt_tol: float = 1e-4
 
     def __post_init__(self):
         if self.rank < 1:
@@ -113,10 +112,6 @@ class FitConfig:
                 raise ValueError(f"{name} must be positive")
         if not (math.isfinite(self.delta0) and self.delta0 > 0):
             raise ValueError("delta0 must be finite and positive")
-        if self.lasso_max_iter < 1:
-            raise ValueError("lasso_max_iter must be positive")
-        if not (math.isfinite(self.lasso_kkt_tol) and self.lasso_kkt_tol >= 0):
-            raise ValueError("lasso_kkt_tol must be finite and nonnegative")
 
 
 @dataclass
@@ -217,6 +212,11 @@ def objective(data, gamma, factors, rho):
     times the l1 norm of every factor matrix (B, or B1 and B2).
 
     The l1 penalty applies to the factor matrices only, never to lam or gamma.
+    So for the symmetric model (lam, B) -> (lam/c^2, c*B) keeps every
+    prediction and scales the penalty by c: at rho > 0 the objective has no
+    minimizer (its infimum, the unpenalized loss, is approached as c -> 0),
+    and rho acts through the descent path from the init. CP's penalty is
+    smallest at the balance of (c*B1, B2/c), so it has no such direction.
     """
     eta = _eta(data, gamma, factors.to_full())
     pen = sum(float(np.abs(m).sum()) for m in factors.matrices)
@@ -309,10 +309,14 @@ def _block_descent(data, config, factors, update_factors, glm_info):
     From gamma = 0, repeats {gamma-GLM with offset <B_full, X_i>; factors =
     update_factors(gamma, factors)} until the relative change of the
     penalized objective drops below config.tol or max_outer_iters is hit.
-    Every block update can only lower the objective, so the recorded trace
-    is non-increasing. A non-finite objective, or a ValueError or LinAlgError
-    from a block update or the objective, raises NumericalError. glm_info is
-    the record every GLM call of the fit writes to (meta["ridged"]).
+    The recorded trace is non-increasing up to rounding, because no block
+    accepts an ascent: IRLS and the CP lasso test every step, least-squares
+    blocks are exact minimizers up to rounding (and the 1e-8 ridge of
+    rank-deficient ones), and a prox step's majorization test allows a rise
+    of at most its 1e-14 relative slack. A non-finite objective, or a
+    ValueError or LinAlgError from a block update or the objective, raises
+    NumericalError. glm_info is the record every GLM call of the fit writes
+    to (meta["ridged"]).
     """
     gamma = np.zeros(data.p0)
     iterations = 0
@@ -379,11 +383,6 @@ def fit_sym_tensor(data, config, init):
         B = factors.B
         lam = lam_glm(gamma, B, factors.lam)
         B = prox_update_B(data, gamma, SymCPFactors(lam, B), config.rho, config)
-        if config.renormalize_columns:
-            norms = np.linalg.norm(B, axis=0)
-            pos = norms > 0
-            lam = np.where(pos, lam * norms**2, lam)
-            B = np.where(pos, B / np.where(pos, norms, 1.0), B)
         return SymCPFactors(lam, B)
 
     result = _block_descent(data, config, factors, update, glm_info)
@@ -414,10 +413,10 @@ def fit_cp(data, config):
     vec(B_other A) with A antisymmetric adds nothing to the predictor. So
     least-squares blocks at R >= 2 go straight to the ridge solve that
     fit_glm's lstsq would fall back to (meta["ridged"]); at R = 1 they run
-    fit_glm. Lasso blocks stop at a KKT residual of lasso_kkt_tol relative
+    fit_glm. Lasso blocks stop at a KKT residual of CP_LASSO_KKT_TOL relative
     to the block (see fit_glm_lasso); meta records "lasso_calls", their
-    summed "lasso_iterations" and how many stopped at lasso_max_iter without
-    converging ("lasso_capped").
+    summed "lasso_iterations" and how many stopped at CP_LASSO_MAX_ITER
+    without converging ("lasso_capped").
     """
     p, R = data.p, config.rank
     least_squares = config.rho == 0 and data.family == GAUSSIAN
@@ -436,8 +435,8 @@ def fit_cp(data, config):
             problem,
             config.rho,
             coef0=b.ravel(),
-            max_iter=config.lasso_max_iter,
-            kkt_tol=config.lasso_kkt_tol,
+            max_iter=CP_LASSO_MAX_ITER,
+            kkt_tol=CP_LASSO_KKT_TOL,
             info=info,
         )
         lasso_converged.append(info["converged"])

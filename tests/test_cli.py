@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ from symreg import FitConfig, construct_init, evaluate, fit_sym_tensor, solvers
 from symreg.cli import main
 from symreg.glm import GlmConvergenceError
 from symreg.solvers import NumericalError
-from symreg.io import read_dataset, read_matrix_csv, write_dataset
+from symreg.io import read_dataset, read_matrix_csv, write_dataset, write_matrix_csv
 from symreg.simulate import synth_dataset
 from symreg.tensor_ops import symcp_to_full
 
@@ -133,14 +134,56 @@ def test_fit_malformed_matrix_exits_2(sim_dir, tmp_path):
     assert run("fit", sim_dir, "--out", tmp_path / "f") == 2
 
 
-def test_fit_asymmetric_matrix_exits_2(sim_dir, tmp_path):
-    victim = next(iter((sim_dir / "matrices").glob("*.csv")))
-    m = np.zeros((16, 16))
-    m[0, 1] = 1.0  # asymmetric beyond 1e-8
-    from symreg.io import write_matrix_csv
-
+def _raise_one_entry(ds, by):
+    """Raise entry (0, 1) of the first matrix by `by`; returns its path and it."""
+    victim = sorted((ds / "matrices").glob("*.csv"))[0]
+    m = read_matrix_csv(victim)
+    m[0, 1] += by
     write_matrix_csv(victim, m)
-    assert run("fit", sim_dir, "--out", tmp_path / "f") == 2
+    return victim, m
+
+
+def test_fit_and_cv_warn_on_symmetrized_matrices(sim_dir, tmp_path, capsys):
+    # an asymmetry within 1e-8 is symmetrized at ingest: the fit equals the fit
+    # on the symmetrized input written out, plus one warning line on stderr
+    exact = tmp_path / "exact"
+    shutil.copytree(sim_dir, exact)
+    victim, m = _raise_one_entry(sim_dir, 1e-9)
+    assert 0 < abs(m[0, 1] - m[1, 0]) <= 1e-8
+    write_matrix_csv(exact / "matrices" / victim.name, (m + m.T) / 2.0)
+
+    def fit(ds, out):
+        return run("fit", ds, "--estimator", "sym_tensor", "--rank", "2", "--rho",
+                   "0.1", "--max-outer-iters", "3", "--out", tmp_path / out)
+
+    capsys.readouterr()
+    assert fit(exact, "f_exact") in (0, 4)
+    assert capsys.readouterr().err == ""
+    assert fit(sim_dir, "f_warn") in (0, 4)
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(
+        "symreg: warning: symmetrized 1 of 40 matrices (max asymmetry 1.0"
+    )
+    for name in ("coef_full.csv", "factors.csv", "gamma.csv", "metrics.json",
+                 "trace.csv"):
+        assert (tmp_path / "f_warn" / name).read_bytes() == (
+            tmp_path / "f_exact" / name).read_bytes()
+
+    assert run("cv", sim_dir, "--k", "2", "--rho-grid", "0.5", "--rank-grid", "1",
+               "--estimator", "cp", "--max-outer-iters", "3",
+               "--out", tmp_path / "cv") == 0
+    assert capsys.readouterr().err.splitlines() == err
+
+
+def test_fit_asymmetric_matrix_exits_2(sim_dir, tmp_path, capsys):
+    _raise_one_entry(sim_dir, 1e-7)  # asymmetric beyond 1e-8
+    out = tmp_path / "f"
+    assert run("fit", sim_dir, "--out", out) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("symreg: invalid input:")
+    assert "asymmetric beyond 1e-08" in err[0]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("victim", ["subjects", "matrix"])
@@ -390,8 +433,7 @@ def test_usage_error_exits_2_with_one_line(sim_dir, tmp_path, capsys, case):
 
 MANIFEST_KEYS = {"argv", "command", "config", "duration_seconds", "environment",
                  "inputs", "output_dir", "rng", "version"}
-SOLVER_DEFAULTS = {"delta0": 1.0, "prox_steps": 5, "renormalize_columns": False,
-                   "seed": 0, "tol": 0.0001}
+SOLVER_DEFAULTS = {"delta0": 1.0, "prox_steps": 5, "seed": 0, "tol": 0.0001}
 
 MANIFEST_CASES = {
     "simulate": (

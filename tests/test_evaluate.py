@@ -116,7 +116,7 @@ def small_dataset(seed=0, n=24, p=4, b0=None, gamma0=None, sigma=0.3):
     return synth_dataset(b0, n, p0=2, gamma0=gamma0, sigma=sigma, seed=seed)
 
 
-FAST = dict(max_outer_iters=40, lasso_max_iter=120)
+FAST = dict(max_outer_iters=40)
 
 
 def test_cv_single_grid_point():

