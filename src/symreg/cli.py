@@ -30,7 +30,7 @@ EXIT_NUMERICAL = 5
 # FitConfig fields every fitting command takes as --flags, with FitConfig's
 # defaults; rank and rho are set per command (fit and replicate by flag, cv
 # by its grids).
-SOLVER_FLAGS = ("max_outer_iters", "tol", "prox_steps", "delta0", "seed")
+SOLVER_FLAGS = ("max_outer_iters", "tol", "seed")
 
 
 def _build_config(args, rank=None, rho=None):
@@ -77,12 +77,8 @@ def _read_dataset(args):
 
 
 def _fit_estimator(data, config, estimator):
-    if estimator == "cp":
-        return solvers.fit_cp(data, config)
-    if estimator == "sym_cp":
-        return solvers.fit_sym_cp(data, config)
-    if estimator == "pipeline":
-        return solvers.default_pipeline(data, config)
+    if estimator != "sym_tensor":
+        return evaluate._fit_one(data, config, estimator)
     # bare sym_tensor: seeded random B, lam from one unpenalized GLM update
     rng = np.random.default_rng(config.seed)
     init = solvers.SymCPFactors(None, rng.standard_normal((data.p, config.rank)))
@@ -178,7 +174,8 @@ def cmd_replicate(args):
     out = _outdir(args)
 
     fields = [f"{m}_{stat}" for m in evaluate.METRIC_NAMES for stat in ("mean", "sd")]
-    lines = [["shape", "n", "estimator", *fields, "replications", "failures"]]
+    counts = ("replications", "failures", "capped")
+    lines = [["shape", "n", "estimator", *fields, *counts]]
     failures = []
     for spec in specs:
         shape_name, n = spec.sim.shape.name, spec.sim.n
@@ -186,7 +183,7 @@ def cmd_replicate(args):
         for est in estimators:
             row = result["summary"][est]
             lines.append([shape_name, str(n), est] + [io.fmt(row[f]) for f in fields]
-                         + [str(row["replications"]), str(row["failures"])])
+                         + [str(row[c]) for c in counts])
         failures += [{"shape": shape_name, "n": n, **f} for f in result["failures"]]
     io.write_rows(out / "summary.csv", lines)
     io.write_json(out / "failures.json", failures)

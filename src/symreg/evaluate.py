@@ -67,6 +67,8 @@ class ExperimentSpec:
         unknown = set(self.estimators) - set(ESTIMATORS)
         if unknown:
             raise ValueError(f"unknown estimators {sorted(unknown)}")
+        if not self.estimators:
+            raise ValueError("estimators must be non-empty")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
 
@@ -200,7 +202,8 @@ def cv_select(data, plan, config, estimator="sym_tensor"):
 def _replication_metrics(spec, rep):
     """Metrics for every requested estimator on one seeded replication.
 
-    Shares work: the pipeline's CP fit doubles as the cp / sym_cp baselines.
+    Shares work: CP is fitted once, inside the pipeline when sym_tensor is
+    requested, and that fit serves as both the cp and sym_cp baselines.
     mse_pred_in is on the training sample; mse_pred_out on a fresh draw of
     the same size with seed (rep_seed XOR salt).
     """
@@ -215,21 +218,14 @@ def _replication_metrics(spec, rep):
         seed=rep_seed ^ TEST_SEED_SALT,
     )
 
-    results = {}
     if "sym_tensor" in spec.estimators:
         pipe = default_pipeline(data, spec.config)
-        results["sym_tensor"] = pipe
-        if "cp" in spec.estimators:
-            results["cp"] = pipe.meta["baseline_cp"]
-        if "sym_cp" in spec.estimators:
-            results["sym_cp"] = pipe.meta["baseline_sym_cp"]
+        results = {"sym_tensor": pipe, "cp": pipe.meta["baseline_cp"],
+                   "sym_cp": pipe.meta["baseline_sym_cp"]}
     else:
-        if "cp" in spec.estimators or "sym_cp" in spec.estimators:
-            cp_res = fit_cp(data, spec.config)
-            if "cp" in spec.estimators:
-                results["cp"] = cp_res
-            if "sym_cp" in spec.estimators:
-                results["sym_cp"] = fit_sym_cp(data, spec.config, cp_result=cp_res)
+        cp_res = fit_cp(data, spec.config)
+        results = {"cp": cp_res,
+                   "sym_cp": fit_sym_cp(data, spec.config, cp_result=cp_res)}
 
     out = {}
     for est in spec.estimators:

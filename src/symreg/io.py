@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .glm import BERNOULLI, GAUSSIAN
+from .glm import BERNOULLI, GAUSSIAN, Family
 from .solvers import Dataset
 from .simulate import RNG_ALGORITHM
 
@@ -101,7 +101,7 @@ def read_dataset(path, log_response=False):
     with open(subjects, encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
-        if not header or header[0] != "id" or header[1] != "y":
+        if not header or header[:2] != ["id", "y"]:
             raise DataFormatError(f"{subjects} must start with columns id,y")
         z_cols = [j for j, name in enumerate(header) if name.startswith("z")]
         extra_cols = [
@@ -111,6 +111,9 @@ def read_dataset(path, log_response=False):
         for row in reader:
             if not row:
                 continue
+            if len(row) < len(header):
+                raise DataFormatError(f"line {reader.line_num} of {subjects} has "
+                                      f"{len(row)} of {len(header)} columns")
             ids.append(row[0])
             try:
                 ys.append(float(row[1]))
@@ -133,11 +136,13 @@ def read_dataset(path, log_response=False):
     meta_path = path / "meta.json"
     if meta_path.is_file():
         with open(meta_path, encoding="utf-8") as fh:
-            meta = json.load(fh)
-        if meta.get("family") == "bernoulli":
-            family = BERNOULLI
-            if not np.all((y == 0) | (y == 1)):
-                raise DataFormatError("bernoulli responses must be 0 or 1")
+            name = json.load(fh).get("family", "gaussian")
+        try:
+            family = Family(name)
+        except ValueError as exc:
+            raise DataFormatError(f"{meta_path}: {exc}")
+    if family == BERNOULLI and not np.all((y == 0) | (y == 1)):
+        raise DataFormatError("bernoulli responses must be 0 or 1")
 
     asyms = []
     mats = []
@@ -165,7 +170,7 @@ def read_dataset(path, log_response=False):
 
     warnings = [f"symmetrized {len(asyms)} of {len(ids)} matrices "
                 f"(max asymmetry {max(asyms):.3e})"] if asyms else []
-    data = Dataset(y, Z, np.stack(mats), family, {"warnings": warnings, "ids": ids})
+    data = Dataset(y, Z, np.stack(mats), family, {"warnings": warnings})
     return data, extras
 
 

@@ -6,9 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from symreg import FitConfig, construct_init, evaluate, fit_sym_tensor, solvers
+from symreg import FitConfig, construct_init, evaluate, fit_sym_tensor
 from symreg.cli import main
-from symreg.glm import GlmConvergenceError
+from symreg.glm import GAUSSIAN, GlmConvergenceError
 from symreg.solvers import NumericalError
 from symreg.io import read_dataset, read_matrix_csv, write_dataset, write_matrix_csv
 from symreg.simulate import synth_dataset
@@ -200,11 +200,52 @@ def test_fit_non_finite_input_exits_2(sim_dir, tmp_path, victim):
     assert run("fit", sim_dir, "--out", tmp_path / "f") == 2
 
 
+def _set_family(ds, family):
+    meta = json.loads((ds / "meta.json").read_text(encoding="utf-8"))
+    meta["family"] = family
+    (ds / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+
+
 def test_fit_bernoulli_response_outside_0_1_exits_2(sim_dir, tmp_path):
-    meta = json.loads((sim_dir / "meta.json").read_text(encoding="utf-8"))
-    meta["family"] = "bernoulli"
-    (sim_dir / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+    _set_family(sim_dir, "bernoulli")
     assert run("fit", sim_dir, "--out", tmp_path / "f") == 2
+
+
+@pytest.mark.parametrize("family", ["Bernoulli", "poisson"])
+def test_fit_unknown_family_exits_2(sim_dir, tmp_path, capsys, family):
+    _set_family(sim_dir, family)
+    out = tmp_path / "f"
+    assert run("fit", sim_dir, "--out", out) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"symreg: invalid input: {sim_dir / 'meta.json'}: "
+                   f"unknown family {family!r}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("missing", ["key", "file"])
+def test_dataset_without_family_is_gaussian(sim_dir, missing):
+    meta = sim_dir / "meta.json"
+    if missing == "key":
+        meta.write_text(json.dumps({"p": 16}), encoding="utf-8")
+    else:
+        meta.unlink()
+    assert read_dataset(sim_dir)[0].family == GAUSSIAN
+
+
+@pytest.mark.parametrize("shape", ["header_id_only", "row_short"])
+def test_fit_short_subjects_csv_exits_2(sim_dir, tmp_path, capsys, shape):
+    path = sim_dir / "subjects.csv"
+    lines = read_lines(path)
+    if shape == "header_id_only":
+        lines = ["id"] + [line.split(",")[0] for line in lines[1:]]
+    else:
+        lines[2] = ",".join(lines[2].split(",")[:-1])  # drops the last covariate
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "f"
+    assert run("fit", sim_dir, "--out", out) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("symreg: invalid input:")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("error", [GlmConvergenceError, NumericalError])
@@ -212,7 +253,7 @@ def test_fit_solver_failure_exits_5(sim_dir, tmp_path, monkeypatch, error):
     def fail(*args, **kwargs):
         raise error("forced failure")
 
-    monkeypatch.setattr(solvers, "default_pipeline", fail)
+    monkeypatch.setattr(evaluate, "default_pipeline", fail)
     out = tmp_path / "f"
     assert run("fit", sim_dir, "--estimator", "pipeline", "--out", out) == 5
     assert not (out / "metrics.json").exists()
@@ -382,9 +423,21 @@ def test_replicate_failures_json(tmp_path, monkeypatch):
         {"shape": shape, "n": 40, "replication": 1, "reason": "forced failure"}
         for shape in ("two_box", "cross")
     ]
-    assert [row.split(",")[-1] for row in read_lines(out / "summary.csv")[1:]] == [
-        "1", "1"
-    ]
+    header, *rows = [row.split(",") for row in read_lines(out / "summary.csv")]
+    assert [row[header.index("failures")] for row in rows] == ["1", "1"]
+
+
+def test_replicate_summary_counts_capped_fits(tmp_path):
+    out = tmp_path / "rep"
+    assert run("replicate", "--shape", "two_box", "--p", "16", "--n-list", "40",
+               "--replications", "2", "--rank", "1", "--max-outer-iters", "1",
+               "--out", out) == 0
+    header, *rows = [row.split(",") for row in read_lines(out / "summary.csv")]
+    assert header[-3:] == ["replications", "failures", "capped"]
+    # one outer iteration never meets the tolerance: every fit is capped
+    assert {row[2]: (row[-3], row[-1]) for row in rows} == {
+        est: ("2", "2") for est in ("cp", "sym_cp", "sym_tensor")
+    }
 
 
 def test_replicate_unknown_estimator_exits_2(tmp_path):
@@ -409,7 +462,6 @@ USAGE_ERRORS = {
     "replicate_empty_estimators": REPLICATE + ["--estimators", ","],
     "fit_rho_nan": ["fit", "DATA", "--rho", "nan"],
     "fit_rho_inf": ["fit", "DATA", "--rho", "inf"],
-    "fit_delta0_nan": ["fit", "DATA", "--estimator", "sym_tensor", "--delta0", "nan"],
     "simulate_sigma_nan": ["simulate", "--shape", "two_box", "--p", "16", "--n", "5",
                            "--sigma", "nan"],
     "replicate_sigma_nan": REPLICATE + ["--sigma", "nan"],
@@ -433,7 +485,7 @@ def test_usage_error_exits_2_with_one_line(sim_dir, tmp_path, capsys, case):
 
 MANIFEST_KEYS = {"argv", "command", "config", "duration_seconds", "environment",
                  "inputs", "output_dir", "rng", "version"}
-SOLVER_DEFAULTS = {"delta0": 1.0, "prox_steps": 5, "seed": 0, "tol": 0.0001}
+SOLVER_DEFAULTS = {"seed": 0, "tol": 0.0001}
 
 MANIFEST_CASES = {
     "simulate": (

@@ -197,6 +197,12 @@ def test_replicate_equivalence_of_cp_and_sym_cp_predictions():
         assert abs(s["cp"][f"{metric}_mean"] - s["sym_cp"][f"{metric}_mean"]) <= 1e-10
 
 
+def test_experiment_spec_rejects_empty_estimators():
+    sim = SimSpec(shape=SignalShape("two_box", 16), n=20)
+    with pytest.raises(ValueError, match="estimators must be non-empty"):
+        ExperimentSpec(sim=sim, config=FitConfig(), estimators=())
+
+
 def test_replicate_counts_capped_fits():
     def run(max_outer_iters):
         spec = ExperimentSpec(
