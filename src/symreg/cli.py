@@ -132,7 +132,7 @@ def cmd_cv(args):
             raise ValueError(
                 f"--strata-column {args.strata_column!r} not found in subjects.csv"
             )
-        strata = np.asarray([float(v) for v in extras[args.strata_column]])
+        strata = np.asarray(extras[args.strata_column])
     plan = evaluate.CvPlan(
         rho_grid=rho_grid, rank_grid=rank_grid, k=args.k, strata=strata,
         seed=args.seed,

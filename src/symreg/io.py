@@ -5,11 +5,12 @@
 # newline).
 #
 # A dataset directory holds:
-#   subjects.csv    header id,y,z1..z{p0} (optional extra columns, e.g. a
-#                   strata label, are preserved for lookup); UTF-8, comma
-#                   separated, '.' decimal, LF line endings
+#   subjects.csv    header id,y,z1..z{p0}: the covariates are the columns
+#                   z1, z2, ... up to the first missing number, and every
+#                   other column (e.g. a strata label) is kept as text for
+#                   lookup; UTF-8, comma separated, '.' decimal, LF endings
 #   matrices/<id>.csv   one p x p comma-separated numeric grid per subject
-#   meta.json       optional; family and p
+#   meta.json       optional; a JSON object with family and p
 #
 # Floats are written with repr(), the shortest decimal string that round-trips
 # to the same double, so re-reading a file reproduces values exactly.
@@ -103,7 +104,10 @@ def read_dataset(path, log_response=False):
         header = next(reader, None)
         if not header or header[:2] != ["id", "y"]:
             raise DataFormatError(f"{subjects} must start with columns id,y")
-        z_cols = [j for j, name in enumerate(header) if name.startswith("z")]
+        p0 = 0
+        while f"z{p0 + 1}" in header:
+            p0 += 1
+        z_cols = [header.index(f"z{k}") for k in range(1, p0 + 1)]
         extra_cols = [
             j for j in range(2, len(header)) if j not in z_cols
         ]
@@ -136,9 +140,11 @@ def read_dataset(path, log_response=False):
     meta_path = path / "meta.json"
     if meta_path.is_file():
         with open(meta_path, encoding="utf-8") as fh:
-            name = json.load(fh).get("family", "gaussian")
+            meta = json.load(fh)
+        if not isinstance(meta, dict):
+            raise DataFormatError(f"{meta_path} must hold a JSON object")
         try:
-            family = Family(name)
+            family = Family(meta.get("family", "gaussian"))
         except ValueError as exc:
             raise DataFormatError(f"{meta_path}: {exc}")
     if family == BERNOULLI and not np.all((y == 0) | (y == 1)):

@@ -37,6 +37,46 @@ CP_LASSO_MAX_ITER = 500
 CP_LASSO_KKT_TOL = 1e-4
 
 
+class CovariateOperator:
+    """Every pass over the covariates X of a Dataset goes through this object.
+
+    rows holds each X_i flattened, (n, p*p).
+    """
+
+    def __init__(self, X):
+        self.X = X
+        self.rows = np.ascontiguousarray(X.reshape(X.shape[0], -1))
+
+    def inner(self, M):
+        """<X_i, M> for one p x p matrix, (n,); for a (k, p, p) stack, (k, n).
+
+        M need not be symmetric (CP's coef_full is not).
+        """
+        M = np.asarray(M)
+        if M.ndim == 2:
+            return self.rows @ M.ravel()
+        return M.reshape(M.shape[0], -1) @ self.rows.T
+
+    def weighted_sum(self, w):
+        """sum_i w_i X_i, a symmetric p x p matrix."""
+        return np.tensordot(w, self.X, axes=1)
+
+    def quad_forms(self, B):
+        """(n, R) design of the lam-GLM: entry (i, r) is b_r' X_i b_r."""
+        return self.rows @ khatri_rao(B, B)
+
+    def block_design(self, b):
+        """(n, p*R) design of one CP factor block: row i is vec(X_i @ b).
+
+        Serves both blocks: the B2 block's covariates vec(X_i' B1) equal
+        vec(X_i B1) because Dataset enforces exact symmetry. Built as one
+        (n*p, p) @ (p, R) BLAS matmul over the full-width X, since X_i b
+        needs whole rows.
+        """
+        n, p, _ = self.X.shape
+        return (self.X.reshape(n * p, p) @ b).reshape(n, b.size)
+
+
 @dataclass
 class Dataset:
     """n records of (y, z, X) with every X an exactly symmetric p x p matrix."""
@@ -62,7 +102,7 @@ class Dataset:
             raise ValueError(f"X must be (n, p, p), got {self.X.shape}")
         if not np.array_equal(self.X, self.X.transpose(0, 2, 1)):
             raise ValueError("covariate matrices must be exactly symmetric")
-        self._x_rows = None
+        self._xop = None
 
     @property
     def n(self):
@@ -77,11 +117,16 @@ class Dataset:
         return self.Z.shape[1]
 
     @property
+    def xop(self):
+        """The CovariateOperator over X, built on first use and cached."""
+        if self._xop is None:
+            self._xop = CovariateOperator(self.X)
+        return self._xop
+
+    @property
     def x_rows(self):
-        """(n, p*p) flattened covariates; cached for inner-product batches."""
-        if self._x_rows is None:
-            self._x_rows = np.ascontiguousarray(self.X.reshape(self.n, -1))
-        return self._x_rows
+        """(n, p*p) flattened covariates."""
+        return self.xop.rows
 
     def take(self, idx):
         """Row-subset view used by CV folds; meta is shared."""
@@ -203,8 +248,9 @@ class FitResult:
         return Z @ self.gamma + X.reshape(X.shape[0], -1) @ self.coef_full.ravel()
 
 
-def _eta(data, gamma, coef_full):
-    return data.Z @ gamma + data.x_rows @ coef_full.ravel()
+def _loss(data, eta, factors, rho):
+    pen = sum(float(np.abs(m).sum()) for m in factors.matrices)
+    return data.family.negloglik(data.y, eta) + rho * pen
 
 
 def objective(data, gamma, factors, rho):
@@ -218,14 +264,13 @@ def objective(data, gamma, factors, rho):
     and rho acts through the descent path from the init. CP's penalty is
     smallest at the balance of (c*B1, B2/c), so it has no such direction.
     """
-    eta = _eta(data, gamma, factors.to_full())
-    pen = sum(float(np.abs(m).sum()) for m in factors.matrices)
-    return data.family.negloglik(data.y, eta) + rho * pen
+    eta = data.Z @ gamma + data.xop.inner(factors.to_full())
+    return _loss(data, eta, factors, rho)
 
 
 def _grad_B(data, B, lam, w):
     """sum_i w_i * 2 X_i B diag(lam): the negloglik gradient in B, w = dnll/deta."""
-    return 2.0 * (np.tensordot(w, data.X, axes=1) @ B) * lam
+    return 2.0 * (data.xop.weighted_sum(w) @ B) * lam
 
 
 def prox_update_B(data, gamma, factors, rho, config, trace=None):
@@ -235,7 +280,8 @@ def prox_update_B(data, gamma, factors, rho, config, trace=None):
     ladder delta0 * 2^-j, j = 0 .. line_search_max_halvings, and accepts the
     first delta at which nll(S+) is finite and the quadratic majorization
     nll(S+) <= nll(S) + <grad, S+ - S> + ||S+ - S||_F^2/(2 delta)  holds.
-    Exhausting the ladder keeps S; non-progress is legal.
+    Exhausting the ladder keeps S; non-progress is legal. Returns the final
+    B and its predictor part xb_i = <B diag(lam) B', X_i>.
 
     The ladder is tested PROX_BATCH candidates at a time: one gemm forms the
     batch's linear predictors (one pass over X instead of one per candidate).
@@ -252,14 +298,14 @@ def prox_update_B(data, gamma, factors, rho, config, trace=None):
     y, fam = data.y, data.family
     ladder = config.delta0 * 0.5 ** np.arange(config.line_search_max_halvings + 1)
 
-    eta = _eta(data, gamma, symcp_to_full(lam, B))
+    xb = data.xop.inner(symcp_to_full(lam, B))
+    eta = zoff + xb
     nll = fam.negloglik(y, eta)
     for _ in range(config.prox_steps):
         grad = _grad_B(data, B, lam, fam.dnll_deta(y, eta))
         if rho == 0:
             glam = grad * lam
-            quad = np.stack([(B @ glam.T).ravel(), (grad @ glam.T).ravel()])
-            e1, e2 = quad @ data.x_rows.T
+            e1, e2 = data.xop.inner(np.stack([B @ glam.T, grad @ glam.T]))
         delta = None
         for lo in range(0, ladder.size, PROX_BATCH):
             deltas = ladder[lo : lo + PROX_BATCH]
@@ -269,8 +315,7 @@ def prox_update_B(data, gamma, factors, rho, config, trace=None):
             if rho == 0:
                 etas = eta - 2.0 * deltas[:, None] * e1 + deltas[:, None] ** 2 * e2
             else:
-                fulls = symcp_to_full(lam, cands).reshape(deltas.size, -1)
-                etas = zoff + fulls @ data.x_rows.T
+                etas = zoff + data.xop.inner(symcp_to_full(lam, cands))
             # tried in order, the search would stop at the first non-finite eta
             finite = np.isfinite(etas).all(axis=1)
             reached = deltas.size if finite.all() else int(np.argmin(finite))
@@ -296,18 +341,19 @@ def prox_update_B(data, gamma, factors, rho, config, trace=None):
         if delta is None:
             break
         B = cand.copy()
-        eta = _eta(data, gamma, symcp_to_full(lam, B))
+        xb = data.xop.inner(symcp_to_full(lam, B))
+        eta = zoff + xb
         nll = fam.negloglik(y, eta)
         if not np.any(diff):
             break
-    return B
+    return B, xb
 
 
 def _block_descent(data, config, factors, update_factors, glm_info):
     """Block relaxation shared by both estimators.
 
-    From gamma = 0, repeats {gamma-GLM with offset <B_full, X_i>; factors =
-    update_factors(gamma, factors)} until the relative change of the
+    From gamma = 0, repeats {gamma-GLM with offset xb_i = <B_full, X_i>;
+    factors, xb = update_factors(gamma, factors)} until the relative change of the
     penalized objective drops below config.tol or max_outer_iters is hit.
     The recorded trace is non-increasing up to rounding, because no block
     accepts an ascent: IRLS and the CP lasso test every step, least-squares
@@ -316,20 +362,21 @@ def _block_descent(data, config, factors, update_factors, glm_info):
     of at most its 1e-14 relative slack. A non-finite objective, or a
     ValueError or LinAlgError from a block update or the objective, raises
     NumericalError. glm_info is the record every GLM call of the fit writes
-    to (meta["ridged"]).
+    to (meta["ridged"]). The predictor part xb is carried: each one serves
+    the objective and the next gamma offset.
     """
     gamma = np.zeros(data.p0)
     iterations = 0
     converged = False
     try:
-        trace = [objective(data, gamma, factors, config.rho)]
+        xb = data.xop.inner(factors.to_full())
+        trace = [_loss(data, data.Z @ gamma + xb, factors, config.rho)]
         while not converged and iterations < config.max_outer_iters:
             iterations += 1
-            offset = data.x_rows @ factors.to_full().ravel()
-            problem = GlmProblem(data.y, data.Z, offset, data.family)
+            problem = GlmProblem(data.y, data.Z, xb, data.family)
             gamma = fit_glm(problem, coef0=gamma, info=glm_info)
-            factors = update_factors(gamma, factors)
-            obj = objective(data, gamma, factors, config.rho)
+            factors, xb = update_factors(gamma, factors)
+            obj = _loss(data, data.Z @ gamma + xb, factors, config.rho)
             if not np.isfinite(obj):
                 raise NumericalError(
                     f"non-finite objective at outer iteration {iterations}"
@@ -366,7 +413,7 @@ def fit_sym_tensor(data, config, init):
 
     def lam_glm(gamma, B, lam=None):
         """The lam-GLM on the per-rank quadratic forms, warm-started at lam."""
-        design = data.x_rows @ khatri_rao(B, B)
+        design = data.xop.quad_forms(B)
         problem = GlmProblem(data.y, design, data.Z @ gamma, data.family)
         return fit_glm(problem, coef0=lam, info=glm_info)
 
@@ -380,24 +427,14 @@ def fit_sym_tensor(data, config, init):
             raise NumericalError(f"initial lam-GLM: {exc}") from exc
 
     def update(gamma, factors):
-        B = factors.B
-        lam = lam_glm(gamma, B, factors.lam)
-        B = prox_update_B(data, gamma, SymCPFactors(lam, B), config.rho, config)
-        return SymCPFactors(lam, B)
+        lam = lam_glm(gamma, factors.B, factors.lam)
+        factors = SymCPFactors(lam, factors.B)
+        B, xb = prox_update_B(data, gamma, factors, config.rho, config)
+        return SymCPFactors(lam, B), xb
 
     result = _block_descent(data, config, factors, update, glm_info)
     result.meta["lam_init"] = "glm" if init.lam is None else "given"
     return result
-
-
-def _cp_block_design(data, b):
-    """(n, p*R) design of one CP factor block: row i is vec(X_i @ b).
-
-    Serves both blocks: the B2 block's covariates vec(X_i' B1) equal
-    vec(X_i B1) because Dataset enforces exact symmetry. Built as one
-    (n*p, p) @ (p, R) BLAS matmul.
-    """
-    return (data.X.reshape(data.n * data.p, data.p) @ b).reshape(data.n, b.size)
 
 
 def fit_cp(data, config):
@@ -424,7 +461,7 @@ def fit_cp(data, config):
     lasso_converged, lasso_iterations = [], []
 
     def solve_block(b_other, zoff, b):
-        design = _cp_block_design(data, b_other)
+        design = data.xop.block_design(b_other)
         if least_squares and R >= 2:
             return _solve_ridged(design, data.y - zoff, glm_info).reshape(p, R)
         problem = GlmProblem(data.y, design, zoff, data.family)
@@ -446,7 +483,8 @@ def fit_cp(data, config):
     def update(gamma, factors):
         zoff = data.Z @ gamma
         b1 = solve_block(factors.B2, zoff, factors.B1)
-        return CPFactors(b1, solve_block(b1, zoff, factors.B2))
+        factors = CPFactors(b1, solve_block(b1, zoff, factors.B2))
+        return factors, data.xop.inner(factors.to_full())
 
     rng = np.random.default_rng(config.seed)
     init = CPFactors(rng.standard_normal((p, R)), rng.standard_normal((p, R)))

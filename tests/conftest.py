@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from symreg import Dataset
-from symreg.solvers import _eta, _grad_B
+from symreg.solvers import _grad_B
 
 
 @pytest.fixture
@@ -30,5 +30,6 @@ def grad_loss_B(data, gamma, factors):
     canonical links used here). Built on the runtime gradient the prox step
     descends along, so tests of this helper test solvers._grad_B.
     """
-    w = data.family.dnll_deta(data.y, _eta(data, gamma, factors.to_full()))
+    eta = data.Z @ gamma + data.xop.inner(factors.to_full())
+    w = data.family.dnll_deta(data.y, eta)
     return _grad_B(data, factors.B, factors.lam, w)

@@ -232,6 +232,17 @@ def test_dataset_without_family_is_gaussian(sim_dir, missing):
     assert read_dataset(sim_dir)[0].family == GAUSSIAN
 
 
+@pytest.mark.parametrize("content", ["[]", '"gaussian"', "3"])
+def test_fit_meta_json_not_an_object_exits_2(sim_dir, tmp_path, capsys, content):
+    (sim_dir / "meta.json").write_text(content, encoding="utf-8")
+    out = tmp_path / "f"
+    assert run("fit", sim_dir, "--out", out) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"symreg: invalid input: {sim_dir / 'meta.json'} "
+                   f"must hold a JSON object"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("shape", ["header_id_only", "row_short"])
 def test_fit_short_subjects_csv_exits_2(sim_dir, tmp_path, capsys, shape):
     path = sim_dir / "subjects.csv"
@@ -338,6 +349,24 @@ def test_cv_outputs_and_stratification(tmp_path):
     selected = json.loads((out / "selected.json").read_text())
     assert selected == {"rho": 0.5, "rank": 1}
     assert json.loads((out / "failures.json").read_text()) == []
+
+
+def test_cv_strata_column_of_text_labels(tmp_path):
+    # a label column whose name starts with z is an extra column, not a
+    # covariate: the covariates are z1..z{p0}
+    ds = make_strata_dataset(tmp_path)
+    header, *rows = read_lines(ds / "subjects.csv")
+    labels = ["north"] * 6 + ["south"] * 3
+    rows = [row.rsplit(",", 1)[0] + "," + label for row, label in zip(rows, labels)]
+    lines = [header.replace(",group", ",zone")] + rows
+    (ds / "subjects.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    data, extras = read_dataset(ds)
+    assert data.p0 == 2
+    assert extras == {"zone": labels}
+    code = run("cv", ds, "--k", "3", "--rho-grid", "0.5", "--rank-grid", "1",
+               "--strata-column", "zone", "--estimator", "cp",
+               "--max-outer-iters", "30", "--out", tmp_path / "cv")
+    assert code in (0, 4)
 
 
 def test_cv_missing_strata_column_exits_2(tmp_path):

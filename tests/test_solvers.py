@@ -26,7 +26,7 @@ from symreg import (
 from symreg import solvers
 from symreg.simulate import SignalShape, random_correlation, shape_signal, synth_dataset
 from symreg.glm import _solve_ls, _solve_ridged, soft_threshold
-from symreg.solvers import PROX_BATCH, NumericalError, _cp_block_design
+from symreg.solvers import PROX_BATCH, NumericalError
 from symreg.tensor_ops import symcp_to_full, symmetrize
 
 from conftest import grad_loss_B, overflow_dataset, random_symmetric
@@ -65,7 +65,7 @@ def test_objective_zero_at_perfect_fit(rng):
     data = toy_dataset(rng, n=12, p=3)
     factors = SymCPFactors(rng.standard_normal(2), rng.standard_normal((3, 2)))
     gamma = rng.standard_normal(2)
-    eta = data.Z @ gamma + data.x_rows @ factors.to_full().ravel()
+    eta = data.Z @ gamma + data.xop.inner(factors.to_full())
     exact = Dataset(eta, data.Z, data.X, GAUSSIAN)
     assert objective(exact, gamma, factors, 0.0) == 0.0
 
@@ -90,7 +90,7 @@ def test_objective_penalty_term(rng):
 def test_grad_zero_residuals(rng):
     data = toy_dataset(rng, n=10, p=3, p0=0)
     factors = SymCPFactors(rng.standard_normal(2), rng.standard_normal((3, 2)))
-    eta = data.x_rows @ factors.to_full().ravel()
+    eta = data.xop.inner(factors.to_full())
     exact = Dataset(eta, data.Z, data.X, GAUSSIAN)
     g = grad_loss_B(exact, np.zeros(0), factors)
     assert np.max(np.abs(g)) < 1e-10
@@ -144,17 +144,17 @@ def test_prox_huge_rho_zeroes_B(rng):
     data = toy_dataset(rng, n=15, p=3, p0=0)
     factors = SymCPFactors(np.ones(2), rng.standard_normal((3, 2)))
     cfg = FitConfig(rank=2, rho=1e12, prox_steps=1)
-    out = prox_update_B(data, np.zeros(0), factors, 1e12, cfg)
+    out, _ = prox_update_B(data, np.zeros(0), factors, 1e12, cfg)
     assert np.array_equal(out, np.zeros((3, 2)))
 
 
 def test_prox_fixed_point_at_zero_gradient(rng):
     data = toy_dataset(rng, n=10, p=3, p0=0)
     factors = SymCPFactors(rng.standard_normal(2), rng.standard_normal((3, 2)))
-    eta = data.x_rows @ factors.to_full().ravel()
+    eta = data.xop.inner(factors.to_full())
     exact = Dataset(eta, data.Z, data.X, GAUSSIAN)
     cfg = FitConfig(rank=2, rho=0.0)
-    out = prox_update_B(exact, np.zeros(0), factors, 0.0, cfg)
+    out, _ = prox_update_B(exact, np.zeros(0), factors, 0.0, cfg)
     assert np.array_equal(out, factors.B)
 
 
@@ -166,7 +166,7 @@ def test_prox_scalar_step_matches_brute_force():
     factors = SymCPFactors(np.array([1.0]), np.array([[b0_val]]))
     cfg = FitConfig(rank=1, rho=rho, prox_steps=1)
     trace = []
-    out = prox_update_B(data, np.zeros(0), factors, rho, cfg, trace=trace)
+    out, _ = prox_update_B(data, np.zeros(0), factors, rho, cfg, trace=trace)
     assert trace[0]["accepted"]
     delta = trace[0]["delta"]
     grad = (b0_val**2 - y) * 2.0 * b0_val
@@ -177,20 +177,23 @@ def test_prox_scalar_step_matches_brute_force():
 
 
 def reference_prox_update_B(data, gamma, factors, rho, config, trace=None):
-    """The unbatched line search: one X pass per candidate, tried in order."""
+    """The unbatched line search: one X pass per candidate, tried in order.
+
+    Every pass goes through the same covariate operator as prox_update_B.
+    """
     lam = factors.lam
     B = factors.B.copy()
     zoff = data.Z @ gamma
     y, fam = data.y, data.family
 
     def nll_of(Bmat):
-        eta = zoff + data.x_rows @ symcp_to_full(lam, Bmat).ravel()
+        eta = zoff + data.xop.inner(symcp_to_full(lam, Bmat))
         return fam.negloglik(y, eta), eta
 
     nll, eta = nll_of(B)
     for _ in range(config.prox_steps):
         w = fam.dnll_deta(y, eta)
-        grad = 2.0 * (np.tensordot(w, data.X, axes=1) @ B) * lam
+        grad = 2.0 * (data.xop.weighted_sum(w) @ B) * lam
         delta, accepted = config.delta0, False
         for _ in range(config.line_search_max_halvings + 1):
             cand = soft_threshold(B - delta * grad, rho * delta)
@@ -223,10 +226,12 @@ def _prox_problem(seed, family):
 
 def _run_both(data, gamma, factors, rho, cfg):
     trace, ref_trace = [], []
-    out = prox_update_B(data, gamma, factors, rho, cfg, trace=trace)
+    out, xb = prox_update_B(data, gamma, factors, rho, cfg, trace=trace)
     ref = reference_prox_update_B(data, gamma, factors, rho, cfg, trace=ref_trace)
     assert trace == ref_trace
     assert np.array_equal(out, ref)
+    # the predictor part handed back is that of the returned B
+    assert np.array_equal(xb, data.xop.inner(symcp_to_full(factors.lam, out)))
     return out, trace
 
 
@@ -553,7 +558,7 @@ def test_cp_block_design_null_space(rng):
     p, r = 8, 3
     data = toy_dataset(rng, n=40, p=p)
     b_other = rng.standard_normal((p, r))
-    design = _cp_block_design(data, b_other)
+    design = data.xop.block_design(b_other)
     assert np.allclose(
         design,
         np.einsum("ipq,qr->ipr", data.X, b_other).reshape(data.n, p * r),
@@ -596,7 +601,7 @@ def test_cp_rho0_blocks_at_rank_2_up_are_always_ridged(shape, p, rank):
     q = p * rank
     for n in sorted({q // 2, q - 1, q + 1, 2 * q, 500}):
         part = data.take(np.arange(n))
-        design = _cp_block_design(part, rng.standard_normal((p, rank)))
+        design = part.xop.block_design(rng.standard_normal((p, rank)))
         r = part.y - part.Z @ rng.standard_normal(part.p0)
         assert np.linalg.lstsq(design, r, rcond=None)[2] < q
         info = {}
