@@ -28,8 +28,9 @@ from .tensor_ops import check_symmetric, cp_to_full, khatri_rao, symcp_to_full, 
 
 # Line-search candidates tested per pass over X in prox_update_B. On the
 # benchmark fits a step accepts after 1-19 halvings, so one batch of 24
-# almost always holds the accepted step; a 24-column gemm costs about as much
-# as 4-5 single-candidate gemvs.
+# almost always holds the accepted step. Over the half-width rows (p = 32,
+# n = 500, one thread) a 24-column gemm takes 0.45 ms, about as much as 6
+# single-candidate gemvs of 0.08 ms.
 PROX_BATCH = 24
 # stopping rule of fit_cp's l1-GLM blocks (rho > 0 or bernoulli); the KKT
 # tolerance is relative to the block's scale (see fit_glm_lasso)
@@ -38,32 +39,44 @@ CP_LASSO_KKT_TOL = 1e-4
 
 
 class CovariateOperator:
-    """Every pass over the covariates X of a Dataset goes through this object.
+    """Every pass of the solvers over the covariates X of a Dataset.
 
-    rows holds each X_i flattened, (n, p*p).
+    Dataset enforces exact symmetry, so <X_i, M> needs only the upper
+    triangle of X_i: rows holds the p(p+1)/2 entries X_i[j, k], j <= k, of
+    each record, and the matrix side carries the weights, (M + M')_jk above
+    the diagonal and M_jj on it. So M need not be symmetric (CP's coef_full
+    is not). Only block_design reads the full-width X.
     """
 
     def __init__(self, X):
         self.X = X
-        self.rows = np.ascontiguousarray(X.reshape(X.shape[0], -1))
+        self._iu, self._ju = np.triu_indices(X.shape[1])
+        self._half = np.where(self._iu == self._ju, 0.5, 1.0)
+        self.rows = X[:, self._iu, self._ju]
+
+    def _coefs(self, M):
+        """The weights c of M (or of each slice of a stack): rows @ c = <X_i, M>."""
+        return (M[..., self._iu, self._ju] + M[..., self._ju, self._iu]) * self._half
 
     def inner(self, M):
-        """<X_i, M> for one p x p matrix, (n,); for a (k, p, p) stack, (k, n).
-
-        M need not be symmetric (CP's coef_full is not).
-        """
-        M = np.asarray(M)
-        if M.ndim == 2:
-            return self.rows @ M.ravel()
-        return M.reshape(M.shape[0], -1) @ self.rows.T
+        """<X_i, M> for one p x p matrix, (n,); for a (k, p, p) stack, (k, n)."""
+        c = self._coefs(np.asarray(M))
+        return self.rows @ c if c.ndim == 1 else c @ self.rows.T
 
     def weighted_sum(self, w):
-        """sum_i w_i X_i, a symmetric p x p matrix."""
-        return np.tensordot(w, self.X, axes=1)
+        """sum_i w_i X_i, an exactly symmetric p x p matrix."""
+        v = w @ self.rows
+        p = self.X.shape[1]
+        out = np.empty((p, p))
+        out[self._iu, self._ju] = v
+        out[self._ju, self._iu] = v
+        return out
 
     def quad_forms(self, B):
         """(n, R) design of the lam-GLM: entry (i, r) is b_r' X_i b_r."""
-        return self.rows @ khatri_rao(B, B)
+        p, R = B.shape
+        outer = khatri_rao(B, B).T.reshape(R, p, p)  # slice r is b_r b_r'
+        return self.rows @ self._coefs(outer).T
 
     def block_design(self, b):
         """(n, p*R) design of one CP factor block: row i is vec(X_i @ b).
@@ -79,7 +92,14 @@ class CovariateOperator:
 
 @dataclass
 class Dataset:
-    """n records of (y, z, X) with every X an exactly symmetric p x p matrix."""
+    """n records of (y, z, X) with every X an exactly symmetric p x p matrix.
+
+    The solvers read X only through xop, a CovariateOperator over the upper
+    triangles, built on first use and cached (2.1 MB at p = 32, n = 500,
+    3 ms to build). Each of its passes reads p(p+1)/2 of the p^2 entries per
+    record: at p = 32, n = 500 on one thread a predictor gemv takes 0.08 ms
+    instead of 0.17 ms, sum_i w_i X_i 0.08 ms instead of 0.21 ms.
+    """
 
     y: np.ndarray          # (n,)
     Z: np.ndarray          # (n, p0); p0 may be 0
@@ -125,8 +145,8 @@ class Dataset:
 
     @property
     def x_rows(self):
-        """(n, p*p) flattened covariates."""
-        return self.xop.rows
+        """(n, p*p) flattened covariates, full width; the solvers use xop."""
+        return self.X.reshape(self.n, -1)
 
     def take(self, idx):
         """Row-subset view used by CV folds; meta is shared."""
@@ -283,14 +303,19 @@ def prox_update_B(data, gamma, factors, rho, config, trace=None):
     Exhausting the ladder keeps S; non-progress is legal. Returns the final
     B and its predictor part xb_i = <B diag(lam) B', X_i>.
 
-    The ladder is tested PROX_BATCH candidates at a time: one gemm forms the
-    batch's linear predictors (one pass over X instead of one per candidate).
-    At rho = 0 the candidate is B - delta*grad, and on symmetric X its
-    predictor is the quadratic eta - 2 delta e1 + delta^2 e2 with
-    e1 = <X_i, B diag(lam) grad'> and e2 = <X_i, grad diag(lam) grad'>: one
-    two-column gemm per step then serves every batch. Either way the accepted
-    B's eta and nll are recomputed as for an unbatched candidate, so B, eta
-    and nll do not depend on how the candidates were screened.
+    The ladder is tested PROX_BATCH candidates at a time: one gemm over the
+    half-width rows of data.xop forms the batch's linear predictors (one
+    pass over X instead of one per candidate). At rho = 0 the candidate is
+    B - delta*grad, and on symmetric X its predictor is the quadratic
+    eta - 2 delta e1 + delta^2 e2 with e1 = <X_i, B diag(lam) grad'> and
+    e2 = <X_i, grad diag(lam) grad'>: one two-column gemm per step then
+    serves every batch. Either way the accepted B's eta and nll are
+    recomputed as for an unbatched candidate, so B, eta and nll do not
+    depend on how the candidates were screened. At p = 32,
+    n = 500 on one thread a step costs one weighted_sum for the gradient
+    (0.08 ms), one screen (0.45 ms per 24-candidate batch at rho > 0; 0.12 ms
+    for the e1, e2 pair at rho = 0) and one gemv for the accepted predictor
+    (0.08 ms).
     """
     lam = factors.lam
     B = factors.B.copy()
@@ -353,8 +378,9 @@ def _block_descent(data, config, factors, update_factors, glm_info):
     """Block relaxation shared by both estimators.
 
     From gamma = 0, repeats {gamma-GLM with offset xb_i = <B_full, X_i>;
-    factors, xb = update_factors(gamma, factors)} until the relative change of the
-    penalized objective drops below config.tol or max_outer_iters is hit.
+    factors, xb = update_factors(gamma, factors)} until the relative change
+    of the penalized objective drops below config.tol or max_outer_iters is
+    hit.
     The recorded trace is non-increasing up to rounding, because no block
     accepts an ascent: IRLS and the CP lasso test every step, least-squares
     blocks are exact minimizers up to rounding (and the 1e-8 ridge of

@@ -102,20 +102,30 @@ FIT_NAMES = (
     "cp_rank1",
 )
 
+# All nine fixtures were re-recorded when every pass over X moved to the
+# upper-triangle rows of CovariateOperator; each line gives the largest
+# relative change of coef_full (and of the final objective where it is not
+# rounding). cp_rho0, sym_cp and pipeline_rho0 move most: their rho = 0 CP
+# blocks at R = 2, 3 are rank-deficient (antisymmetric null directions) and
+# solved with a 1e-8 ridge, so a rounding change is amplified along those
+# directions, changes the next block's design and so the unconverged
+# 15-iteration path. The old code is as sensitive: a one-ulp change of y
+# moved cp_rho0's coef_full by 8e-5 and its objective by 1e-5.
 GOLDEN = {
+    # re-recorded for upper-triangle X rows: coef 5e-4, objective 5e-5 (ridge; above)
     "cp_rho0": {
         "objective_trace": [
-            6119.8683347939, 310.3028171368752, 67.88604372967183, 57.46823219266507,
-            52.63158074171325, 48.404522549898715, 46.11344277323185,
-            44.817117991770004, 43.97964879131917, 43.400233377302044,
-            42.980227564822464, 42.661989916493496, 42.40925028229036,
-            42.197663476100885, 42.010999717825456, 41.83799701361506,
+            6119.8683347939, 310.30280559701976, 67.88607775455061, 57.46834465094711,
+            52.63196178918643, 48.404971327624665, 46.11385639785989,
+            44.81755518326443, 43.98026629285758, 43.401146426124235,
+            42.98109639962654, 42.66305194479233, 42.41031121862841, 42.19898386707024,
+            42.01274616409816, 41.840080786129874,
         ],
-        "coef_full": "b0f25405d73b07ed002a42200e9b09d1ed5c7301b252ac1fc0ec40d063e291a7",
-        "gamma": "c8e1ecacb68db266f72ce519ad06b183de77ac72b9fbc0b2517051fe78b8994a",
+        "coef_full": "60e6c7a0a7c2a269fe6c3cea9d5b52762b27887ed94bfb7bbffa3ca151671dbb",
+        "gamma": "ec38462fd32092a02a2ea7e672ab161d33f1c13bdbd00c6f4b420ded942a7c0a",
         "factors": {
-            "B1": "a67185fe00f920f88bae6641d879b1df8537e4c0eb4cbafebf74115cd0963f27",
-            "B2": "9f32028baa158fa7005c7deed7441662f5de7b43bb60ed1854c5cb6f64379129",
+            "B1": "0b33f9c82249aaf180587ef949596215e1da2d2a97e6ad1a35cbf743171fe607",
+            "B2": "d484274e8f38e4fd1d9618455171f1827be1fcd6b54be5d4ef53b985423d3d34",
         },
         "iterations": 15,
         "converged": False,
@@ -125,17 +135,18 @@ GOLDEN = {
     },
     # re-recorded when the Gaussian CP lasso moved to FISTA with restart, stopping
     # at a KKT residual of 1e-4 relative to its block instead of at its cap
+    # re-recorded for upper-triangle X rows: coef 2e-13 (rounding)
     "cp_lasso": {
         "objective_trace": [
-            6834.734552180622, 160.090279944019, 86.55987443911782, 79.32391089247639,
-            76.11856758554654, 74.0128389423224, 72.34083412794678, 70.67835787117306,
-            68.99848691858696,
+            6834.734552180622, 160.090279944019, 86.55987443911783, 79.32391089247619,
+            76.11856758554683, 74.0128389423233, 72.34083412794757, 70.67835787117431,
+            68.99848691859037,
         ],
-        "coef_full": "51773fd95a3e0fd47a97e7c066c9ad8a40db340ff8559557bb183c4c56a8581e",
-        "gamma": "ee6666fd8075943884d0e644ef89e10750ed3dcd9b0e6d9166b70779cb89a1f4",
+        "coef_full": "819b2c097a9ca1eea27d713869f143f58ac0651517fc8747536ba82856518cda",
+        "gamma": "76e6d5bde3c8a27104acd5a10afb919bcdbf06a7739779bfb3b585f1f651de89",
         "factors": {
-            "B1": "8aaa0b1f10b7c0cc884354826264240b34c0d2d8c1f1805b2808c351d1a3dd6b",
-            "B2": "2054b6dd0450c9686acfea33f51eea47786224cd0d68fb8bd849b2f29d083f9f",
+            "B1": "6b96d30bf6f50e8d922c5d003b8cb6f189344360ce348aab2a3c5dec2f6a5195",
+            "B2": "09989ac22e045dda096d3e1440da9d0d8aa6d44a8396b77e07f4479bc82ac1b4",
         },
         "iterations": 8,
         "converged": False,
@@ -147,17 +158,18 @@ GOLDEN = {
     # the gaussian path's FISTA loop at the fixed step 1/L, L = eigmax(Z'Z)/4,
     # and again when IRLS (its gamma blocks) moved from the |grad| <= 1e-8 test
     # to the Newton-decrement stop, which ends a call about one iteration sooner
+    # re-recorded for upper-triangle X rows: coef 7e-13 (rounding)
     "cp_bernoulli": {
         "objective_trace": [
-            327.6959471996064, 30.214942306827762, 19.14933049590976,
-            12.982160289390322, 10.428482938597517, 9.436171071743962,
-            8.887379863747014,
+            327.69594719960645, 30.214942306827766, 19.14933049590976,
+            12.982160289390304, 10.428482938597499, 9.436171071744607,
+            8.887379863747574,
         ],
-        "coef_full": "46c3f738ed3facf124690ae041f9a28c320b79983e6960e9eee75ba5558e7c38",
-        "gamma": "82c482ac34eb4696912309c970d322e8f1676a8c49681c3816632f19662093f0",
+        "coef_full": "a037f99c9e17d91aa59b6d40d1f55f6c400a69aeb80da75db41d96ece9108ea4",
+        "gamma": "45337d60cda866b892ae060b340c55e4efa1f85fdfed08895b921324212ee8a3",
         "factors": {
-            "B1": "bdff9f8e362f0efe3fae5ed6fef657cd00996e281487f8149a58817b08e31948",
-            "B2": "daf5bb8ac3aea81b99a4d6a2edc97ff1541e7f1573365976934c838ea111bac9",
+            "B1": "e1d7d4634b219e1bcae6bef602132c7dc8696bcf928716ec07855b3c952d5657",
+            "B2": "f10d65b9f06924c5ea3bd91b5da36cbbbf9bbb4c5dc4d896840ddf4a5667f0d8",
         },
         "iterations": 6,
         "converged": False,
@@ -165,19 +177,20 @@ GOLDEN = {
         "lasso_calls": 12,
         "lasso_capped": 2,
     },
+    # re-recorded for upper-triangle X rows: coef 2e-5, objective 2e-6 (ridge; above)
     "sym_cp": {
         "objective_trace": [
-            16536.283243139336, 335.3431989230048, 73.86325206219945,
-            58.056503273871954, 54.71838608448766, 52.90920389027582,
-            51.725923710705274, 50.89582778007191, 50.262269161334885,
-            49.71573689067631, 49.17689009476033, 48.57576775489641, 47.82391775332671,
-            46.80761667280363, 45.50207143403192, 44.20127389727052,
+            16536.283243139336, 335.34319311517777, 73.86320510201097,
+            58.056426590294436, 54.71836293481855, 52.909211422220686,
+            51.72594349344339, 50.89584941503013, 50.262289914757005,
+            49.715755688617215, 49.176910945175635, 48.57580843176457,
+            47.82398877000725, 46.80771877990684, 45.50218534813048, 44.20134656419436,
         ],
-        "coef_full": "c47a4b8d53325db3de8f45458a6cf0b34c4d8fe89e7148dfa41fd756ac0c9dcf",
-        "gamma": "6e7abe2be2fc69d39d7f1f5c1e2ad7d7e48a3e642a0076d3cf77646f98a8a6f4",
+        "coef_full": "97f44e24dc5a256dc649584749c0db2cc92c2c442063a1a2417eaeed850c3176",
+        "gamma": "c9daf863989b1a5f07e43243a3473ab275fa9210011e0be6bc51805c390f829f",
         "factors": {
-            "B1": "0d8f4c86cb0765f6a98490b8b2de73465a08d37838a21d139e4692fdc08fa059",
-            "B2": "5aace6986a81276df9a7c03b8e0f21b22de4805103e80152887bb50cdad439ee",
+            "B1": "452b13b37793da8cbf013df36232e1a158dc7386ecd020293956a70494d89627",
+            "B2": "7db91c000b1da2691bb14ff654baea649b39bf5ee62668b85f2ee1bde9fbba47",
         },
         "iterations": 15,
         "converged": False,
@@ -185,20 +198,21 @@ GOLDEN = {
         "lasso_calls": 0,
         "lasso_capped": 0,
     },
+    # re-recorded for upper-triangle X rows: coef 7e-15 (rounding)
     "sym_tensor": {
         "objective_trace": [
-            950.9921920752806, 506.25720620261797, 201.4530625550217,
-            136.45598927567085, 107.44016497088779, 85.64505642880185,
-            80.84018182407534, 80.23879161270891, 79.80303404179755, 79.69302564484497,
-            79.60404944652872, 79.53548468692249, 79.4291061832055, 79.40988912530554,
-            79.38879190313419, 79.36905328061782, 79.35021399652426, 79.33202096602787,
-            79.31431224092469, 79.29697406692793, 79.27992272248709,
+            950.9921920752806, 506.2572062026179, 201.4530625550218, 136.4559892756708,
+            107.44016497088728, 85.64505642880206, 80.84018182407547,
+            80.23879161270881, 79.80303404179756, 79.69302564484497, 79.60404944652875,
+            79.53548468692247, 79.42910618320548, 79.40988912530555, 79.38879190313422,
+            79.36905328061783, 79.35021399652429, 79.3320209660279, 79.3143122409247,
+            79.29697406692797, 79.27992272248707,
         ],
-        "coef_full": "29dbd8f85310e8b8039b5215ebbaeb8b072ca612f7a177513dc078ffd84af97e",
-        "gamma": "47b1c55ee1ca8508d251363e9b5a19546952788ef4848cd59bcf195bd20107ed",
+        "coef_full": "11129eac9b8b631cf0c51c9e8ff6532549c272d41879c628818143e48bbaccaa",
+        "gamma": "f44d9541e3b9de1d6c0a4927bfd663d76e3ecd6b0b96a2ce7fd2b2800138d742",
         "factors": {
-            "lam": "e74f547fed36231974739342ef0352f221a05e92055f0e51acb49c597813d66f",
-            "B": "29735abb5688791291ac59cabfb33bea37bcb218c25e860c94619afb2c17e20b",
+            "lam": "4c4799e861a01242b18b5eeec487e4534c763b3c30a8ce7afee63f69d1ddd1c7",
+            "B": "fa2a37299e200d2b79d1c957808429885189b19b25dfec4ae09996f5a168723e",
         },
         "iterations": 20,
         "converged": False,
@@ -206,16 +220,18 @@ GOLDEN = {
         "lasso_calls": None,
         "lasso_capped": None,
     },
+    # re-recorded for upper-triangle X rows: coef 4e-13 (rounding)
     "pipeline_gaussian": {
         "objective_trace": [
-            252.23322762373982, 73.25992882685871, 71.91575375243099, 71.48576114205974,
-            71.42420534065546, 71.40050785631844, 71.38930664245045, 71.38440630422105,
+            252.23322762374283, 73.25992882685888, 71.91575375243102,
+            71.48576114205957, 71.42420534065552, 71.40050785631861, 71.38930664245053,
+            71.38440630422113,
         ],
-        "coef_full": "18f28ba37ff459cef835fcdc4c88116563fdf9bf70049d3f665adbd21e2a88ed",
-        "gamma": "dacd8e0868d23bc298a905a2919cf964bac42138761d11d0bdb413746838c005",
+        "coef_full": "1f8a3f6b34f9632c102119fec24f0ef82c87e4b67f725d20733479238beb5954",
+        "gamma": "41a090124e09c1a85d6f6c09e3526e96974b1005f6179237b54aa4d5a1463a55",
         "factors": {
-            "lam": "8b36283266c0b4f10320a09405f7aea8e748f1317684edd08066fe844ec1978e",
-            "B": "a5880abd64929235a6d8dc8e87e0a407f9dabb224de24ea11d3c12e29f75250f",
+            "lam": "bb2ab7a6299cc6d6824c1a536b650f6d4ea5f26c8bc9c54efd9197d3837d9469",
+            "B": "5a71e89af9364e2274d8806405c527e214ae45dffb2971deeaf7080642ac0cf6",
         },
         "iterations": 7,
         "converged": True,
@@ -225,17 +241,18 @@ GOLDEN = {
     },
     # re-recorded with cp_bernoulli: the CP baseline it starts from moved, and
     # its own gamma- and lam-GLM blocks run the same IRLS
+    # re-recorded for upper-triangle X rows: coef 1e-11 (rounding)
     "pipeline_bernoulli": {
         "objective_trace": [
-            150.15949712874183, 33.206375825293904, 24.28544120145908,
-            20.296754121651922, 18.946438974550702, 18.52948677346095,
-            17.347618564473184,
+            150.159497127625, 33.20637582520155, 24.285441201230544,
+            20.296754121486615, 18.946438974427625, 18.52948677333762,
+            17.34761856433314,
         ],
-        "coef_full": "e12aca63626f06854ea6f93605773998951a6db551430e8fe33df91d01f9bb5a",
-        "gamma": "f2b51311f9a36bfa183fb47befc061b067d8f06d808f2a465897dd5751c47f86",
+        "coef_full": "bfe543decc62176ab4bc6c9d5dbce06a206887d9824a31e84ae012cbc94eb17d",
+        "gamma": "56e2d29d1e93a936da35f417fe7bb14eb6614d229ab527f37272a5c21c1b2353",
         "factors": {
-            "lam": "b146769ab4a43ced731734c309b06e556604ad1f910be7f279d9fa580096f94e",
-            "B": "701ff068b8c0ac596b01937b52625763800ae1f14cf887f8804cd2152dac5007",
+            "lam": "bb7813acff93f7a882f3c03afd575d056999ad8c557e2730f2e0b1ed2ed723a9",
+            "B": "0f787b9817e39a9944f9b3efc148c449a6d2b807c0e97c93cdf6f2da1e7fa8c6",
         },
         "iterations": 6,
         "converged": False,
@@ -243,18 +260,20 @@ GOLDEN = {
         "lasso_calls": None,
         "lasso_capped": None,
     },
+    # re-recorded for upper-triangle X rows: coef 3e-5, objective 4e-6 (ridge; above)
     "pipeline_rho0": {
         "objective_trace": [
-            1006.992989249743, 85.8326650940358, 68.4563489535716, 67.44887187433997,
-            66.93564402485836, 66.68836682996165, 66.42660995123248, 65.69263432366262,
-            65.4603426392723, 64.0877926701584, 63.60209921448994, 63.288966347327595,
-            62.741205558550654, 62.38400051542686, 62.14165138681332, 61.70865653559987,
+            1007.0152143993319, 85.83294211907364, 68.45623057609586, 67.4488809110312,
+            66.93563938782546, 66.68835184228882, 66.42659175363414, 65.69258839003058,
+            65.46028115976186, 64.08769644301982, 63.60195014890709, 63.28880788353654,
+            62.74103894060881, 62.383803337022755, 62.141441867204755,
+            61.70843381039582,
         ],
-        "coef_full": "9cc4c38c8adaefbc4a108980a38ff5c9e342ee7f0feb0fad0d38e3eb13766252",
-        "gamma": "36f3c3c7d855e8e3b29c51efacfa5a4f7fbf9f409e7799c7dc45830dfa6f56b4",
+        "coef_full": "920527f97c53777b9ec546ac92d04b162735bac2801803d9708dad8c97e2879b",
+        "gamma": "67de81abe0beba44b0bb57c4c37ef448ecf7afc4dc3dc10134b037c280062a81",
         "factors": {
-            "lam": "d94b7e2e18f30b70b438d4cbb5e8121af91b4fe16e69220298958754d471e884",
-            "B": "74751252ac128d29a770d6cf92a5c550317af15a80eaf7b6b04e09577ed68c23",
+            "lam": "69096038b818f8cfdd1ac8c1cb11c159fedc8d4c53652975d4c2679f1ba835ab",
+            "B": "0f23d1f71c1f5a2102c307423958978f5ff3d99d51632bc3fee42e42691b559b",
         },
         "iterations": 15,
         "converged": False,
@@ -262,18 +281,19 @@ GOLDEN = {
         "lasso_calls": None,
         "lasso_capped": None,
     },
+    # re-recorded for upper-triangle X rows: coef 5e-15 (rounding)
     "cp_rank1": {
         "objective_trace": [
-            2101.6378214889723, 304.7687924266278, 82.80300457173016, 72.22166538899981,
-            70.26846488055878, 69.98883478755191, 69.92435667935855, 69.83932647110262,
-            69.66918253758732, 69.38822556199077, 69.05063236700522, 68.75258474359347,
-            68.52643649858213, 68.35616771282614, 68.22344136226482, 68.11637881246997,
+            2101.637821488973, 304.7687924266278, 82.80300457173018, 72.22166538899982,
+            70.26846488055878, 69.9888347875519, 69.92435667935857, 69.8393264711026,
+            69.66918253758726, 69.38822556199065, 69.05063236700514, 68.75258474359339,
+            68.52643649858204, 68.3561677128261, 68.22344136226481, 68.11637881246995,
         ],
-        "coef_full": "8cba82f43af79fcc5a053ecc225f723879a63c0487e2fe5c7e2867f1c01904c3",
-        "gamma": "392aaaa6fee0a26c2d5452a864e196ba8c39faa99eeac6098796f0f9429f97f1",
+        "coef_full": "11c8c42ff51ad6d839a535f192f95b8433f19eeb0c00dfc0e55d97b19d983a56",
+        "gamma": "83f765c7188c858d2787402df25cbeb4fda5044b8c40eb373ec57dbd82c65256",
         "factors": {
-            "B1": "2ad0d6d6018647aa1d14d40f78e7db3f3107c4cc9ec2b1c6b651cf519d00f1fc",
-            "B2": "063f0f952999a85d90a96d3e1e222f9bda4fd74c4cfd72e9041e0a3a25c94808",
+            "B1": "d4ef44c0f5627217cbb8f422d941a2eb1f035ac217d40b28290eb7d80cf87f88",
+            "B2": "9f70f0361a8b3210b5832891d96a30f007924c81f431ca3c1a09248c58445f0c",
         },
         "iterations": 15,
         "converged": False,

@@ -443,46 +443,47 @@ def test_sym_tensor_non_finite_lam_init_raises():
 # prox_update_B tested its candidates in batches; the fits must not move. The
 # Bernoulli pin was re-recorded when IRLS moved from the gradient test to the
 # Newton-decrement stop, which ends each lam- and gamma-GLM an iteration or
-# so earlier (final objective 58.29891919126441 -> 58.29891965661353).
+# so earlier (final objective 58.29891919126441 -> 58.29891965661353). Both
+# pins were re-recorded when every X pass moved to upper-triangle rows, a
+# rounding change: coef_full moved 5e-16 (Gaussian) and 5e-15 (Bernoulli)
+# relative, and the iteration counts stayed.
 PINNED_SYM_GAUSSIAN_TRACE = [
-    107.81011597721289, 25.43098200270723, 17.685334070413617, 14.895268621869034,
-    14.570655380581037, 14.455316971629859, 14.372863695892768, 14.317188481545017,
-    14.270773735518514, 14.226564975918404, 14.183779429434345, 14.141915648976836,
-    14.100642144580707,
+    107.81011597721289, 25.430982002707225, 17.68533407041362, 14.895268621869034,
+    14.570655380581039, 14.45531697162986, 14.37286369589277, 14.317188481545017,
+    14.270773735518512, 14.226564975918404, 14.183779429434347, 14.141915648976836,
+    14.100642144580709,
 ]
 PINNED_SYM_GAUSSIAN_COEF = [
-    -0.9254026773592704, -0.03744486772918957, -0.06376335360264396,
-    -0.035486287902132145, 0.46513822350636413, 0.3090957482767059,
-    -0.03744486772918957, 1.3691581652098432, -0.30359948117601465,
-    0.3578577703721071, -0.5126904849063751, 0.20006511558580142,
-    -0.06376335360264396, -0.30359948117601465, 0.06171464425451216,
-    -0.08135113637271768, 0.14877709602498074, -0.019892692104625267,
-    -0.035486287902132145, 0.3578577703721071, -0.08135113637271768,
-    0.092820616228606, -0.12148816374117315, 0.06101732236445959,
-    0.46513822350636413, -0.5126904849063751, 0.14877709602498074,
-    -0.12148816374117315, -0.027687601891760547, -0.22809197509177467,
-    0.3090957482767059, 0.20006511558580142, -0.019892692104625267,
-    0.06101732236445959, -0.22809197509177467, -0.07757695720231757,
+    -0.9254026773592703, -0.03744486772918961, -0.06376335360264405,
+    -0.03548628790213214, 0.46513822350636425, 0.30909574827670605,
+    -0.03744486772918961, 1.3691581652098426, -0.3035994811760145, 0.3578577703721068,
+    -0.5126904849063749, 0.20006511558580126, -0.06376335360264405,
+    -0.3035994811760145, 0.0617146442545121, -0.08135113637271763, 0.14877709602498074,
+    -0.019892692104625187, -0.03548628790213214, 0.3578577703721068,
+    -0.08135113637271763, 0.09282061622860595, -0.12148816374117309,
+    0.06101732236445956, 0.46513822350636425, -0.5126904849063749, 0.14877709602498074,
+    -0.12148816374117309, -0.02768760189176078, -0.22809197509177473,
+    0.30909574827670605, 0.20006511558580126, -0.019892692104625187,
+    0.06101732236445956, -0.22809197509177473, -0.07757695720231769,
 ]
 PINNED_SYM_BERNOULLI_TRACE = [
-    104.33683695436328, 64.64345398868453, 62.15312242148144, 61.953522181843724,
-    61.75362935158521, 61.488230288353236, 60.89735180230319, 59.71799439883517,
-    58.88525319497703, 58.56581204522833, 58.434473579659816, 58.35024227048829,
-    58.29891965661353,
+    104.33683695436328, 64.64345398868453, 62.15312242148144, 61.95352218184376,
+    61.75362935158522, 61.48823028835323, 60.89735180230322, 59.71799439883518,
+    58.885253194977054, 58.565812045228334, 58.434473579659844, 58.350242270488295,
+    58.298919656613535,
 ]
 PINNED_SYM_BERNOULLI_COEF = [
-    -0.16491032698284241, -0.025485557904481836, 0.22077757753106697,
-    -0.13294522994592842, 0.10354086347243004, -0.4867234325035069,
-    -0.025485557904481836, 0.33046084224068856, -0.22432106414669198,
-    0.6967364541429951, 0.0010817223737209728, 0.12283284391516089,
-    0.22077757753106697, -0.22432106414669198, -0.09583557980555492,
-    -0.3763675806674856, -0.12708709633081028, 0.49854802426394107,
-    -0.13294522994592842, 0.6967364541429951, -0.3763675806674856,
-    1.4313838938815722, 0.05146870049189445, 0.0324385135280221,
-    0.10354086347243004, 0.0010817223737209728, -0.12708709633081028,
-    0.05146870049189445, -0.06434367161203854, 0.29675860064612203,
-    -0.4867234325035069, 0.12283284391516089, 0.49854802426394107,
-    0.0324385135280221, 0.29675860064612203, -1.3192378265745286,
+    -0.16491032698284372, -0.025485557904481836, 0.22077757753106825,
+    -0.13294522994592844, 0.10354086347243062, -0.48672343250350747,
+    -0.025485557904481836, 0.3304608422406889, -0.22432106414669217,
+    0.6967364541429943, 0.001081722373720998, 0.1228328439151607, 0.22077757753106825,
+    -0.22432106414669217, -0.09583557980555604, -0.37636758066748494,
+    -0.12708709633081083, 0.49854802426394096, -0.13294522994592844,
+    0.6967364541429943, -0.37636758066748494, 1.4313838938815677, 0.05146870049189446,
+    0.03243851352802231, 0.10354086347243062, 0.001081722373720998,
+    -0.12708709633081083, 0.05146870049189446, -0.06434367161203876,
+    0.2967586006461217, -0.48672343250350747, 0.1228328439151607, 0.49854802426394096,
+    0.03243851352802231, 0.2967586006461217, -1.319237826574521,
 ]
 
 
