@@ -1,8 +1,10 @@
 # Exponential-family plumbing: losses, (weighted) GLM fits with offsets via
 # least squares / IRLS (stopped on the Newton decrement), the soft-threshold
-# operator, and an l1-penalized GLM solved by one FISTA loop with restart at
-# a fixed 1/L step for both families (L = eigmax(Z'Z), divided by 4 for
-# bernoulli). The matrix solvers build all of their block updates from these.
+# operator, and an l1-penalized GLM. Its one l1 solver is a FISTA loop with
+# restart on a quadratic, x'Gx/2 - c'x + rho*|x|_1, at the fixed step
+# 1/eigmax(G): the gaussian loss is that quadratic, and bernoulli runs it
+# inside proximal Newton on the loss's weighted quadratic model. The matrix
+# solvers build all of their block updates from these.
 
 import math
 from dataclasses import dataclass
@@ -72,17 +74,15 @@ class Family:
         if self.name == "gaussian":
             value = 0.5 * np.sum((y - eta) ** 2, axis=axis)
         else:
-            # log(1 + e^eta) - y*eta, overflow-safe for large |eta|
-            value = np.sum(np.logaddexp(0.0, eta) - y * eta, axis=axis)
+            # log(1 + e^eta) - y*eta, overflow-safe for large |eta|; cheaper
+            # than np.logaddexp(0, eta), and within an ulp of it
+            softplus = np.maximum(eta, 0.0) + np.log1p(np.exp(-np.abs(eta)))
+            value = np.sum(softplus - y * eta, axis=axis)
         return float(value) if axis is None else value
 
     def dnll_deta(self, y, eta):
         """Gradient of negloglik in eta; mu - y for both canonical links."""
         return self.mean(eta) - np.asarray(y, dtype=float)
-
-    def lipschitz_factor(self):
-        """Upper bound on mu'(eta), used to size proximal steps."""
-        return 1.0 if self.name == "gaussian" else 0.25
 
 
 GAUSSIAN = Family("gaussian")
@@ -214,7 +214,7 @@ def soft_threshold(v, t):
 
 
 def fit_glm_lasso(problem, rho, coef0=None, max_iter=2000, kkt_tol=1e-9, info=None):
-    """Minimize negloglik + rho*||coef||_1 by proximal gradient.
+    """Minimize negloglik + rho*||coef||_1.
 
     The penalized objective is non-increasing across iterations, so no call
     ends above its warm start. Convergence is declared on the KKT residual,
@@ -226,11 +226,13 @@ def fit_glm_lasso(problem, rho, coef0=None, max_iter=2000, kkt_tol=1e-9, info=No
     KKT test passed) and "kkt" (the returned iterate's residual over that
     scale).
 
-    Both families run one FISTA loop (_lasso_fista) at the fixed step 1/L,
-    L = eigmax(Z'Z) * family.lipschitz_factor(). The loss's Hessian is
-    Z'WZ with W = diag(mu'(eta)), and mu' is at most 1 (gaussian) or 1/4
-    (bernoulli), so the Hessian is never above L*I: the quadratic
-    majorization holds at every step and no step search is needed.
+    One FISTA loop on a quadratic, _lasso_quadratic, does the l1 work. The
+    gaussian loss is that quadratic, on G = Z'Z and c = Z'(y - offset). The
+    bernoulli loss runs proximal Newton on it (_lasso_newton): the loop
+    solves the loss's second-order model on G = Z'WZ, and the step to that
+    solution is halved until the true objective does not rise. Its
+    "iterations" are the loop's, summed over the Newton steps and capped at
+    max_iter in total; its trace holds the objective at each Newton iterate.
     """
     if rho < 0:
         raise ValueError("rho must be nonnegative")
@@ -242,12 +244,17 @@ def fit_glm_lasso(problem, rho, coef0=None, max_iter=2000, kkt_tol=1e-9, info=No
     if problem.q == 0:
         return np.zeros(0)
 
-    coef, iterations, trace, converged, kkt = _lasso_fista(problem, rho, coef, max_iter, kkt_tol)
+    if problem.family == GAUSSIAN:
+        # a non-finite y - offset shows as a non-finite starting objective,
+        # which _lasso_quadratic rejects
+        Z, r = problem.Z, problem.y - problem.offset
+        c = Z.T @ r
+        coef, report = _lasso_quadratic(Z.T @ Z, c, 0.5 * float(r @ r), rho, coef,
+                                        max_iter, kkt_tol, _kkt_scale(c, rho))
+    else:
+        coef, report = _lasso_newton(problem, rho, coef, max_iter, kkt_tol)
     if info is not None:
-        info["iterations"] = iterations
-        info["objective_trace"] = trace
-        info["converged"] = converged
-        info["kkt"] = kkt
+        info.update(report)
     return coef
 
 
@@ -264,108 +271,103 @@ def _kkt_scale(grad0, rho):
     return max(float(np.abs(grad0).max()), rho) or 1.0
 
 
-# The setups of _lasso_fista, one per family, take G = Z'Z and the step
-# delta and return (gradient, prox_step, scale, k, nll) at the warm start;
-# prox_step(y, ky, x, kx, l1, nll) returns
-# (x1, kx1, l1_1, nll1, move, F(x1) - F(x)). Call overhead is most of a
-# step's cost, so .dot and count_nonzero stand in for @ and .any(), and
-# soft_threshold is inlined (rho >= 0 was checked on entry).
+def _lasso_quadratic(G, c, const, rho, x, max_iter, kkt_tol, scale):
+    """Minimize x'Gx/2 - c'x + const + rho*||x||_1 from x by FISTA (Beck &
+    Teboulle 2009) at the fixed step 1/L, L = eigmax(G).
 
-def _gaussian_steps(problem, rho, coef, G, delta):
-    """k = G x, on the inner products cached once per call (G = Z'Z,
-    c = Z'(y - offset)) instead of the n-row design; no nll is carried."""
-    Z = problem.Z
-    r = problem.y - problem.offset
-    if not np.all(np.isfinite(r)):
-        raise ValueError("negloglik requires finite y and eta")
-    c, half_rr = Z.T @ r, 0.5 * float(r @ r)
-    scale = _kkt_scale(c, rho)
+    Momentum restarts (O'Donoghue & Candes 2015) when the step from the
+    extrapolated point y to x+ points against the last move,
+    (y - x+).(x+ - x) > 0. A candidate that raises the objective is replaced
+    by a plain proximal step from x, which cannot, and the momentum restarts.
+    The KKT test (residual of Gx - c over scale), the trace and the result
+    follow the monotone iterate x; each iterate carries its product G x, and
+    y's is the same linear combination of them as y. A plain step that moves
+    nothing ends the call unconverged. Returns x and fit_glm_lasso's info.
+    """
+    delta = 1.0 / (float(np.linalg.eigvalsh(G)[-1]) or 1.0)
     shrink = rho * delta
 
-    def prox_step(y, gy, x, gx, l1, nll):
+    # Call overhead is most of a step's cost, so .dot and count_nonzero stand
+    # in for @ and .any(), and soft_threshold is inlined (rho >= 0 was
+    # checked on entry).
+    def step(y, gy, x, gx, l1):
         v = y - delta * (gy - c)
         x1 = np.sign(v) * np.maximum(np.abs(v) - shrink, 0.0)
         gx1, l1_1, move = G.dot(x1), float(np.abs(x1).sum()), x1 - x
         # F(x1) - F(x), as (x1 - x)'(G(x1 + x)/2 - c) by the symmetry of G:
-        # no cancellation against r'r/2, so the monotone test stays exact
+        # no cancellation against const, so the monotone test stays exact
         # where F itself is only known to rounding
         change = float(move.dot(0.5 * (gx1 + gx) - c)) + rho * (l1_1 - l1)
         if not math.isfinite(change):
             raise ValueError("negloglik requires finite y and eta")
-        return x1, gx1, l1_1, None, move, change
+        return x1, gx1, l1_1, move, change
 
-    gx = G.dot(coef)
-    # 1/2 ||r - Z x||^2 expanded on the cached inner products
-    nll = 0.5 * float(coef.dot(gx)) - float(c.dot(coef)) + half_rr
-    return (lambda gx: gx - c), prox_step, scale, gx, nll
-
-
-def _bernoulli_steps(problem, rho, coef, G, delta):
-    """k = eta = Z x + offset; the change is nll1 - nll, nll carried."""
-    Z, y_obs, offset, fam = problem.Z, problem.y, problem.offset, problem.family
-    shrink = rho * delta
-
-    def gradient(eta):
-        return Z.T.dot(fam.dnll_deta(y_obs, eta))
-
-    def prox_step(y, eta_y, x, eta_x, l1, nll):
-        v = y - delta * gradient(eta_y)
-        x1 = np.sign(v) * np.maximum(np.abs(v) - shrink, 0.0)
-        eta1, l1_1 = Z.dot(x1) + offset, float(np.abs(x1).sum())
-        nll1 = fam.negloglik(y_obs, eta1)
-        change = nll1 - nll + rho * (l1_1 - l1)
-        if change > 0.0:
-            # a rise, or an overflowed nll1: the candidate is rejected and the
-            # step stays at x, so a rejected plain step ends the call
-            x1, eta1, l1_1, nll1 = x, eta_x, l1, nll
-        return x1, eta1, l1_1, nll1, x1 - x, change
-
-    eta = Z.dot(coef) + offset
-    return gradient, prox_step, _kkt_scale(gradient(offset), rho), eta, fam.negloglik(y_obs, eta)
-
-
-def _lasso_fista(problem, rho, coef, max_iter, kkt_tol):
-    """fit_glm_lasso's loop for both families: FISTA (Beck & Teboulle 2009)
-    at the fixed step 1/L. Momentum restarts (O'Donoghue & Candes 2015) when
-    the step from the extrapolated point y to x+ points against the last
-    move, (y - x+).(x+ - x) > 0. A candidate that raises the objective is
-    replaced by a plain proximal step from x, which cannot, and the momentum
-    restarts. The KKT test, the trace and the result follow the monotone
-    iterate x. Each iterate carries a product linear in it, so y's is the
-    same linear combination of carried products as y. A plain step that
-    moves nothing ends the call unconverged.
-    """
-    G = problem.Z.T @ problem.Z
-    lip = problem.family.lipschitz_factor() * float(np.linalg.eigvalsh(G)[-1])
-    setup = _gaussian_steps if problem.family == GAUSSIAN else _bernoulli_steps
-    gradient, prox_step, scale, kx, nll = setup(
-        problem, rho, coef, G, 1.0 / lip if lip > 0 else 1.0
-    )
-    x, l1 = coef, float(np.abs(coef).sum())
-    f = nll + rho * l1
+    gx, l1 = G.dot(x), float(np.abs(x).sum())
+    f = 0.5 * float(x.dot(gx)) - float(c.dot(x)) + const + rho * l1
     if not math.isfinite(f):
         raise ValueError("negloglik requires finite y and eta")
     trace = [f]
-    y, ky, t, beta = x, kx, 1.0, 0.0
+    y, gy, t, beta = x, gx, 1.0, 0.0
     for it in range(max_iter + 1):
-        kkt = _kkt_residual(gradient(kx), x, rho) / scale
+        kkt = _kkt_residual(gx - c, x, rho) / scale
         if kkt <= kkt_tol or it == max_iter:
             break
-        x1, kx1, l1_1, nll1, move, change = prox_step(y, ky, x, kx, l1, nll)
+        x1, gx1, l1_1, move, change = step(y, gy, x, gx, l1)
         restart = change > 0.0 and beta > 0.0
         if restart:  # the monotone safeguard
-            x1, kx1, l1_1, nll1, move, change = prox_step(x, kx, x, kx, l1, nll)
+            x1, gx1, l1_1, move, change = step(x, gx, x, gx, l1)
         if beta == 0.0 or restart:  # a plain step: stop if it stalls
             if not np.count_nonzero(move):
                 break
         else:  # the gradient restart test
             restart = float((y - x1).dot(move)) > 0.0
         if restart:
-            t, beta, y, ky = 1.0, 0.0, x1, kx1
+            t, beta, y, gy = 1.0, 0.0, x1, gx1
         else:
             t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
             beta = (t - 1.0) / t_next
-            t, y, ky = t_next, x1 + beta * move, kx1 + beta * (kx1 - kx)
-        x, kx, l1, nll, f = x1, kx1, l1_1, nll1, f + change
+            t, y, gy = t_next, x1 + beta * move, gx1 + beta * (gx1 - gx)
+        x, gx, l1, f = x1, gx1, l1_1, f + change
         trace.append(f)
-    return x, min(it + 1, max_iter), np.asarray(trace), bool(kkt <= kkt_tol), float(kkt)
+    return x, {"iterations": min(it + 1, max_iter), "objective_trace": np.asarray(trace),
+               "converged": bool(kkt <= kkt_tol), "kkt": float(kkt)}
+
+
+def _lasso_newton(problem, rho, x, max_iter, kkt_tol):
+    """fit_glm_lasso for bernoulli: proximal Newton (Lee, Sun & Saunders
+    2014), the scheme of glmnet (Friedman, Hastie & Tibshirani 2010).
+
+    At x the loss's second-order model has G = Z'WZ, W = diag(mu(1 - mu))
+    floored at 1e-10 as in fit_glm, and c = G x - grad. _lasso_quadratic
+    solves it inexactly, to max(kkt_tol, 0.1 * x's scaled residual), from
+    the iterations left of max_iter. The step to its solution is halved (at
+    most 30 times, as in fit_glm) until the true objective does not rise; a
+    step that finds no such point, or moves nothing, ends the call.
+    """
+    Z, y, offset, fam = problem.Z, problem.y, problem.offset, problem.family
+    scale = _kkt_scale(Z.T.dot(fam.dnll_deta(y, offset)), rho)
+    eta = Z.dot(x) + offset
+    f = fam.negloglik(y, eta) + rho * float(np.abs(x).sum())
+    trace, used = [f], 0
+    while True:
+        mu = fam.mean(eta)
+        grad = Z.T.dot(mu - y)
+        kkt = _kkt_residual(grad, x, rho) / scale
+        if kkt <= kkt_tol or used >= max_iter:
+            break
+        G = Z.T.dot(np.maximum(mu * (1.0 - mu), 1e-10)[:, None] * Z)
+        x1, inner = _lasso_quadratic(G, G.dot(x) - grad, 0.0, rho, x, max_iter - used,
+                                     max(kkt_tol, 0.1 * kkt), scale)
+        used += inner["iterations"]
+        for halvings in range(30):
+            cand = x + 0.5**halvings * (x1 - x)
+            eta1 = Z.dot(cand) + offset
+            f1 = fam.negloglik(y, eta1) + rho * float(np.abs(cand).sum())
+            if f1 <= f:
+                break
+        if f1 > f or not np.count_nonzero(cand - x):
+            break
+        x, eta, f = cand, eta1, f1
+        trace.append(f)
+    return x, {"iterations": used, "objective_trace": np.asarray(trace),
+               "converged": bool(kkt <= kkt_tol), "kkt": float(kkt)}

@@ -10,6 +10,7 @@
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -160,10 +161,13 @@ class FitConfig:
     rho: float = 0.0
     max_outer_iters: int = 200
     tol: float = 1e-4
-    prox_steps: int = 5
-    delta0: float = 1.0
-    line_search_max_halvings: int = 50
     seed: int = 0
+    # prox_update_B's steps per outer iteration and its step ladder,
+    # delta0 * 2^-j for j = 0 .. line_search_max_halvings; no caller sets
+    # them, so they are constants of the class, not fields
+    prox_steps: ClassVar[int] = 5
+    delta0: ClassVar[float] = 1.0
+    line_search_max_halvings: ClassVar[int] = 50
 
     def __post_init__(self):
         if self.rank < 1:
@@ -172,11 +176,8 @@ class FitConfig:
             raise ValueError("rho must be finite and nonnegative")
         if not (0.0 < self.tol < 1.0):
             raise ValueError("tol must lie in (0, 1)")
-        for name in ("max_outer_iters", "prox_steps", "line_search_max_halvings"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        if not (math.isfinite(self.delta0) and self.delta0 > 0):
-            raise ValueError("delta0 must be finite and positive")
+        if self.max_outer_iters < 1:
+            raise ValueError("max_outer_iters must be positive")
 
 
 @dataclass

@@ -378,7 +378,7 @@ class _OverflowingBernoulli(Family):
 
 def test_lasso_design_rejects_overflowed_negloglik():
     # separable data drive eta up without bound. Past |eta| = 4 a candidate's
-    # negloglik is inf, and so is the slack; such a step must be rejected
+    # negloglik is inf; the step search must never accept such a point
     Z = np.array([[1.0], [2.0], [-1.0], [-0.5]])
     y = np.array([1.0, 1.0, 0.0, 0.0])
     problem = GlmProblem(y, Z, family=_OverflowingBernoulli())
@@ -846,12 +846,16 @@ def _bernoulli_lasso_cases(draw):
         Z = rng.standard_normal((n, q)) * rng.uniform(0.1, 3.0, q)
         offset = 0.3 * rng.standard_normal(n)
     n, q = Z.shape
-    eta = Z @ rng.standard_normal(q) / np.sqrt(q) + offset
+    # near-separable: at 100 times the scale of eta most weights mu(1 - mu),
+    # at the truth and at the warm start drawn there, sit at their 1e-10 floor
+    separable = draw(st.booleans())
+    truth = rng.standard_normal(q) / np.sqrt(q) * (100.0 if separable else 1.0)
+    eta = Z @ truth + offset
     y = (rng.random(n) < BERNOULLI.mean(eta)).astype(float)
     problem = GlmProblem(y, Z, offset, family=BERNOULLI)
     c_max = float(np.abs(Z.T @ BERNOULLI.dnll_deta(y, offset)).max())
     rho = draw(st.sampled_from([0.0, 1e-3 * c_max, 0.1 * c_max, 1.5 * c_max]))
-    coef0 = None if draw(st.booleans()) else rng.standard_normal(q)
+    coef0 = None if draw(st.booleans()) else truth if separable else rng.standard_normal(q)
     kkt_tol = draw(st.sampled_from([1e-4, 1e-8]))
     return problem, rho, coef0, kkt_tol, c_max
 

@@ -50,8 +50,6 @@ def toy_dataset(rng, n=20, p=4, p0=2, family=GAUSSIAN, sigma=0.5):
     [
         ("rho", float("nan")),
         ("rho", float("inf")),
-        ("delta0", float("nan")),
-        ("delta0", float("inf")),
     ],
 )
 def test_config_rejects_bad_lasso_controls(field, value):
@@ -140,10 +138,18 @@ def test_grad_matches_finite_differences(family, rng):
 
 # ---------------------------------------------------------------- prox_update_B
 
-def test_prox_huge_rho_zeroes_B(rng):
+def _prox_config(monkeypatch, rank, rho=0.0, **constants):
+    """FitConfig(rank, rho), with prox_update_B's class constants (prox_steps,
+    delta0, line_search_max_halvings) set for the test."""
+    for name, value in constants.items():
+        monkeypatch.setattr(FitConfig, name, value)
+    return FitConfig(rank=rank, rho=rho)
+
+
+def test_prox_huge_rho_zeroes_B(rng, monkeypatch):
     data = toy_dataset(rng, n=15, p=3, p0=0)
     factors = SymCPFactors(np.ones(2), rng.standard_normal((3, 2)))
-    cfg = FitConfig(rank=2, rho=1e12, prox_steps=1)
+    cfg = _prox_config(monkeypatch, 2, 1e12, prox_steps=1)
     out, _ = prox_update_B(data, np.zeros(0), factors, 1e12, cfg)
     assert np.array_equal(out, np.zeros((3, 2)))
 
@@ -158,13 +164,13 @@ def test_prox_fixed_point_at_zero_gradient(rng):
     assert np.array_equal(out, factors.B)
 
 
-def test_prox_scalar_step_matches_brute_force():
+def test_prox_scalar_step_matches_brute_force(monkeypatch):
     # p=1, R=1: loss is 0.5*(y - b^2)^2; one accepted prox step must minimize
     # the quadratic surrogate at the accepted delta (grid oracle over b)
     y, b0_val, rho = 2.0, 0.7, 0.3
     data = Dataset(np.array([y]), np.zeros((1, 0)), np.ones((1, 1, 1)), GAUSSIAN)
     factors = SymCPFactors(np.array([1.0]), np.array([[b0_val]]))
-    cfg = FitConfig(rank=1, rho=rho, prox_steps=1)
+    cfg = _prox_config(monkeypatch, 1, rho, prox_steps=1)
     trace = []
     out, _ = prox_update_B(data, np.zeros(0), factors, rho, cfg, trace=trace)
     assert trace[0]["accepted"]
@@ -241,13 +247,13 @@ def _halvings(trace, cfg):
 
 @pytest.mark.parametrize("family", [GAUSSIAN, BERNOULLI])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_prox_batched_matches_sequential(family, seed):
+def test_prox_batched_matches_sequential(family, seed, monkeypatch):
     data, gamma, factors = _prox_problem(seed, family)
     for rho, steps in [(0.0, 1), (0.0, 5), (0.0, 20), (0.3, 5), (0.3, 20)]:
-        cfg = FitConfig(rank=3, rho=rho, prox_steps=steps)
+        cfg = _prox_config(monkeypatch, 3, rho, prox_steps=steps)
         _run_both(data, gamma, factors, rho, cfg)
     # a small delta0 is accepted at once, on the ladder's first rung
-    cfg = FitConfig(rank=3, rho=0.3, prox_steps=3, delta0=2.0**-12)
+    cfg = _prox_config(monkeypatch, 3, 0.3, prox_steps=3, delta0=2.0**-12)
     _, trace = _run_both(data, gamma, factors, 0.3, cfg)
     assert 0 in _halvings(trace, cfg)
 
@@ -261,32 +267,31 @@ def test_prox_batched_matches_sequential_when_rho_zeroes_entries(family):
 
 
 @pytest.mark.parametrize("family", [GAUSSIAN, BERNOULLI])
-def test_prox_batched_matches_sequential_across_batches(family):
+def test_prox_batched_matches_sequential_across_batches(family, monkeypatch):
     # a large delta0 puts the accepted step past the first batch of candidates
     data, gamma, factors = _prox_problem(4, family)
     for rho in (0.3, 0.0):
-        cfg = FitConfig(rank=3, rho=rho, prox_steps=4, delta0=2.0**30)
+        cfg = _prox_config(monkeypatch, 3, rho, prox_steps=4, delta0=2.0**30)
         _, trace = _run_both(data, gamma, factors, rho, cfg)
         assert min(_halvings(trace, cfg)) >= PROX_BATCH
 
 
 @pytest.mark.parametrize("family", [GAUSSIAN, BERNOULLI])
-def test_prox_exhausted_budget_keeps_B(family):
+def test_prox_exhausted_budget_keeps_B(family, monkeypatch):
     data, gamma, factors = _prox_problem(5, family)
     for rho in (0.3, 0.0):
         for halvings in (3, PROX_BATCH, 2 * PROX_BATCH + 1):
-            cfg = FitConfig(
-                rank=3, rho=rho, delta0=2.0**80, line_search_max_halvings=halvings
-            )
+            cfg = _prox_config(monkeypatch, 3, rho, delta0=2.0**80,
+                               line_search_max_halvings=halvings)
             out, trace = _run_both(data, gamma, factors, rho, cfg)
             assert trace == [{"delta": None, "accepted": False}]
             assert np.array_equal(out, factors.B)
 
 
-def test_prox_non_finite_candidate_raises():
+def test_prox_non_finite_candidate_raises(monkeypatch):
     # the first candidate's predictor overflows, so the search stops there
     data, gamma, factors = _prox_problem(6, GAUSSIAN)
-    cfg = FitConfig(rank=3, rho=0.3, delta0=1e300)
+    cfg = _prox_config(monkeypatch, 3, 0.3, delta0=1e300)
     with np.errstate(all="ignore"):
         with pytest.raises(ValueError):
             reference_prox_update_B(data, gamma, factors, 0.3, cfg)
@@ -294,7 +299,7 @@ def test_prox_non_finite_candidate_raises():
             prox_update_B(data, gamma, factors, 0.3, cfg)
 
 
-def test_prox_rejects_overflowed_negloglik():
+def test_prox_rejects_overflowed_negloglik(monkeypatch):
     # B = 1 steps to 1 - 2*delta: at delta0 = 5e99 the predictor 1e200 is
     # finite but its negloglik overflows, and the slack with it; that
     # candidate must not pass as a descent step
@@ -302,32 +307,33 @@ def test_prox_rejects_overflowed_negloglik():
     gamma, factors = np.zeros(0), SymCPFactors(np.ones(1), np.ones((1, 1)))
     with np.errstate(over="ignore"):
         # 50 halvings leave every candidate overflowing: B is kept
-        cfg = FitConfig(rank=1, prox_steps=1, delta0=5e99)
+        cfg = _prox_config(monkeypatch, 1, prox_steps=1, delta0=5e99)
         out, trace = _run_both(data, gamma, factors, 0.0, cfg)
         assert trace == [{"delta": None, "accepted": False}]
         assert np.array_equal(out, factors.B)
         # a longer ladder reaches a finite descent step
-        cfg = FitConfig(rank=1, prox_steps=1, delta0=5e99, line_search_max_halvings=400)
+        cfg = _prox_config(monkeypatch, 1, prox_steps=1, delta0=5e99,
+                           line_search_max_halvings=400)
         out, trace = _run_both(data, gamma, factors, 0.0, cfg)
     assert trace[0]["accepted"] and trace[0]["delta"] < 1.0
     assert objective(data, gamma, SymCPFactors(np.ones(1), out), 0.0) < 0.5
 
 
 @pytest.mark.parametrize("family", [GAUSSIAN, BERNOULLI])
-def test_prox_rho0_huge_steps_agree_with_sequential(family):
+def test_prox_rho0_huge_steps_agree_with_sequential(family, monkeypatch):
     # at rho = 0 the predictors come from a quadratic in delta, not from the
     # reconstructions; both must overflow, or not, at the same steps
     data, gamma, factors = _prox_problem(6, family)
     with np.errstate(all="ignore"):
         # delta^2 overflows: the first candidate's predictor is not finite
         for delta0 in (1e300, 1e200, 1e160):
-            cfg = FitConfig(rank=3, delta0=delta0)
+            cfg = _prox_config(monkeypatch, 3, delta0=delta0)
             with pytest.raises(ValueError):
                 reference_prox_update_B(data, gamma, factors, 0.0, cfg)
             with pytest.raises(ValueError):
                 prox_update_B(data, gamma, factors, 0.0, cfg)
         # finite predictors whose negloglik is too large for every rung
-        cfg = FitConfig(rank=3, delta0=1e100)
+        cfg = _prox_config(monkeypatch, 3, delta0=1e100)
         out, trace = _run_both(data, gamma, factors, 0.0, cfg)
     assert trace == [{"delta": None, "accepted": False}]
     assert np.array_equal(out, factors.B)
