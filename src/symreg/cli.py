@@ -6,9 +6,9 @@
 # and one stderr line, and writes no manifest: NumericalError (its subclass
 # GlmConvergenceError included) gives 5, ValueError (io.DataFormatError and
 # every constructor check included) gives 2, OSError gives 3. A ValueError
-# can mean usage because none leaves a fit: np.linalg.LinAlgError is a
-# ValueError, and _block_descent and fit_sym_tensor's initial lam-GLM wrap
-# every ValueError or LinAlgError of a fit into NumericalError.
+# can mean usage because none leaves a fit: solvers._block_descent, the one
+# outer loop of every fit, wraps each ValueError (np.linalg.LinAlgError is
+# one) into NumericalError.
 
 import argparse
 import sys
@@ -79,7 +79,7 @@ def _read_dataset(args):
 def _fit_estimator(data, config, estimator):
     if estimator != "sym_tensor":
         return evaluate._fit_one(data, config, estimator)
-    # bare sym_tensor: seeded random B, lam from one unpenalized GLM update
+    # bare sym_tensor: seeded random B from lam = 0; the first lam-GLM sets lam
     rng = np.random.default_rng(config.seed)
     init = solvers.SymCPFactors(None, rng.standard_normal((data.p, config.rank)))
     return solvers.fit_sym_tensor(data, config, init)

@@ -15,6 +15,7 @@ from typing import ClassVar
 import numpy as np
 
 from .glm import (
+    BERNOULLI,
     GAUSSIAN,
     Family,
     GlmProblem,
@@ -93,7 +94,8 @@ class CovariateOperator:
 
 @dataclass
 class Dataset:
-    """n records of (y, z, X) with every X an exactly symmetric p x p matrix.
+    """n records of (y, z, X) with every X an exactly symmetric p x p matrix
+    and, in the bernoulli family, every y 0 or 1.
 
     The solvers read X only through xop, a CovariateOperator over the upper
     triangles, built on first use and cached (2.1 MB at p = 32, n = 500,
@@ -123,6 +125,8 @@ class Dataset:
             raise ValueError(f"X must be (n, p, p), got {self.X.shape}")
         if not np.array_equal(self.X, self.X.transpose(0, 2, 1)):
             raise ValueError("covariate matrices must be exactly symmetric")
+        if self.family == BERNOULLI and not np.all(np.isin(self.y, (0.0, 1.0))):
+            raise ValueError("bernoulli responses must be 0 or 1")
         self._xop = None
 
     @property
@@ -184,12 +188,12 @@ class FitConfig:
 class SymCPFactors:
     """Weights lam (length R) and shared factor matrix B (p x R).
 
-    lam may be None to request the default initialization: one unpenalized
-    lam-GLM update before the first outer iteration. Individual lam_r may be
+    lam=None means lam = 0, so a symmetric fit from it starts at the zero
+    coefficient matrix and its first lam-GLM sets lam. Individual lam_r may be
     exactly 0 (a voided rank); voided ranks are kept in place, never pruned.
     """
 
-    lam: np.ndarray | None
+    lam: np.ndarray | None  # an ndarray after construction
     B: np.ndarray
 
     def __post_init__(self):
@@ -198,12 +202,13 @@ class SymCPFactors:
             raise ValueError("B must be p x R")
         if not np.all(np.isfinite(self.B)):
             raise ValueError("B must be finite")
-        if self.lam is not None:
-            self.lam = np.asarray(self.lam, dtype=float).ravel()
-            if self.lam.size != self.B.shape[1]:
-                raise ValueError("lam length must match B columns")
-            if not np.all(np.isfinite(self.lam)):
-                raise ValueError("lam must be finite")
+        if self.lam is None:
+            self.lam = np.zeros(self.B.shape[1])
+        self.lam = np.asarray(self.lam, dtype=float).ravel()
+        if self.lam.size != self.B.shape[1]:
+            raise ValueError("lam length must match B columns")
+        if not np.all(np.isfinite(self.lam)):
+            raise ValueError("lam must be finite")
 
     @property
     def rank(self):
@@ -387,9 +392,10 @@ def _block_descent(data, config, factors, update_factors, glm_info):
     blocks are exact minimizers up to rounding (and the 1e-8 ridge of
     rank-deficient ones), and a prox step's majorization test allows a rise
     of at most its 1e-14 relative slack. A non-finite objective, or a
-    ValueError or LinAlgError from a block update or the objective, raises
-    NumericalError. glm_info is the record every GLM call of the fit writes
-    to (meta["ridged"]). The predictor part xb is carried: each one serves
+    ValueError (LinAlgError is one) from a block update or the objective,
+    raises NumericalError; no other code of the fits makes one from an error.
+    glm_info is the record every GLM call of the fit writes to
+    (meta["ridged"]). The predictor part xb is carried: each one serves
     the objective and the next gamma offset.
     """
     gamma = np.zeros(data.p0)
@@ -410,7 +416,7 @@ def _block_descent(data, config, factors, update_factors, glm_info):
                 )
             converged = abs(trace[-1] - obj) / max(abs(trace[-1]), 1e-10) < config.tol
             trace.append(obj)
-    except (ValueError, np.linalg.LinAlgError) as exc:
+    except ValueError as exc:
         raise NumericalError(f"at outer iteration {iterations}: {exc}") from exc
     ridged = bool(glm_info.get("ridged", False))
     return FitResult(
@@ -429,39 +435,24 @@ def fit_sym_tensor(data, config, init):
     """Block-update estimation of the sparse symmetric rank-R model.
 
     The blocks after gamma (see _block_descent) are a lam-GLM on the per-rank
-    quadratic forms with offset gamma'z_i, then prox_steps proximal-gradient
-    updates of B. An init without lam gets one unpenalized lam-GLM update
-    first.
+    quadratic forms with offset gamma'z_i, warm-started at the current lam,
+    then prox_steps proximal-gradient updates of B. An init built without lam
+    starts at lam = 0, so the first outer iteration's lam-GLM sets it.
     """
     p, R = data.p, config.rank
     if init.B.shape != (p, R):
         raise ValueError(f"init B must be {(p, R)}, got {init.B.shape}")
     glm_info = {}
 
-    def lam_glm(gamma, B, lam=None):
-        """The lam-GLM on the per-rank quadratic forms, warm-started at lam."""
-        design = data.xop.quad_forms(B)
-        problem = GlmProblem(data.y, design, data.Z @ gamma, data.family)
-        return fit_glm(problem, coef0=lam, info=glm_info)
-
-    B = init.B.copy()
-    if init.lam is not None:
-        factors = SymCPFactors(init.lam.copy(), B)
-    else:
-        try:
-            factors = SymCPFactors(lam_glm(np.zeros(data.p0), B), B)
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            raise NumericalError(f"initial lam-GLM: {exc}") from exc
-
     def update(gamma, factors):
-        lam = lam_glm(gamma, factors.B, factors.lam)
+        design = data.xop.quad_forms(factors.B)
+        problem = GlmProblem(data.y, design, data.Z @ gamma, data.family)
+        lam = fit_glm(problem, coef0=factors.lam, info=glm_info)
         factors = SymCPFactors(lam, factors.B)
         B, xb = prox_update_B(data, gamma, factors, config.rho, config)
         return SymCPFactors(lam, B), xb
 
-    result = _block_descent(data, config, factors, update, glm_info)
-    result.meta["lam_init"] = "glm" if init.lam is None else "given"
-    return result
+    return _block_descent(data, config, init, update, glm_info)
 
 
 def fit_cp(data, config):

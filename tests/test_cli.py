@@ -206,9 +206,11 @@ def _set_family(ds, family):
     (ds / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
 
 
-def test_fit_bernoulli_response_outside_0_1_exits_2(sim_dir, tmp_path):
+def test_fit_bernoulli_response_outside_0_1_exits_2(sim_dir, tmp_path, capsys):
     _set_family(sim_dir, "bernoulli")
     assert run("fit", sim_dir, "--out", tmp_path / "f") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["symreg: invalid input: bernoulli responses must be 0 or 1"]
 
 
 @pytest.mark.parametrize("family", ["Bernoulli", "poisson"])

@@ -1,4 +1,4 @@
-# Golden snapshot of nine fits across both estimators and both families.
+# Golden snapshot of eleven fits across both estimators and both families.
 # A refactor of the solvers must leave every recorded value unchanged bit for
 # bit; a change that moves the fits on purpose re-records the snapshot and
 # says why. To print the current values in the layout of GOLDEN:
@@ -37,6 +37,14 @@ def _random_init(seed, p, rank):
     return SymCPFactors(None, rng.standard_normal((p, rank)))
 
 
+def _small_sym_inputs():
+    """b0 (6 x 6) and two random B inits, drawn in turn from one stream."""
+    rng = np.random.default_rng(404)
+    b0 = rng.standard_normal((6, 6)) * 0.4
+    init_gaussian = rng.standard_normal((6, 2))
+    return (b0 + b0.T) / 2.0, init_gaussian, rng.standard_normal((6, 2)) * 0.5
+
+
 def _fit(name):
     cfg = FitConfig(rank=2, max_outer_iters=15)
     if name == "cp_rho0":
@@ -51,6 +59,16 @@ def _fit(name):
     if name == "sym_tensor":
         cfg = replace(cfg, rho=0.3, max_outer_iters=20, seed=5)
         return fit_sym_tensor(_gaussian(), cfg, _random_init(5, 16, 2))
+    if name == "sym_tensor_small":
+        b0, init, _ = _small_sym_inputs()
+        data = synth_dataset(b0, 80, p0=2, sigma=0.5, seed=11)
+        cfg = FitConfig(rank=2, rho=0.3, max_outer_iters=12)
+        return fit_sym_tensor(data, cfg, SymCPFactors(None, init))
+    if name == "sym_tensor_bernoulli":
+        b0, _, init = _small_sym_inputs()
+        data = synth_dataset(b0 * 0.5, 150, p0=2, seed=12, family=BERNOULLI)
+        cfg = FitConfig(rank=2, rho=0.2, max_outer_iters=12)
+        return fit_sym_tensor(data, cfg, SymCPFactors(None, init))
     if name == "pipeline_gaussian":
         cfg = replace(cfg, rho=0.2, max_outer_iters=10, seed=7)
         return default_pipeline(_gaussian(), cfg)
@@ -96,6 +114,8 @@ FIT_NAMES = (
     "cp_bernoulli",
     "sym_cp",
     "sym_tensor",
+    "sym_tensor_small",
+    "sym_tensor_bernoulli",
     "pipeline_gaussian",
     "pipeline_bernoulli",
     "pipeline_rho0",
@@ -203,22 +223,81 @@ GOLDEN = {
         "lasso_capped": 0,
     },
     # re-recorded for upper-triangle X rows: coef 7e-15 (rounding)
+    # re-recorded when an init without lam started at lam = 0 instead of at
+    # an unpenalized lam-GLM before the loop: the first outer iteration's
+    # lam-GLM now sets lam, after the first gamma-GLM. The trace starts at the
+    # zero coefficient (1174.648 instead of 950.992) and ends at 79.1572
+    # instead of 79.2799; coef_full moved 5% of its largest entry
     "sym_tensor": {
         "objective_trace": [
-            950.9921920752806, 506.2572062026179, 201.4530625550218, 136.4559892756708,
-            107.44016497088728, 85.64505642880206, 80.84018182407547,
-            80.23879161270881, 79.80303404179756, 79.69302564484497, 79.60404944652875,
-            79.53548468692247, 79.42910618320548, 79.40988912530555, 79.38879190313422,
-            79.36905328061783, 79.35021399652429, 79.3320209660279, 79.3143122409247,
-            79.29697406692797, 79.27992272248707,
+            1174.6482107023508, 513.7191785909574, 208.43200595768323,
+            115.73085989906258, 87.5107511639594, 81.28028032282523, 79.95571744541073,
+            79.60135490603676, 79.51712693356428, 79.48957210358427, 79.47096720580933,
+            79.44426350513086, 79.4050096829486, 79.37492914397347, 79.34699602281985,
+            79.31591078230774, 79.28526933156645, 79.25363242469315, 79.22125578218925,
+            79.18903626188626, 79.15717454211075,
         ],
-        "coef_full": "11129eac9b8b631cf0c51c9e8ff6532549c272d41879c628818143e48bbaccaa",
-        "gamma": "f44d9541e3b9de1d6c0a4927bfd663d76e3ecd6b0b96a2ce7fd2b2800138d742",
+        "coef_full": "6ddfbbe7f305b57c99df9f48f208553733657e7b3295c866e01ed801a4aa25c2",
+        "gamma": "f77ce6a953e556f37da25cedde988e389d1a6293c9f1d41a9c158c9843b6c28d",
         "factors": {
-            "lam": "4c4799e861a01242b18b5eeec487e4534c763b3c30a8ce7afee63f69d1ddd1c7",
-            "B": "fa2a37299e200d2b79d1c957808429885189b19b25dfec4ae09996f5a168723e",
+            "lam": "85ac246ee687654f8ab300132bf29808fdcebfe6e3335222bb0cfea27abb5bb8",
+            "B": "044b783347b4703f38b1e17cb5557ddc8d5163f7d0836ebb8676f7b77894b827",
         },
         "iterations": 20,
+        "converged": False,
+        "ridged": False,
+        "lasso_calls": None,
+        "lasso_capped": None,
+    },
+    # a small Gaussian bare symmetric fit (p = 6, n = 80), first pinned in
+    # test_solvers with the unbatched line search; the fits must not depend on
+    # how prox_update_B screens its candidates
+    # re-recorded when an init without lam started at lam = 0 instead of at
+    # an unpenalized lam-GLM before the loop: the first outer iteration's
+    # lam-GLM now sets lam, after the first gamma-GLM.
+    # It ends at 13.9774 instead of 14.1006; coef_full moved 10% of its
+    # largest entry
+    "sym_tensor_small": {
+        "objective_trace": [
+            140.92758920129478, 24.42931234608631, 18.323808048162693,
+            15.116349002280126, 14.603551123992208, 14.404270872510255,
+            14.302129999258854, 14.233725903393777, 14.17844699926616,
+            14.131466179003697, 14.07856039909674, 14.034714450014238,
+            13.977395164666959,
+        ],
+        "coef_full": "1edf853c540ece55b6ce5124e3af514c8eb2f19324754ad9a4c9662312881089",
+        "gamma": "b494db54bb0da3bb6cb252696e309a724cbd0e8f46b7c5d259973cd31bf5fd03",
+        "factors": {
+            "lam": "e63c81abb022c76bf881b13ab8bee5711eef679b5932a8965063b2cd56c8047e",
+            "B": "e702c2152649ecfc52112d4c769894a4b06eca04dfcfd08f454e31e7acdb5edb",
+        },
+        "iterations": 12,
+        "converged": False,
+        "ridged": False,
+        "lasso_calls": None,
+        "lasso_capped": None,
+    },
+    # the one pinned bare logistic symmetric fit (p = 6, n = 150), first
+    # pinned in test_solvers with sym_tensor_small
+    # re-recorded when an init without lam started at lam = 0 instead of at
+    # an unpenalized lam-GLM before the loop: the first outer iteration's
+    # lam-GLM now sets lam, after the first gamma-GLM.
+    # It ends at 58.3011 instead of 58.2989, slightly higher; coef_full moved
+    # 4% of its largest entry
+    "sym_tensor_bernoulli": {
+        "objective_trace": [
+            104.76105412257971, 64.636329085698, 62.15540840756187, 61.95585459029078,
+            61.75722036850587, 61.49717470342532, 60.923048380464515, 59.91618467086647,
+            59.39637686283158, 58.664509322995606, 58.48056726647639,
+            58.367610994124554, 58.30106599407748,
+        ],
+        "coef_full": "25e96e4682a85ab880b626b24888e0a358a8cb53c60a93f3847a3ec035e10299",
+        "gamma": "b864b878ed46e945310fc6fecdde2ff6f4e5af2d619d1e251977e7131bf8a5ae",
+        "factors": {
+            "lam": "5055b672a1c75c28975c8e65c11ec4411fd68e2843c4afb9eaba1f6edb816b5f",
+            "B": "4aac38a168842c36b7c3a854168480742dd1040e889cd6408e0bf0b4448b6d2a",
+        },
+        "iterations": 12,
         "converged": False,
         "ridged": False,
         "lasso_calls": None,

@@ -57,6 +57,18 @@ def test_config_rejects_bad_lasso_controls(field, value):
         FitConfig(**{field: value})
 
 
+# ---------------------------------------------------------------- Dataset
+
+def test_dataset_rejects_bernoulli_response_outside_0_1(rng):
+    # a usage error at construction, before any fit could report it as numerical
+    data = toy_dataset(rng, family=BERNOULLI)
+    y = data.y.copy()
+    y[0] = 0.5
+    with pytest.raises(ValueError, match="bernoulli responses must be 0 or 1"):
+        Dataset(y, data.Z, data.X, BERNOULLI)
+    assert Dataset(y, data.Z, data.X, GAUSSIAN).y[0] == 0.5
+
+
 # ---------------------------------------------------------------- objective
 
 def test_objective_zero_at_perfect_fit(rng):
@@ -438,88 +450,27 @@ def test_sym_tensor_non_finite_raises(fit):
 
 
 def test_sym_tensor_non_finite_lam_init_raises():
-    # from this B the initial lam-GLM itself returns a non-finite weight
+    # from this B and lam = 0 the first outer iteration overflows (its prox
+    # step meets a non-finite predictor); the shared outer loop reports it
+    # like any other block failure
     init = SymCPFactors(None, np.random.default_rng(0).standard_normal((3, 1)))
     with np.errstate(all="ignore"):
-        with pytest.raises(NumericalError, match="initial lam-GLM"):
+        with pytest.raises(NumericalError, match="at outer iteration 1"):
             fit_sym_tensor(overflow_dataset().take([0, 1]), FitConfig(rank=1), init)
 
 
-# Recorded with the unbatched line search (one X pass per candidate) before
-# prox_update_B tested its candidates in batches; the fits must not move. The
-# Bernoulli pin was re-recorded when IRLS moved from the gradient test to the
-# Newton-decrement stop, which ends each lam- and gamma-GLM an iteration or
-# so earlier (final objective 58.29891919126441 -> 58.29891965661353). Both
-# pins were re-recorded when every X pass moved to upper-triangle rows, a
-# rounding change: coef_full moved 5e-16 (Gaussian) and 5e-15 (Bernoulli)
-# relative, and the iteration counts stayed.
-PINNED_SYM_GAUSSIAN_TRACE = [
-    107.81011597721289, 25.430982002707225, 17.68533407041362, 14.895268621869034,
-    14.570655380581039, 14.45531697162986, 14.37286369589277, 14.317188481545017,
-    14.270773735518512, 14.226564975918404, 14.183779429434347, 14.141915648976836,
-    14.100642144580709,
-]
-PINNED_SYM_GAUSSIAN_COEF = [
-    -0.9254026773592703, -0.03744486772918961, -0.06376335360264405,
-    -0.03548628790213214, 0.46513822350636425, 0.30909574827670605,
-    -0.03744486772918961, 1.3691581652098426, -0.3035994811760145, 0.3578577703721068,
-    -0.5126904849063749, 0.20006511558580126, -0.06376335360264405,
-    -0.3035994811760145, 0.0617146442545121, -0.08135113637271763, 0.14877709602498074,
-    -0.019892692104625187, -0.03548628790213214, 0.3578577703721068,
-    -0.08135113637271763, 0.09282061622860595, -0.12148816374117309,
-    0.06101732236445956, 0.46513822350636425, -0.5126904849063749, 0.14877709602498074,
-    -0.12148816374117309, -0.02768760189176078, -0.22809197509177473,
-    0.30909574827670605, 0.20006511558580126, -0.019892692104625187,
-    0.06101732236445956, -0.22809197509177473, -0.07757695720231769,
-]
-PINNED_SYM_BERNOULLI_TRACE = [
-    104.33683695436328, 64.64345398868453, 62.15312242148144, 61.95352218184376,
-    61.75362935158522, 61.48823028835323, 60.89735180230322, 59.71799439883518,
-    58.885253194977054, 58.565812045228334, 58.434473579659844, 58.350242270488295,
-    58.298919656613535,
-]
-PINNED_SYM_BERNOULLI_COEF = [
-    -0.16491032698284372, -0.025485557904481836, 0.22077757753106825,
-    -0.13294522994592844, 0.10354086347243062, -0.48672343250350747,
-    -0.025485557904481836, 0.3304608422406889, -0.22432106414669217,
-    0.6967364541429943, 0.001081722373720998, 0.1228328439151607, 0.22077757753106825,
-    -0.22432106414669217, -0.09583557980555604, -0.37636758066748494,
-    -0.12708709633081083, 0.49854802426394096, -0.13294522994592844,
-    0.6967364541429943, -0.37636758066748494, 1.4313838938815677, 0.05146870049189446,
-    0.03243851352802231, 0.10354086347243062, 0.001081722373720998,
-    -0.12708709633081083, 0.05146870049189446, -0.06434367161203876,
-    0.2967586006461217, -0.48672343250350747, 0.1228328439151607, 0.49854802426394096,
-    0.03243851352802231, 0.2967586006461217, -1.319237826574521,
-]
-
-
-def _pinned_sym_tensor_fits():
-    rng = np.random.default_rng(404)
-    b0 = rng.standard_normal((6, 6)) * 0.4
-    b0 = (b0 + b0.T) / 2.0
-    gauss = synth_dataset(b0, 80, p0=2, sigma=0.5, seed=11)
-    res_g = fit_sym_tensor(
-        gauss,
-        FitConfig(rank=2, rho=0.3, max_outer_iters=12),
-        SymCPFactors(None, rng.standard_normal((6, 2))),
-    )
-    bern = synth_dataset(b0 * 0.5, 150, p0=2, seed=12, family=BERNOULLI)
-    res_b = fit_sym_tensor(
-        bern,
-        FitConfig(rank=2, rho=0.2, max_outer_iters=12),
-        SymCPFactors(None, rng.standard_normal((6, 2)) * 0.5),
-    )
-    return res_g, res_b
-
-
-def test_sym_tensor_fits_pinned():
-    res_g, res_b = _pinned_sym_tensor_fits()
-    for res, trace, coef in [
-        (res_g, PINNED_SYM_GAUSSIAN_TRACE, PINNED_SYM_GAUSSIAN_COEF),
-        (res_b, PINNED_SYM_BERNOULLI_TRACE, PINNED_SYM_BERNOULLI_COEF),
-    ]:
-        assert res.objective_trace.tolist() == trace
-        assert res.coef_full.ravel().tolist() == coef
+def test_sym_tensor_lam_none_is_lam_zero(rng):
+    B = rng.standard_normal((4, 2))
+    assert np.array_equal(SymCPFactors(None, B).lam, np.zeros(2))
+    for family in (GAUSSIAN, BERNOULLI):
+        data = toy_dataset(rng, n=60, family=family)
+        cfg = FitConfig(rank=2, rho=0.1, max_outer_iters=10)
+        a = fit_sym_tensor(data, cfg, SymCPFactors(None, B))
+        b = fit_sym_tensor(data, cfg, SymCPFactors(np.zeros(2), B))
+        assert a.objective_trace.tolist() == b.objective_trace.tolist()
+        for x, y in [(a.coef_full, b.coef_full), (a.gamma, b.gamma),
+                     (a.factors.lam, b.factors.lam), (a.factors.B, b.factors.B)]:
+            assert x.tobytes() == y.tobytes()
 
 
 def test_sym_tensor_scale_invariance(rng):
@@ -829,11 +780,12 @@ def test_pipeline_beats_baselines_on_two_box():
 
 def test_sym_tensor_bernoulli_two_box_fits():
     # the input of the logistic benchmark workload at data seed 8 (bare
-    # sym_tensor with the CLI's seeded random init). Under a |grad| <= 1e-8
-    # IRLS stop, the lam-GLM of outer iteration 1 (the third fit_glm call)
-    # reached the float floor of nll with |grad| ~ 3e-5, found no step that
-    # lowered nll and raised GlmConvergenceError; the Newton-decrement stop
-    # ends that call at the floor instead
+    # sym_tensor with the CLI's seeded random init). When that init still
+    # got a lam-GLM before the loop and IRLS stopped at |grad| <= 1e-8, the
+    # lam-GLM of outer iteration 1 reached the float floor of nll with
+    # |grad| ~ 3e-5, found no step that lowered nll and raised
+    # GlmConvergenceError; the Newton-decrement stop ends such a call at the
+    # floor instead
     b0 = 0.1 * shape_signal(SignalShape("two_box", 32))
     data = synth_dataset(b0, 500, seed=8, family=BERNOULLI)
     cfg = FitConfig(rank=3, rho=0.5, max_outer_iters=120)
