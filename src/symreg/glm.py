@@ -3,8 +3,10 @@
 # operator, and an l1-penalized GLM. Its one l1 solver is a FISTA loop with
 # restart on a quadratic, x'Gx/2 - c'x + rho*|x|_1, at the fixed step
 # 1/eigmax(G): the gaussian loss is that quadratic, and bernoulli runs it
-# inside proximal Newton on the loss's weighted quadratic model. The matrix
-# solvers build all of their block updates from these.
+# inside proximal Newton on the loss's weighted quadratic model. IRLS and
+# proximal Newton take each step from one logistic model (_logistic_model)
+# and one step-halving search (_damped_step). The matrix solvers build all
+# of their block updates from these.
 
 import math
 from dataclasses import dataclass
@@ -110,10 +112,6 @@ class GlmProblem:
             raise ValueError("bernoulli responses must be 0/1")
 
     @property
-    def n(self):
-        return self.y.size
-
-    @property
     def q(self):
         return self.Z.shape[1]
 
@@ -147,20 +145,44 @@ def _solve_ls(Z, r, info):
     return coef
 
 
+def _logistic_model(problem, eta):
+    """The logistic loss's second-order model at eta, which IRLS and proximal
+    Newton both step on: its gradient Z'(mu - y), and a function that forms
+    its Hessian Z'WZ, W = diag(mu(1 - mu)) floored at 1e-10. The Hessian is
+    most of the cost, and a proximal Newton call that stops at eta skips it.
+    """
+    Z = problem.Z
+    mu = _sigmoid(eta)
+    w = np.maximum(mu * (1.0 - mu), 1e-10)
+    return Z.T @ (mu - problem.y), lambda: Z.T @ (w[:, None] * Z)
+
+
+def _damped_step(problem, x, step, rho, f):
+    """The first of x + 2^-j step, j = 0 .. 29, whose negloglik + rho*||.||_1
+    is at most f, as (candidate, its eta, its objective); None if none is."""
+    Z, y, offset, fam = problem.Z, problem.y, problem.offset, problem.family
+    for halvings in range(30):
+        cand = x + 0.5**halvings * step
+        eta = Z @ cand + offset
+        cand_f = fam.negloglik(y, eta) + rho * float(np.abs(cand).sum())
+        if cand_f <= f:
+            return cand, eta, cand_f
+    return None
+
+
 def fit_glm(problem, coef0=None, info=None):
     """Minimize problem.family negloglik of y given Z @ coef + offset.
 
     gaussian reduces to least squares of (y - offset) on Z, solved by lstsq;
     a non-finite Z or y - offset raises ValueError before LAPACK runs.
-    bernoulli runs IRLS (Newton) with step halving until lambda^2/2 =
-    -grad.step/2, the decrease the full step predicts (Boyd & Vandenberghe
-    2004, 9.5), is <= NEWTON_TOL * max(1, |nll|): far above nll's rounding,
-    far below the outer tol, so the float floor stops the loop. Above it, a
-    step search that runs out is real ascent: GlmConvergenceError. `info` (a
-    caller-supplied dict) gets "iterations", "converged" (the test passed
-    within IRLS_MAX_ITER) and "ridged": rank-deficient designs are solved
-    with a 1e-8 ridge. fit_cp sends its always rank-deficient unpenalized
-    gaussian blocks at R >= 2 straight to that ridge solve (_solve_ridged).
+    bernoulli runs IRLS (Newton, _logistic_model) with step halving
+    (_damped_step) until lambda^2/2 = -grad.step/2, the decrease the full
+    step predicts (Boyd & Vandenberghe 2004, 9.5), is <= NEWTON_TOL *
+    max(1, |nll|): far above nll's rounding, far below the outer tol, so the
+    float floor stops the loop. Above it, a step search that runs out is
+    real ascent: GlmConvergenceError. `info` (a caller-supplied dict) gets
+    "iterations", "converged" (the test passed within IRLS_MAX_ITER) and
+    "ridged": rank-deficient designs are solved with a 1e-8 ridge.
     """
     q = problem.q
     if q == 0:
@@ -168,15 +190,13 @@ def fit_glm(problem, coef0=None, info=None):
     if problem.family.name == "gaussian":
         return _solve_ls(problem.Z, problem.y - problem.offset, info)
 
-    Z, y, offset = problem.Z, problem.y, problem.offset
     coef = np.zeros(q) if coef0 is None else np.asarray(coef0, dtype=float).copy()
-    nll = problem.family.negloglik(y, Z @ coef + offset)
+    eta = problem.Z @ coef + problem.offset
+    nll = problem.family.negloglik(problem.y, eta)
     converged = False
     for it in range(IRLS_MAX_ITER):
-        mu = _sigmoid(Z @ coef + offset)
-        grad = Z.T @ (mu - y)
-        w = np.maximum(mu * (1.0 - mu), 1e-10)
-        H = Z.T @ (w[:, None] * Z)
+        grad, hessian = _logistic_model(problem, eta)
+        H = hessian()
         try:
             step = np.linalg.solve(H, -grad)
         except np.linalg.LinAlgError:
@@ -186,16 +206,12 @@ def fit_glm(problem, coef0=None, info=None):
         if -0.5 * float(grad @ step) <= NEWTON_TOL * max(1.0, abs(nll)):
             converged = True
             break
-        for halvings in range(30):
-            cand = coef + 0.5**halvings * step
-            cand_nll = problem.family.negloglik(y, Z @ cand + offset)
-            if cand_nll <= nll:
-                coef, nll = cand, cand_nll
-                break
-        else:
+        accepted = _damped_step(problem, coef, step, 0.0, nll)
+        if accepted is None:
             raise GlmConvergenceError(
                 "IRLS objective increases with step halving exhausted"
             )
+        coef, eta, nll = accepted
     if info is not None:
         info["iterations"] = it + 1
         info["converged"] = converged
@@ -337,12 +353,12 @@ def _lasso_newton(problem, rho, x, max_iter, kkt_tol):
     """fit_glm_lasso for bernoulli: proximal Newton (Lee, Sun & Saunders
     2014), the scheme of glmnet (Friedman, Hastie & Tibshirani 2010).
 
-    At x the loss's second-order model has G = Z'WZ, W = diag(mu(1 - mu))
-    floored at 1e-10 as in fit_glm, and c = G x - grad. _lasso_quadratic
-    solves it inexactly, to max(kkt_tol, 0.1 * x's scaled residual), from
-    the iterations left of max_iter. The step to its solution is halved (at
-    most 30 times, as in fit_glm) until the true objective does not rise; a
-    step that finds no such point, or moves nothing, ends the call.
+    At x the loss's second-order model (_logistic_model, as in fit_glm's
+    IRLS) has G = Z'WZ and c = G x - grad. _lasso_quadratic solves it
+    inexactly, to max(kkt_tol, 0.1 * x's scaled residual), from the
+    iterations left of max_iter. The step to its solution goes through
+    fit_glm's search, _damped_step, at this rho; a search that runs out, or
+    a step that moves nothing, ends the call.
     """
     Z, y, offset, fam = problem.Z, problem.y, problem.offset, problem.family
     scale = _kkt_scale(Z.T.dot(fam.dnll_deta(y, offset)), rho)
@@ -350,24 +366,18 @@ def _lasso_newton(problem, rho, x, max_iter, kkt_tol):
     f = fam.negloglik(y, eta) + rho * float(np.abs(x).sum())
     trace, used = [f], 0
     while True:
-        mu = fam.mean(eta)
-        grad = Z.T.dot(mu - y)
+        grad, hessian = _logistic_model(problem, eta)
         kkt = _kkt_residual(grad, x, rho) / scale
         if kkt <= kkt_tol or used >= max_iter:
             break
-        G = Z.T.dot(np.maximum(mu * (1.0 - mu), 1e-10)[:, None] * Z)
+        G = hessian()
         x1, inner = _lasso_quadratic(G, G.dot(x) - grad, 0.0, rho, x, max_iter - used,
                                      max(kkt_tol, 0.1 * kkt), scale)
         used += inner["iterations"]
-        for halvings in range(30):
-            cand = x + 0.5**halvings * (x1 - x)
-            eta1 = Z.dot(cand) + offset
-            f1 = fam.negloglik(y, eta1) + rho * float(np.abs(cand).sum())
-            if f1 <= f:
-                break
-        if f1 > f or not np.count_nonzero(cand - x):
+        accepted = _damped_step(problem, x, x1 - x, rho, f)
+        if accepted is None or not np.count_nonzero(accepted[0] - x):
             break
-        x, eta, f = cand, eta1, f1
+        x, eta, f = accepted
         trace.append(f)
     return x, {"iterations": used, "objective_trace": np.asarray(trace),
                "converged": bool(kkt <= kkt_tol), "kkt": float(kkt)}

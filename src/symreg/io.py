@@ -65,12 +65,11 @@ def read_matrix_csv(path):
                 line = line.strip()
                 if line:
                     rows.append([float(tok) for tok in line.split(",")])
-        m = np.asarray(rows, dtype=float)
     except ValueError as exc:
         raise DataFormatError(f"non-numeric entry in matrix file {path}: {exc}")
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+    if not rows or any(len(row) != len(rows) for row in rows):
         raise DataFormatError(f"matrix file {path} is not a square grid")
-    return m
+    return np.array(rows)
 
 
 def write_dataset(data, outdir):

@@ -211,10 +211,6 @@ class SymCPFactors:
             raise ValueError("lam must be finite")
 
     @property
-    def rank(self):
-        return self.B.shape[1]
-
-    @property
     def matrices(self):
         return [self.B]
 
@@ -329,10 +325,13 @@ def prox_update_B(data, gamma, factors, rho, config, trace=None):
     y, fam = data.y, data.family
     ladder = config.delta0 * 0.5 ** np.arange(config.line_search_max_halvings + 1)
 
-    xb = data.xop.inner(symcp_to_full(lam, B))
-    eta = zoff + xb
-    nll = fam.negloglik(y, eta)
-    for _ in range(config.prox_steps):
+    moved = True
+    for k in range(config.prox_steps + 1):
+        xb = data.xop.inner(symcp_to_full(lam, B))
+        eta = zoff + xb
+        nll = fam.negloglik(y, eta)
+        if k == config.prox_steps or not moved:
+            break
         grad = _grad_B(data, B, lam, fam.dnll_deta(y, eta))
         if rho == 0:
             glam = grad * lam
@@ -372,11 +371,7 @@ def prox_update_B(data, gamma, factors, rho, config, trace=None):
         if delta is None:
             break
         B = cand.copy()
-        xb = data.xop.inner(symcp_to_full(lam, B))
-        eta = zoff + xb
-        nll = fam.negloglik(y, eta)
-        if not np.any(diff):
-            break
+        moved = np.any(diff)
     return B, xb
 
 

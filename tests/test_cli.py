@@ -134,6 +134,34 @@ def test_fit_malformed_matrix_exits_2(sim_dir, tmp_path):
     assert run("fit", sim_dir, "--out", tmp_path / "f") == 2
 
 
+# the last subject's matrix file: its content (None: the file is deleted) and
+# the error that names it; the earlier files are 16 x 16 and set p
+MATRIX_FILE_ERRORS = {
+    "missing": (None, "missing matrix file {}"),
+    "wrong_size": ("1.0,0.0\n0.0,1.0\n", "matrix file {} has wrong dimensions"),
+    "two_by_three": ("1,2,3\n4,5,6\n", "matrix file {} is not a square grid"),
+    "empty": ("", "matrix file {} is not a square grid"),
+    # np.asarray of ragged rows raised a ValueError that read as a bad number
+    "ragged": ("1,2\n3\n", "matrix file {} is not a square grid"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MATRIX_FILE_ERRORS))
+def test_fit_bad_matrix_file_exits_2_naming_it(sim_dir, tmp_path, capsys, case):
+    content, message = MATRIX_FILE_ERRORS[case]
+    victim = sorted((sim_dir / "matrices").glob("*.csv"))[-1]
+    if content is None:
+        victim.unlink()
+    else:
+        victim.write_text(content, encoding="utf-8")
+    capsys.readouterr()
+    out = tmp_path / "f"
+    assert run("fit", sim_dir, "--out", out) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"symreg: invalid input: {message.format(victim)}"]
+    assert not (out / "manifest.json").exists()
+
+
 def _raise_one_entry(ds, by):
     """Raise entry (0, 1) of the first matrix by `by`; returns its path and it."""
     victim = sorted((ds / "matrices").glob("*.csv"))[0]
