@@ -1,13 +1,10 @@
 # Metrics, (stratified) k-fold cross-validation with a rho/rank grid, and the
 # multi-replication experiment harness that mirrors the simulation tables:
 # per-estimator mean/sd of coefficient and prediction MSE across seeded
-# replications. Replications are independent jobs with derived seeds and may
-# run on a thread pool (SYMREG_THREADS); CV folds run sequentially. Reductions
-# are ordered by index, so outputs do not depend on scheduling.
+# replications. Replications draw derived seeds and run in order, as do CV
+# folds, so every reduction follows the replication or fold index.
 
-import os
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -28,12 +25,8 @@ TEST_SEED_SALT = 0x5EED5EED
 
 
 def worker_count():
-    """Parallel worker cap from SYMREG_THREADS; 0 or unset means sequential."""
-    raw = os.environ.get("SYMREG_THREADS", "0")
-    try:
-        return max(int(raw), 0)
-    except ValueError:
-        return 0
+    """Replication workers the benchmark records; 0, as replications run in order."""
+    return 0
 
 
 @dataclass
@@ -211,10 +204,10 @@ def _replication_metrics(spec, rep):
     rep_seed = sim.seed ^ rep
     b0 = shape_signal(sim.shape)
     data = synth_dataset(
-        b0, sim.n, sim.p0, np.asarray(sim.gamma0), sim.sigma, seed=rep_seed
+        b0, sim.n, sim.p0, sigma=sim.sigma, seed=rep_seed
     )
     test = synth_dataset(
-        b0, sim.n, sim.p0, np.asarray(sim.gamma0), sim.sigma,
+        b0, sim.n, sim.p0, sigma=sim.sigma,
         seed=rep_seed ^ TEST_SEED_SALT,
     )
 
@@ -242,36 +235,20 @@ def _replication_metrics(spec, rep):
 METRIC_NAMES = ("mse_coef", "mse_pred_in", "mse_pred_out")
 
 
-def _try_replication(spec, rep):
-    """(metrics, None) for one replication, or (None, reason) if its fit failed."""
-    try:
-        return _replication_metrics(spec, rep), None
-    except NumericalError as exc:
-        return None, str(exc)
-
-
 def replicate_experiment(spec):
     """Mean and sd of each metric per estimator across seeded replications.
 
     Failed replications are excluded from the summary and counted
     ("failures"); "capped" counts the successful ones whose fit stopped at
     max_outer_iters without converging. The returned "failures" lists each
-    failed replication r (seed sim.seed ^ r) with its reason. Rows are
-    reduced in replication order, so results do not depend on worker
-    scheduling.
+    failed replication r (seed sim.seed ^ r) with its reason.
     """
-    reps = range(spec.replications)
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda r: _try_replication(spec, r), reps))
-    else:
-        outcomes = [_try_replication(spec, r) for r in reps]
-    per_rep = [metrics for metrics, _ in outcomes]
-    failures = [
-        {"replication": r, "reason": why}
-        for r, (_, why) in enumerate(outcomes) if why is not None
-    ]
+    per_rep, failures = [None] * spec.replications, []
+    for r in range(spec.replications):
+        try:
+            per_rep[r] = _replication_metrics(spec, r)
+        except NumericalError as exc:
+            failures.append({"replication": r, "reason": str(exc)})
 
     summary = {}
     done = [m for m in per_rep if m is not None]

@@ -361,10 +361,18 @@ def _lasso_newton(problem, rho, x, max_iter, kkt_tol):
     a step that moves nothing, ends the call.
     """
     Z, y, offset, fam = problem.Z, problem.y, problem.offset, problem.family
-    scale = _kkt_scale(Z.T.dot(fam.dnll_deta(y, offset)), rho)
+    grad0 = Z.T.dot(fam.dnll_deta(y, offset))
+    scale = _kkt_scale(grad0, rho)
     eta = Z.dot(x) + offset
     f = fam.negloglik(y, eta) + rho * float(np.abs(x).sum())
     trace, used = [f], 0
+    # rho >= ||grad0||_inf makes 0 optimal, so try it first: where every
+    # weight is far below its floor the Newton model is too stiff to get there
+    if rho >= np.abs(grad0).max() and np.count_nonzero(x):
+        accepted = _damped_step(problem, x, -x, rho, f)
+        if accepted is not None:
+            x, eta, f = accepted
+            trace.append(f)
     while True:
         grad, hessian = _logistic_model(problem, eta)
         kkt = _kkt_residual(grad, x, rho) / scale

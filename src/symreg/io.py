@@ -118,6 +118,10 @@ def read_dataset(path, log_response=False):
             if len(row) < len(header):
                 raise DataFormatError(f"line {reader.line_num} of {subjects} has "
                                       f"{len(row)} of {len(header)} columns")
+            # an id names a file inside matrices/, never a path out of it
+            if row[0] in ("", ".", "..") or "/" in row[0] or "\\" in row[0]:
+                raise DataFormatError(f"line {reader.line_num} of {subjects} has "
+                                      f"invalid id {row[0]!r}")
             ids.append(row[0])
             try:
                 ys.append(float(row[1]))
@@ -126,6 +130,8 @@ def read_dataset(path, log_response=False):
                 raise DataFormatError(f"non-numeric value in {subjects}: {exc}")
             for j in extra_cols:
                 extras[header[j]].append(row[j])
+    if not ids:
+        raise DataFormatError(f"{subjects} lists no subjects")
 
     y = np.asarray(ys)
     if log_response:
@@ -178,9 +184,8 @@ def read_dataset(path, log_response=False):
     return data, extras
 
 
-# environment variables that set BLAS or replication-harness threads
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-               "SYMREG_THREADS")
+# environment variables that set BLAS threads
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def write_manifest(outdir, command, config, inputs, seed, duration, argv):

@@ -84,7 +84,6 @@ class SimSpec:
     shape: SignalShape
     n: int
     p0: int = 5
-    gamma0: tuple = None  # defaults to all ones, length p0
     sigma: float = 1.0
     seed: int = 0
 
@@ -95,10 +94,6 @@ class SimSpec:
             raise ValueError("sigma must be finite and nonnegative")
         if self.p0 < 0:
             raise ValueError("p0 must be nonnegative")
-        g = np.ones(self.p0) if self.gamma0 is None else np.asarray(self.gamma0, float)
-        if g.size != self.p0:
-            raise ValueError("gamma0 length must equal p0")
-        object.__setattr__(self, "gamma0", tuple(float(v) for v in g))
 
 
 def synth_dataset(b0, n, p0=5, gamma0=None, sigma=1.0, seed=0, family=GAUSSIAN):
@@ -126,11 +121,7 @@ def synth_dataset(b0, n, p0=5, gamma0=None, sigma=1.0, seed=0, family=GAUSSIAN):
         y = signal + sigma * rng.standard_normal(n)
     meta = {
         "rng": RNG_ALGORITHM,
-        "seed": int(seed),
-        "sigma": float(sigma),
         "signal_var": float(np.var(signal)),
-        "b0": b0,
-        "gamma0": gamma0,
     }
     return Dataset(y, Z, X, family, meta)
 
@@ -142,7 +133,6 @@ def gen_dataset(spec):
         b0,
         spec.n,
         p0=spec.p0,
-        gamma0=np.asarray(spec.gamma0),
         sigma=spec.sigma,
         seed=spec.seed,
     )

@@ -259,7 +259,6 @@ class FitResult:
     objective_trace: np.ndarray
     converged: bool
     iterations: int
-    config: FitConfig
     meta: dict = field(default_factory=dict)
 
     def predict_eta(self, Z, X):
@@ -421,8 +420,7 @@ def _block_descent(data, config, factors, update_factors, glm_info):
         objective_trace=np.asarray(trace),
         converged=converged,
         iterations=iterations,
-        config=config,
-        meta={"family": data.family.name, "ridged": ridged},
+        meta={"ridged": ridged},
     )
 
 
@@ -519,7 +517,6 @@ def fit_sym_cp(data, config, cp_result=None):
     return replace(
         base,
         coef_full=symmetrize(base.coef_full),
-        config=config,
         meta=dict(base.meta),
     )
 

@@ -273,20 +273,57 @@ def test_fit_meta_json_not_an_object_exits_2(sim_dir, tmp_path, capsys, content)
     assert not out.exists()
 
 
-@pytest.mark.parametrize("shape", ["header_id_only", "row_short"])
+@pytest.mark.parametrize("shape", ["header_id_only", "row_short", "header_only"])
 def test_fit_short_subjects_csv_exits_2(sim_dir, tmp_path, capsys, shape):
     path = sim_dir / "subjects.csv"
     lines = read_lines(path)
     if shape == "header_id_only":
         lines = ["id"] + [line.split(",")[0] for line in lines[1:]]
-    else:
+    elif shape == "row_short":
         lines[2] = ",".join(lines[2].split(",")[:-1])  # drops the last covariate
+    else:
+        lines = lines[:1]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     out = tmp_path / "f"
     assert run("fit", sim_dir, "--out", out) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("symreg: invalid input:")
+    if shape == "header_only":
+        assert err == [f"symreg: invalid input: {path} lists no subjects"]
     assert not out.exists()
+
+
+# a subject id that would name a file outside matrices/: an absolute path or
+# one through ../ names a valid matrix (copied there), which must not be read
+SUBJECT_IDS = {
+    "absolute": None,
+    "parent": "../outside",
+    "dot_dot": "..",
+    "dot": ".",
+    "empty": "",
+    "backslash": "sub\\000001",
+}
+
+
+@pytest.mark.parametrize("case", sorted(SUBJECT_IDS))
+def test_fit_subject_id_outside_dataset_exits_2(sim_dir, tmp_path, capsys, case):
+    victim = sorted((sim_dir / "matrices").glob("*.csv"))[0]
+    sid = SUBJECT_IDS[case]
+    if sid is None:
+        sid = str(tmp_path / "elsewhere")
+        shutil.copy(victim, tmp_path / "elsewhere.csv")
+    elif sid.startswith("../"):
+        shutil.copy(victim, sim_dir / "outside.csv")
+    path = sim_dir / "subjects.csv"
+    lines = read_lines(path)
+    lines[2] = ",".join([sid] + lines[2].split(",")[1:])
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    out = tmp_path / "f"
+    assert run("fit", sim_dir, "--out", out) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"symreg: invalid input: line 3 of {path} has invalid id {sid!r}"]
+    assert not (out / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("error", [GlmConvergenceError, NumericalError])
@@ -600,7 +637,6 @@ def test_manifest_contract(sim_dir, tmp_path, monkeypatch, command):
         "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
         "OMP_NUM_THREADS": "1",
         "MKL_NUM_THREADS": None,
-        "SYMREG_THREADS": os.environ.get("SYMREG_THREADS"),
     }
 
 

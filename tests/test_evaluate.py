@@ -223,8 +223,7 @@ def test_replicate_counts_capped_fits():
     assert [m["cp"]["converged"] for m in out["per_replication"]] == [False, False]
 
 
-@pytest.mark.parametrize("threads", ["0", "2"])
-def test_replicate_records_failure_reasons(monkeypatch, threads):
+def test_replicate_records_failure_reasons(monkeypatch):
     metrics = evaluate._replication_metrics
 
     def fail_on_replication_1(spec, rep):
@@ -233,7 +232,6 @@ def test_replicate_records_failure_reasons(monkeypatch, threads):
         return metrics(spec, rep)
 
     monkeypatch.setattr(evaluate, "_replication_metrics", fail_on_replication_1)
-    monkeypatch.setenv("SYMREG_THREADS", threads)
     spec = ExperimentSpec(
         sim=SimSpec(shape=SignalShape("two_box", 16), n=40, seed=5),
         config=FitConfig(rank=1, rho=0.0, seed=5, **FAST),

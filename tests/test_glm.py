@@ -834,28 +834,73 @@ def test_lasso_gram_properties(case):
 
 
 @st.composite
-def _bernoulli_lasso_cases(draw):
+def _bernoulli_inputs(draw):
+    """An adversarial logistic input: (Z, offset, y, truth, response kind).
+
+    Z is a CP factor block, a random design, or a random design whose last
+    column is a multiple of its first, scaled by 1e-3, 1 or 1e3; the offset
+    gains up to 500 in size. y is drawn at the truth; drawn at 100 times the
+    truth (near-separable: most weights mu(1 - mu) there sit at their 1e-10
+    floor); 1 where Z @ truth > 0 (separated); or all zero or all one.
+    """
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
-    if draw(st.booleans()):
+    design = draw(st.sampled_from(["cp_block", "random", "collinear"]))
+    if design == "cp_block":
         p, r = draw(st.integers(2, 6)), draw(st.integers(1, 3))
         block, _ = _cp_block_problem(seed, n=draw(st.integers(5, 60)), p=p, r=r)
         Z, offset = block.Z, block.offset
     else:
         n, q = draw(st.integers(3, 40)), draw(st.integers(1, 12))
         Z = rng.standard_normal((n, q)) * rng.uniform(0.1, 3.0, q)
+        if design == "collinear":
+            Z = np.column_stack([Z, rng.uniform(-2.0, 2.0) * Z[:, 0]])
         offset = 0.3 * rng.standard_normal(n)
     n, q = Z.shape
-    # near-separable: at 100 times the scale of eta most weights mu(1 - mu),
-    # at the truth and at the warm start drawn there, sit at their 1e-10 floor
-    separable = draw(st.booleans())
-    truth = rng.standard_normal(q) / np.sqrt(q) * (100.0 if separable else 1.0)
+    Z = Z * draw(st.sampled_from([1.0, 1e-3, 1e3]))
+    offset = offset + draw(st.sampled_from([0.0, 5.0, 500.0])) * rng.uniform(-1.0, 1.0, n)
+    response = draw(st.sampled_from(["drawn", "near_separable", "separated", "zeros", "ones"]))
+    truth = rng.standard_normal(q) / np.sqrt(q) * (100.0 if response == "near_separable" else 1.0)
     eta = Z @ truth + offset
-    y = (rng.random(n) < BERNOULLI.mean(eta)).astype(float)
+    if response in ("drawn", "near_separable"):
+        y = (rng.random(n) < BERNOULLI.mean(eta)).astype(float)
+    elif response == "separated":
+        y = (Z @ truth > 0).astype(float)
+    else:
+        y = np.full(n, float(response == "ones"))
+    return Z, offset, y, truth, response
+
+
+@settings(max_examples=100, deadline=None)
+@given(_bernoulli_inputs(), st.booleans())
+def test_fit_glm_bernoulli_properties(inputs, warm):
+    # IRLS ends in finite coefficients no worse than the start, or in a
+    # NumericalError; a RuntimeWarning fails the test (pyproject.toml)
+    Z, offset, y, truth, _ = inputs
+    coef0 = truth if warm else None
+    info = {}
+    try:
+        coef = fit_glm(GlmProblem(y, Z, offset, family=BERNOULLI), coef0=coef0, info=info)
+    except glm.NumericalError:
+        return
+    start = np.zeros(Z.shape[1]) if coef0 is None else coef0
+    assert np.all(np.isfinite(coef))
+    assert isinstance(info["converged"], bool)
+    nll_start = BERNOULLI.negloglik(y, Z @ start + offset)
+    assert BERNOULLI.negloglik(y, Z @ coef + offset) <= nll_start
+
+
+@st.composite
+def _bernoulli_lasso_cases(draw):
+    Z, offset, y, truth, response = draw(_bernoulli_inputs())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     problem = GlmProblem(y, Z, offset, family=BERNOULLI)
     c_max = float(np.abs(Z.T @ BERNOULLI.dnll_deta(y, offset)).max())
     rho = draw(st.sampled_from([0.0, 1e-3 * c_max, 0.1 * c_max, 1.5 * c_max]))
-    coef0 = None if draw(st.booleans()) else truth if separable else rng.standard_normal(q)
+    # a warm start at a separating truth lies where the weights are floored
+    separable = response in ("near_separable", "separated")
+    coef0 = (None if draw(st.booleans()) else truth if separable
+             else rng.standard_normal(problem.q))
     kkt_tol = draw(st.sampled_from([1e-4, 1e-8]))
     return problem, rho, coef0, kkt_tol, c_max
 

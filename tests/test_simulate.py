@@ -122,5 +122,3 @@ def test_sim_spec_validation():
     for sigma in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="sigma"):
             SimSpec(shape=shape, n=5, sigma=sigma)
-    with pytest.raises(ValueError):
-        SimSpec(shape=shape, n=5, gamma0=(1.0, 2.0))  # wrong length for p0=5
