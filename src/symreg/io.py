@@ -18,6 +18,7 @@
 import csv
 import json
 import os
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -52,24 +53,68 @@ def write_json(path, obj):
     write_text(path, json.dumps(obj, indent=2, sort_keys=True, default=str) + "\n")
 
 
+@lru_cache(maxsize=None)
+def _upper_indices(p):
+    """np.triu_indices(p): the upper triangle, diagonal included, row by row."""
+    iu, ju = np.triu_indices(p)
+    iu.flags.writeable = ju.flags.writeable = False  # one copy for every caller
+    return iu, ju
+
+
 def write_matrix_csv(path, m):
-    # repr of the Python floats from tolist() is fmt of each entry
-    write_rows(path, (map(repr, row) for row in np.asarray(m, dtype=float).tolist()))
+    """One row of fmt'd entries per matrix row.
+
+    A bitwise symmetric matrix has the repr of each entry pair made once and
+    mirrored. Any other matrix, -0.0 against 0.0 included, has the repr of
+    every entry made on its own. The bytes are the same either way.
+    """
+    m = np.asarray(m, dtype=float)
+    bits = m.view(np.uint64)
+    if not np.array_equal(bits, bits.T):
+        # repr of the Python floats from tolist() is fmt of each entry
+        write_rows(path, (map(repr, row) for row in m.tolist()))
+        return
+    iu, ju = _upper_indices(m.shape[0])
+    cells = np.empty(m.shape, dtype=object)
+    cells[iu, ju] = cells[ju, iu] = list(map(repr, m[iu, ju].tolist()))
+    write_rows(path, cells.tolist())
+
+
+def _read_matrix(path):
+    """A matrix file's values, and the (rows, cols) of the cells below the
+    diagonal whose text differs from that of their mirror above it.
+
+    Each entry pair is parsed once, above the diagonal; a cell below it is
+    parsed only where its text differs. Equal text is the same double, so
+    the values equal those of a parse of every token.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            rows = [line.split(",") for line in map(str.strip, fh) if line]
+        p = len(rows)
+        square = p > 0 and all(len(row) == p for row in rows)
+        if square:
+            # token k of `upper` is cell (i, j), j >= i; of `mirror`, cell (j, i)
+            upper = [tok for i, row in enumerate(rows) for tok in row[i:]]
+            mirror = [tok for i, col in enumerate(zip(*rows)) for tok in col[i:]]
+            values = list(map(float, upper))
+            differ = [] if mirror == upper else [
+                k for k, tok in enumerate(mirror) if tok != upper[k]]
+            differ_values = [float(mirror[k]) for k in differ]
+    except ValueError as exc:
+        raise DataFormatError(f"non-numeric entry in matrix file {path}: {exc}")
+    if not square:
+        raise DataFormatError(f"matrix file {path} is not a square grid")
+    iu, ju = _upper_indices(p)
+    m = np.empty((p, p))
+    m[iu, ju] = m[ju, iu] = values
+    lower = (ju[differ], iu[differ])
+    m[lower] = differ_values
+    return m, lower
 
 
 def read_matrix_csv(path):
-    try:
-        rows = []
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    rows.append([float(tok) for tok in line.split(",")])
-    except ValueError as exc:
-        raise DataFormatError(f"non-numeric entry in matrix file {path}: {exc}")
-    if not rows or any(len(row) != len(rows) for row in rows):
-        raise DataFormatError(f"matrix file {path} is not a square grid")
-    return np.array(rows)
+    return _read_matrix(path)[0]
 
 
 def write_dataset(data, outdir):
@@ -161,14 +206,15 @@ def read_dataset(path, log_response=False):
         mpath = path / "matrices" / f"{sid}.csv"
         if not mpath.is_file():
             raise DataFormatError(f"missing matrix file {mpath}")
-        m = read_matrix_csv(mpath)
+        m, lower = _read_matrix(mpath)
         if not np.all(np.isfinite(m)):
             raise DataFormatError(f"matrix file {mpath} holds a non-finite value")
         if p is None:
             p = m.shape[0]
         elif m.shape[0] != p:
             raise DataFormatError(f"matrix file {mpath} has wrong dimensions")
-        asym = float(np.max(np.abs(m - m.T), initial=0.0))
+        # only cells whose text differs from their mirror can differ in value
+        asym = float(np.max(np.abs(m[lower] - m.T[lower]), initial=0.0))
         if asym > SYMMETRY_INGEST_TOL:
             raise DataFormatError(
                 f"matrix file {mpath} asymmetric beyond {SYMMETRY_INGEST_TOL:g}"

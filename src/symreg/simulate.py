@@ -59,24 +59,42 @@ def shape_signal(shape):
     return mask.astype(float)
 
 
-def random_correlation(p, rng):
-    """Random correlation matrix D^{-1/2} (A A') D^{-1/2}, A iid standard normal.
+def random_correlations(n, p, rng):
+    """n random correlation matrices D^{-1/2} (A A') D^{-1/2}, A iid standard normal.
 
-    Exactly symmetric, unit diagonal, positive semidefinite, off-diagonals
-    in [-1, 1]. A zero Gram diagonal (probability-zero) triggers a redraw.
+    Each is exactly symmetric, unit diagonal, positive semidefinite, with
+    off-diagonals in [-1, 1]. All n A's are one (n, p, p) draw, so the stream
+    is that of n (p, p) draws in turn. A zero Gram diagonal has probability
+    zero; each matrix that has one is redrawn alone, in index order, after
+    the batch, until its diagonal is positive. Only this case changes the
+    stream from that of a draw of one matrix at a time.
     """
     if p < 2:
         raise ValueError("p must be >= 2")
-    while True:
-        a = rng.standard_normal((p, p))
-        s = a @ a.T
-        s = (s + s.T) / 2.0
-        d = np.diag(s)
-        if np.all(d > 0):
-            break
-    x = s / np.sqrt(np.outer(d, d))
-    np.fill_diagonal(x, 1.0)
+    # each step writes into the draw's own memory, so at most two (n, p, p)
+    # arrays are alive at once
+    x = _gram(rng.standard_normal((n, p, p)))
+    d = np.diagonal(x, axis1=1, axis2=2)  # a view: it sees the redraws
+    for k in np.flatnonzero(~np.all(d > 0, axis=1)):
+        while not np.all(d[k] > 0):
+            x[k] = _gram(rng.standard_normal((1, p, p)))[0]
+    scale = d[:, :, None] * d[:, None, :]
+    x /= np.sqrt(scale, out=scale)
+    x[:, np.arange(p), np.arange(p)] = 1.0
     return x
+
+
+def _gram(a):
+    """(S + S') / 2 with S = A A', for each matrix A of a stack, written into a."""
+    s = a @ a.transpose(0, 2, 1)
+    np.add(s, s.transpose(0, 2, 1), out=a)
+    a /= 2.0
+    return a
+
+
+def random_correlation(p, rng):
+    """One random correlation matrix: random_correlations(1, p, rng)[0]."""
+    return random_correlations(1, p, rng)[0]
 
 
 @dataclass(frozen=True)
@@ -100,8 +118,9 @@ def synth_dataset(b0, n, p0=5, gamma0=None, sigma=1.0, seed=0, family=GAUSSIAN):
     """Dataset with true coefficient matrix b0 and correlation-matrix covariates.
 
     Draw order (fixed for reproducibility): z (n x p0), then the n covariate
-    matrices, then the noise vector. For the bernoulli family, y is drawn as
-    Bernoulli(sigmoid(eta)) and sigma is ignored.
+    matrices as one batch (random_correlations), then the noise vector. For
+    the bernoulli family, y is drawn as Bernoulli(sigmoid(eta)) and sigma is
+    ignored.
     """
     b0 = np.asarray(b0, dtype=float)
     p = b0.shape[0]
@@ -113,7 +132,7 @@ def synth_dataset(b0, n, p0=5, gamma0=None, sigma=1.0, seed=0, family=GAUSSIAN):
 
     rng = np.random.default_rng(seed)
     Z = rng.standard_normal((n, p0)) if p0 > 0 else np.zeros((n, 0))
-    X = np.stack([random_correlation(p, rng) for _ in range(n)])
+    X = random_correlations(n, p, rng)
     signal = Z @ gamma0 + X.reshape(n, -1) @ b0.ravel()
     if family == BERNOULLI:
         y = (rng.random(n) < BERNOULLI.mean(signal)).astype(float)

@@ -3,7 +3,6 @@
 # criteria 6 and 7 dominates the runtime (~1 min on 2 cores).
 
 import json
-import os
 import time
 from pathlib import Path
 
@@ -323,9 +322,8 @@ def _numeric_outputs(base):
     return files
 
 
-def test_criterion_9_determinism(tmp_path, monkeypatch):
+def test_criterion_9_determinism(tmp_path):
     t0 = time.time()
-    monkeypatch.setenv("SYMREG_THREADS", "2")
     a = _run_cli_bundle(tmp_path / "a")
     b = _run_cli_bundle(tmp_path / "b")
 
@@ -341,7 +339,7 @@ def test_criterion_9_determinism(tmp_path, monkeypatch):
 
     fa, fb, fc = _numeric_outputs(a), _numeric_outputs(b), _numeric_outputs(c)
     ok = fa == fb == fc and len(fa) > 0
-    report(9, "CLI outputs byte-identical across reruns (SYMREG_THREADS=2)",
+    report(9, "CLI outputs byte-identical across reruns",
            ok, f"({len(fa)} files compared, {time.time() - t0:.1f}s)")
 
 

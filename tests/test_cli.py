@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -53,6 +54,33 @@ def test_simulate_deterministic(tmp_path):
     assert (a / "subjects.csv").read_bytes() == (b / "subjects.csv").read_bytes()
     for f in sorted((a / "matrices").glob("*.csv")):
         assert f.read_bytes() == (b / "matrices" / f.name).read_bytes()
+
+
+def _digests(root):
+    """sha256 of every file under root but manifest.json, by relative path."""
+    return {str(f.relative_to(root)): hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in sorted(root.rglob("*")) if f.is_file() and f.name != "manifest.json"}
+
+
+def test_simulate_and_fit_files_byte_pinned(tmp_path):
+    # every byte simulate writes, and those of a sym_tensor fit on its
+    # output: a change to the dataset path or the fit that moves a byte fails
+    ds, fit = tmp_path / "ds", tmp_path / "fit"
+    assert run("simulate", "--shape", "two_box", "--p", "16", "--n", "40",
+               "--seed", "3", "--out", ds) == 0
+    assert run("fit", ds, "--estimator", "sym_tensor", "--out", fit) == 4
+    written = _digests(ds)
+    assert len(written) == 42  # subjects.csv, meta.json and 40 matrices
+    listing = "".join(f"{name} {digest}\n" for name, digest in written.items())
+    assert hashlib.sha256(listing.encode()).hexdigest() == (
+        "ba8a17a00d6a81672d80cddd4ed1bb0f2ab24d9ca2e82c544a4fc737d4434b95")
+    assert _digests(fit) == {
+        "coef_full.csv": "840ead389bbd56ad63ec77c6e754ffd97a87ed41e0535c620a4273adc7f63180",
+        "factors.csv": "4165895dfd718a19fca531b99a9fab430bf8d9f55f030346d16fbd474e609099",
+        "gamma.csv": "811ab7d0a88a92fd135ecea618c1a772dca61eaa6eaca2b18fd0fedd6f73bb7a",
+        "metrics.json": "040513eafa233f305b60ac99daee21e236292497527b5831ac102d002e333373",
+        "trace.csv": "17d04f518401341c776f47d232308f73cdb4c086db6bd7622fbb071f025def1b",
+    }
 
 
 def test_simulate_invalid_p_exits_2(tmp_path):
@@ -143,6 +171,14 @@ MATRIX_FILE_ERRORS = {
     "empty": ("", "matrix file {} is not a square grid"),
     # np.asarray of ragged rows raised a ValueError that read as a bad number
     "ragged": ("1,2\n3\n", "matrix file {} is not a square grid"),
+    # the reader parses above the diagonal, and below it only a token whose
+    # text differs from its mirror's
+    "non_numeric_upper": ("1.0,x1\nx1,1.0\n", "non-numeric entry in matrix file {}: "
+                          "could not convert string to float: 'x1'"),
+    "non_numeric_lower": ("1.0,0.5\nx2,1.0\n", "non-numeric entry in matrix file {}: "
+                          "could not convert string to float: 'x2'"),
+    "nan": ("1.0,nan\nnan,1.0\n", "matrix file {} holds a non-finite value"),
+    "inf": ("1.0,0.5\ninf,1.0\n", "matrix file {} holds a non-finite value"),
 }
 
 

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 from symreg import BERNOULLI, SHAPE_NAMES, SignalShape, SimSpec
-from symreg.simulate import gen_dataset, random_correlation, shape_signal, synth_dataset
+from symreg.simulate import (
+    gen_dataset,
+    random_correlation,
+    random_correlations,
+    shape_signal,
+    synth_dataset,
+)
 
 
 # ---------------------------------------------------------------- shapes
@@ -67,6 +73,56 @@ def test_correlation_positive_semidefinite():
 def test_correlation_rejects_p1(rng):
     with pytest.raises(ValueError):
         random_correlation(1, rng)
+
+
+def _one_at_a_time(n, p, rng):
+    """n correlation matrices drawn and formed one (p, p) matrix at a time."""
+    out = []
+    for _ in range(n):
+        a = rng.standard_normal((p, p))
+        s = a @ a.T
+        s = (s + s.T) / 2.0
+        d = np.diag(s)
+        x = s / np.sqrt(np.outer(d, d))
+        np.fill_diagonal(x, 1.0)
+        out.append(x)
+    return np.stack(out)
+
+
+@pytest.mark.parametrize("p", [2, 5, 16, 32])
+@pytest.mark.parametrize("n", [1, 7, 60])
+def test_correlations_batch_is_the_one_at_a_time_stream(p, n):
+    batch_rng, loop_rng = np.random.default_rng(p * n), np.random.default_rng(p * n)
+    x = random_correlations(n, p, batch_rng)
+    assert x.tobytes() == _one_at_a_time(n, p, loop_rng).tobytes()
+    assert batch_rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+class _ZeroRows:
+    """A generator whose first draw has a zero row in matrices 3 and 1."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.shapes = []
+
+    def standard_normal(self, shape):
+        a = self.rng.standard_normal(shape)
+        if not self.shapes:
+            a[3, 0] = 0.0
+            a[1, 2] = 0.0
+        self.shapes.append(shape)
+        return a
+
+
+def test_correlations_redraw_zero_gram_diagonals_after_the_batch():
+    stub = _ZeroRows(8)
+    x = random_correlations(5, 4, stub)
+    # one batch, then matrix 1 and then matrix 3 redrawn alone
+    assert stub.shapes == [(5, 4, 4), (1, 4, 4), (1, 4, 4)]
+    rng = np.random.default_rng(8)
+    expected = _one_at_a_time(5, 4, rng)
+    expected[1], expected[3] = _one_at_a_time(2, 4, rng)
+    assert x.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------- datasets
