@@ -1,8 +1,10 @@
 """Sparse symmetric low-rank matrix regression with CP baselines.
 
 Scalar responses, symmetric matrix covariates: the coefficient matrix is
-modelled as B diag(lam) B' and estimated by block GLM updates plus proximal
-gradient with soft-thresholding, next to standard and symmetrized CP
+modelled as B diag(lam) B' and estimated by block GLM updates of gamma and
+lam plus a B block that depends on the family (one prox-linear, i.e.
+Gauss-Newton, step for gaussian data; proximal gradient with
+soft-thresholding for bernoulli data), next to standard and symmetrized CP
 regression baselines, seeded simulation generators, and a cross-validation /
 replication harness.
 """

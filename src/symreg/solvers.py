@@ -2,11 +2,14 @@
 #   * fit_cp        - standard rank-R CP regression, block lasso-GLM updates
 #   * fit_sym_cp    - the CP fit with its coefficient matrix symmetrized
 #   * fit_sym_tensor- the symmetric rank-R model B diag(lam) B^T estimated by
-#                     block updates (gamma, lam via GLM) plus proximal
-#                     gradient with soft-thresholding on B
+#                     block updates (gamma, lam via GLM) and a B block that
+#                     depends on the family: gaussian B is one prox-linear
+#                     (Gauss-Newton) step solved like a CP factor block,
+#                     bernoulli B takes proximal-gradient steps with
+#                     soft-thresholding (prox_update_B)
 # plus the eigen-decomposition initializer and the full pipeline
 # (sym-CP fit -> eigen init -> symmetric fit). fit_cp and fit_sym_tensor share
-# one outer loop, _block_descent, and differ only in their factor blocks.
+# one outer loop, _block_descent, and one factor-block solver, _FactorBlocks.
 
 import math
 from dataclasses import dataclass, field, replace
@@ -34,8 +37,8 @@ from .tensor_ops import check_symmetric, cp_to_full, khatri_rao, symcp_to_full, 
 # n = 500, one thread) a 24-column gemm takes 0.45 ms, about as much as 6
 # single-candidate gemvs of 0.08 ms.
 PROX_BATCH = 24
-# stopping rule of fit_cp's l1-GLM blocks (rho > 0 or bernoulli); the KKT
-# tolerance is relative to the block's scale (see fit_glm_lasso)
+# stopping rule of the l1-GLM factor blocks (rho > 0, or bernoulli CP); the
+# KKT tolerance is relative to the block's scale (see fit_glm_lasso)
 CP_LASSO_MAX_ITER = 500
 CP_LASSO_KKT_TOL = 1e-4
 
@@ -81,12 +84,15 @@ class CovariateOperator:
         return self.rows @ self._coefs(outer).T
 
     def block_design(self, b):
-        """(n, p*R) design of one CP factor block: row i is vec(X_i @ b).
+        """(n, p*R) design of one factor block: row i is vec(X_i @ b).
 
-        Serves both blocks: the B2 block's covariates vec(X_i' B1) equal
-        vec(X_i B1) because Dataset enforces exact symmetry. Built as one
-        (n*p, p) @ (p, R) BLAS matmul over the full-width X, since X_i b
-        needs whole rows.
+        Serves both CP blocks: the B2 block's covariates vec(X_i' B1) equal
+        vec(X_i B1) because Dataset enforces exact symmetry. Twice the design
+        at b = B diag(lam) is the Jacobian in B of the symmetric predictor
+        <X_i, B diag(lam) B'>: the design of the gaussian symmetric B block
+        (the bernoulli B block does not use it). Built as one (n*p, p) @
+        (p, R) BLAS matmul over the full-width X, since X_i b needs whole
+        rows.
         """
         n, p, _ = self.X.shape
         return (self.X.reshape(n * p, p) @ b).reshape(n, b.size)
@@ -166,9 +172,9 @@ class FitConfig:
     max_outer_iters: int = 200
     tol: float = 1e-4
     seed: int = 0
-    # prox_update_B's steps per outer iteration and its step ladder,
-    # delta0 * 2^-j for j = 0 .. line_search_max_halvings; no caller sets
-    # them, so they are constants of the class, not fields
+    # prox_update_B's (the bernoulli B block's) steps per outer iteration and
+    # its step ladder, delta0 * 2^-j for j = 0 .. line_search_max_halvings;
+    # no caller sets them, so they are constants of the class, not fields
     prox_steps: ClassVar[int] = 5
     delta0: ClassVar[float] = 1.0
     line_search_max_halvings: ClassVar[int] = 50
@@ -374,6 +380,93 @@ def prox_update_B(data, gamma, factors, rho, config, trace=None):
     return B, xb
 
 
+class _FactorBlocks:
+    """The one solver of the factor blocks of both estimators.
+
+    A block regresses y on a design whose row i is linear in the p x R
+    factor b (CP's vec(X_i b_other); the gaussian symmetric B block's
+    Jacobian), with an offset. Unpenalized gaussian blocks (rho = 0) are
+    ordinary least squares and are solved exactly; every other block runs
+    fit_glm_lasso, warm-started at the current factor.
+
+    Every block design is vec(X_i b_other) up to a constant (for the
+    symmetric block b_other = B diag(lam)), and on symmetric X the factor
+    b_other A with A antisymmetric adds nothing to its predictor. So at
+    R >= 2 every block is rank-deficient, and least-squares blocks there go
+    straight to the ridge solve that fit_glm's lstsq would fall back to
+    (glm_info["ridged"]); at R = 1 they run fit_glm. Lasso blocks stop at a
+    KKT residual of CP_LASSO_KKT_TOL relative to the block (see
+    fit_glm_lasso); lasso_meta() gives the number of calls ("lasso_calls"),
+    their summed "lasso_iterations" and how many stopped at
+    CP_LASSO_MAX_ITER without converging ("lasso_capped").
+    """
+
+    def __init__(self, data, rho):
+        self.data, self.rho = data, rho
+        self.least_squares = rho == 0 and data.family == GAUSSIAN
+        self.glm_info = {}
+        self._converged, self._iterations = [], []
+
+    def solve(self, design, offset, b):
+        data, (p, R) = self.data, b.shape
+        if self.least_squares and R >= 2:
+            return _solve_ridged(design, data.y - offset, self.glm_info).reshape(p, R)
+        problem = GlmProblem(data.y, design, offset, data.family)
+        if self.least_squares:
+            return fit_glm(problem, info=self.glm_info).reshape(p, R)
+        info = {}
+        coef = fit_glm_lasso(
+            problem,
+            self.rho,
+            coef0=b.ravel(),
+            max_iter=CP_LASSO_MAX_ITER,
+            kkt_tol=CP_LASSO_KKT_TOL,
+            info=info,
+        )
+        self._converged.append(info["converged"])
+        self._iterations.append(info["iterations"])
+        return coef.reshape(p, R)
+
+    def lasso_meta(self):
+        return {
+            "lasso_calls": len(self._converged),
+            "lasso_iterations": sum(self._iterations),
+            "lasso_capped": self._converged.count(False),
+        }
+
+
+def _prox_linear_B(data, zoff, factors, rho, blocks):
+    """The gaussian B block: one prox-linear step at fixed lam and gamma.
+
+    X_i is symmetric, so the predictor <X_i, B L B'>, L = diag(lam), is
+    linearized at B0 as xb0_i + <J_i, B - B0> with J = 2 block_design(B0 L).
+    The step solves that linear model's penalized least squares with
+    blocks.solve (exact at rho = 0, the lasso warm-started at B0 at
+    rho > 0): for the gaussian loss this is Gauss-Newton, and the
+    prox-linear method (Lewis & Wright 2016; Drusvyatskiy & Paquette 2019).
+    Then it takes the first B0 + 2^-h (B_lin - B0), h = 0 .. 29, whose
+    penalized objective (at offset zoff) is at most B0's; if none is, B0 is
+    kept. A non-finite predictor raises ValueError (negloglik's). Returns B
+    and its predictor part xb_i = <B L B', X_i>.
+    """
+    lam, B0 = factors.lam, factors.B
+
+    def evaluate(B):
+        xb = data.xop.inner(symcp_to_full(lam, B))
+        nll = data.family.negloglik(data.y, zoff + xb)
+        return xb, nll + rho * float(np.abs(B).sum())
+
+    xb0, f0 = evaluate(B0)
+    J = 2.0 * data.xop.block_design(B0 * lam)
+    step = blocks.solve(J, zoff + xb0 - J @ B0.ravel(), B0) - B0
+    for h in range(30):
+        B = B0 + 0.5**h * step
+        xb, f = evaluate(B)
+        if f <= f0:
+            return B, xb
+    return B0, xb0
+
+
 def _block_descent(data, config, factors, update_factors, glm_info):
     """Block relaxation shared by both estimators.
 
@@ -382,12 +475,14 @@ def _block_descent(data, config, factors, update_factors, glm_info):
     of the penalized objective drops below config.tol or max_outer_iters is
     hit.
     The recorded trace is non-increasing up to rounding, because no block
-    accepts an ascent: IRLS and the CP lasso test every step, least-squares
-    blocks are exact minimizers up to rounding (and the 1e-8 ridge of
-    rank-deficient ones), and a prox step's majorization test allows a rise
-    of at most its 1e-14 relative slack. A non-finite objective, or a
-    ValueError (LinAlgError is one) from a block update or the objective,
-    raises NumericalError; no other code of the fits makes one from an error.
+    accepts an ascent: IRLS and the l1-GLM blocks test every step,
+    least-squares blocks are exact minimizers up to rounding (and the 1e-8
+    ridge of rank-deficient ones), the gaussian B step is taken only where
+    the penalized objective does not rise, and a prox step's majorization
+    test allows a rise of at most its 1e-14 relative slack. A non-finite
+    objective, or a ValueError (LinAlgError is one) from a block update or
+    the objective, raises NumericalError; no other code of the fits makes
+    one from an error.
     glm_info is the record every GLM call of the fit writes to
     (meta["ridged"]). The predictor part xb is carried: each one serves
     the objective and the next gamma offset.
@@ -429,23 +524,36 @@ def fit_sym_tensor(data, config, init):
 
     The blocks after gamma (see _block_descent) are a lam-GLM on the per-rank
     quadratic forms with offset gamma'z_i, warm-started at the current lam,
-    then prox_steps proximal-gradient updates of B. An init built without lam
-    starts at lam = 0, so the first outer iteration's lam-GLM sets it.
+    then a B block chosen by the family. Gaussian B is one prox-linear
+    (Gauss-Newton) step, _prox_linear_B, solved by _FactorBlocks like a CP
+    block; meta records its "lasso_calls", "lasso_iterations" and
+    "lasso_capped" as fit_cp's does. Bernoulli B is prox_steps
+    proximal-gradient steps, prox_update_B: the prox-linear step measured
+    slower there, and predicted worse. An init built without lam starts at
+    lam = 0, so the first outer iteration's lam-GLM sets it.
     """
     p, R = data.p, config.rank
     if init.B.shape != (p, R):
         raise ValueError(f"init B must be {(p, R)}, got {init.B.shape}")
-    glm_info = {}
+    gaussian = data.family == GAUSSIAN
+    blocks = _FactorBlocks(data, config.rho)
 
     def update(gamma, factors):
+        zoff = data.Z @ gamma
         design = data.xop.quad_forms(factors.B)
-        problem = GlmProblem(data.y, design, data.Z @ gamma, data.family)
-        lam = fit_glm(problem, coef0=factors.lam, info=glm_info)
+        problem = GlmProblem(data.y, design, zoff, data.family)
+        lam = fit_glm(problem, coef0=factors.lam, info=blocks.glm_info)
         factors = SymCPFactors(lam, factors.B)
-        B, xb = prox_update_B(data, gamma, factors, config.rho, config)
+        if gaussian:
+            B, xb = _prox_linear_B(data, zoff, factors, config.rho, blocks)
+        else:
+            B, xb = prox_update_B(data, gamma, factors, config.rho, config)
         return SymCPFactors(lam, B), xb
 
-    return _block_descent(data, config, init, update, glm_info)
+    result = _block_descent(data, config, init, update, blocks.glm_info)
+    if gaussian:
+        result.meta.update(blocks.lasso_meta())
+    return result
 
 
 def fit_cp(data, config):
@@ -453,56 +561,26 @@ def fit_cp(data, config):
 
     The blocks after gamma (see _block_descent) refit B1 by an l1-penalized
     GLM on covariates vec(X_i B2) with offset gamma'z_i, then B2
-    symmetrically on vec(X_i' B1). Unpenalized Gaussian blocks (rho = 0) are
-    ordinary least squares and are solved exactly; every other block runs
-    fit_glm_lasso. Factors start as seeded standard normals.
-
-    On symmetric X every factor block with R >= 2 is rank-deficient:
-    vec(B_other A) with A antisymmetric adds nothing to the predictor. So
-    least-squares blocks at R >= 2 go straight to the ridge solve that
-    fit_glm's lstsq would fall back to (meta["ridged"]); at R = 1 they run
-    fit_glm. Lasso blocks stop at a KKT residual of CP_LASSO_KKT_TOL relative
-    to the block (see fit_glm_lasso); meta records "lasso_calls", their
-    summed "lasso_iterations" and how many stopped at CP_LASSO_MAX_ITER
-    without converging ("lasso_capped").
+    symmetrically on vec(X_i' B1), both by _FactorBlocks: least squares,
+    exact, for unpenalized Gaussian blocks (ridged at R >= 2,
+    meta["ridged"]), fit_glm_lasso for every other block. meta records the
+    lasso blocks' "lasso_calls", summed "lasso_iterations" and
+    "lasso_capped". Factors start as seeded standard normals.
     """
     p, R = data.p, config.rank
-    least_squares = config.rho == 0 and data.family == GAUSSIAN
-    glm_info = {}
-    lasso_converged, lasso_iterations = [], []
-
-    def solve_block(b_other, zoff, b):
-        design = data.xop.block_design(b_other)
-        if least_squares and R >= 2:
-            return _solve_ridged(design, data.y - zoff, glm_info).reshape(p, R)
-        problem = GlmProblem(data.y, design, zoff, data.family)
-        if least_squares:
-            return fit_glm(problem, info=glm_info).reshape(p, R)
-        info = {}
-        coef = fit_glm_lasso(
-            problem,
-            config.rho,
-            coef0=b.ravel(),
-            max_iter=CP_LASSO_MAX_ITER,
-            kkt_tol=CP_LASSO_KKT_TOL,
-            info=info,
-        )
-        lasso_converged.append(info["converged"])
-        lasso_iterations.append(info["iterations"])
-        return coef.reshape(p, R)
+    blocks = _FactorBlocks(data, config.rho)
 
     def update(gamma, factors):
         zoff = data.Z @ gamma
-        b1 = solve_block(factors.B2, zoff, factors.B1)
-        factors = CPFactors(b1, solve_block(b1, zoff, factors.B2))
+        b1 = blocks.solve(data.xop.block_design(factors.B2), zoff, factors.B1)
+        b2 = blocks.solve(data.xop.block_design(b1), zoff, factors.B2)
+        factors = CPFactors(b1, b2)
         return factors, data.xop.inner(factors.to_full())
 
     rng = np.random.default_rng(config.seed)
     init = CPFactors(rng.standard_normal((p, R)), rng.standard_normal((p, R)))
-    result = _block_descent(data, config, init, update, glm_info)
-    result.meta["lasso_calls"] = len(lasso_converged)
-    result.meta["lasso_iterations"] = sum(lasso_iterations)
-    result.meta["lasso_capped"] = lasso_converged.count(False)
+    result = _block_descent(data, config, init, update, blocks.glm_info)
+    result.meta.update(blocks.lasso_meta())
     return result
 
 

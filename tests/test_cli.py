@@ -64,22 +64,27 @@ def _digests(root):
 
 def test_simulate_and_fit_files_byte_pinned(tmp_path):
     # every byte simulate writes, and those of a sym_tensor fit on its
-    # output: a change to the dataset path or the fit that moves a byte fails
+    # output: a change to the dataset path or the fit that moves a byte fails.
+    # The fit files were re-recorded when the gaussian B block became one
+    # prox-linear step: the fit (rank 3, rho 0, n = 40 < pR = 48) now
+    # converges at outer iteration 46 at objective 7.306 (exit 0), where the
+    # prox steps interpolated towards 0.0085 and stopped at the cap of 200
+    # (exit 4); held-out MSE on 2000 fresh draws 5.25 against 12.74
     ds, fit = tmp_path / "ds", tmp_path / "fit"
     assert run("simulate", "--shape", "two_box", "--p", "16", "--n", "40",
                "--seed", "3", "--out", ds) == 0
-    assert run("fit", ds, "--estimator", "sym_tensor", "--out", fit) == 4
+    assert run("fit", ds, "--estimator", "sym_tensor", "--out", fit) == 0
     written = _digests(ds)
     assert len(written) == 42  # subjects.csv, meta.json and 40 matrices
     listing = "".join(f"{name} {digest}\n" for name, digest in written.items())
     assert hashlib.sha256(listing.encode()).hexdigest() == (
         "ba8a17a00d6a81672d80cddd4ed1bb0f2ab24d9ca2e82c544a4fc737d4434b95")
     assert _digests(fit) == {
-        "coef_full.csv": "840ead389bbd56ad63ec77c6e754ffd97a87ed41e0535c620a4273adc7f63180",
-        "factors.csv": "4165895dfd718a19fca531b99a9fab430bf8d9f55f030346d16fbd474e609099",
-        "gamma.csv": "811ab7d0a88a92fd135ecea618c1a772dca61eaa6eaca2b18fd0fedd6f73bb7a",
-        "metrics.json": "040513eafa233f305b60ac99daee21e236292497527b5831ac102d002e333373",
-        "trace.csv": "17d04f518401341c776f47d232308f73cdb4c086db6bd7622fbb071f025def1b",
+        "coef_full.csv": "2ffce8f45983c94f7ddbadea8c0076ceaa4bfdeefc46434eae22de002d9132b8",
+        "factors.csv": "0ef9728cc25d3097a26bcb0bcaeec90cb6276cfed811c31353a33290669e1576",
+        "gamma.csv": "d7ed6267336cfd11c1bb13e13bb623e2db0f577d84220bf72969fb054e185378",
+        "metrics.json": "ab0ca5b4730295ce1e1e0b8fb57cf223013d2737c12e777702b657cdbafa5168",
+        "trace.csv": "5ea79100f0cdb3b8e02b5b52e8edaac7b3807973064cc10898e1e79880e95bc9",
     }
 
 

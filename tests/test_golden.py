@@ -73,7 +73,7 @@ def _fit(name):
         cfg = replace(cfg, rho=0.2, max_outer_iters=10, seed=7)
         return default_pipeline(_gaussian(), cfg)
     if name == "pipeline_rho0":
-        # rho=0 at R >= 2: ridge-only CP blocks and the unpenalized prox step
+        # rho=0 at R >= 2: ridge-only CP blocks and a ridged symmetric B block
         return default_pipeline(_gaussian(), replace(cfg, rank=3, rho=0.0, seed=9))
     if name == "cp_rank1":
         # rho=0 at R=1: a full-rank CP block, solved by lstsq
@@ -228,26 +228,32 @@ GOLDEN = {
     # lam-GLM now sets lam, after the first gamma-GLM. The trace starts at the
     # zero coefficient (1174.648 instead of 950.992) and ends at 79.1572
     # instead of 79.2799; coef_full moved 5% of its largest entry
+    # re-recorded when the gaussian B block became one prox-linear
+    # (Gauss-Newton) step on the Jacobian design, solved like a CP block,
+    # instead of 5 proximal-gradient steps (prox_update_B).
+    # From the random init it ends at 84.6031 instead of 79.1572 (+6.9%),
+    # both capped at 20; coef_full moved 2.5x its largest entry. 2 of its 20
+    # lasso calls stop at CP_LASSO_MAX_ITER
     "sym_tensor": {
         "objective_trace": [
-            1174.6482107023508, 513.7191785909574, 208.43200595768323,
-            115.73085989906258, 87.5107511639594, 81.28028032282523, 79.95571744541073,
-            79.60135490603676, 79.51712693356428, 79.48957210358427, 79.47096720580933,
-            79.44426350513086, 79.4050096829486, 79.37492914397347, 79.34699602281985,
-            79.31591078230774, 79.28526933156645, 79.25363242469315, 79.22125578218925,
-            79.18903626188626, 79.15717454211075,
+            1174.6482107023508, 745.6796229041186, 480.2621178426408,
+            342.73521362979307, 109.74225233184298, 88.90065638171136,
+            86.87288164656434, 86.46487372554881, 86.18164438748113, 85.92005634447112,
+            85.65510725409004, 85.43392384151755, 85.22883018031195, 85.15056538438726,
+            85.08094314735558, 85.01545480819905, 84.85565976312259, 84.78421752000747,
+            84.72099762043686, 84.66151882393055, 84.6031144160249,
         ],
-        "coef_full": "6ddfbbe7f305b57c99df9f48f208553733657e7b3295c866e01ed801a4aa25c2",
-        "gamma": "f77ce6a953e556f37da25cedde988e389d1a6293c9f1d41a9c158c9843b6c28d",
+        "coef_full": "82b35bcbe93df8593f87cdbc1ed76a8889e5ebb4e98d688d3a3cedc1602117df",
+        "gamma": "fa0d551744bf337ad73e1883bfe393579723722986b6a8e408536a293a349845",
         "factors": {
-            "lam": "85ac246ee687654f8ab300132bf29808fdcebfe6e3335222bb0cfea27abb5bb8",
-            "B": "044b783347b4703f38b1e17cb5557ddc8d5163f7d0836ebb8676f7b77894b827",
+            "lam": "13730bb356f338771e381d054f74e6977acc47636055275dc5fcd4d4daf568f7",
+            "B": "9cbb62274f864166764c5d75d882ea36f4aca0dccb4a9677817f5c0b8880d76b",
         },
         "iterations": 20,
         "converged": False,
         "ridged": False,
-        "lasso_calls": None,
-        "lasso_capped": None,
+        "lasso_calls": 20,
+        "lasso_capped": 2,
     },
     # a small Gaussian bare symmetric fit (p = 6, n = 80), first pinned in
     # test_solvers with the unbatched line search; the fits must not depend on
@@ -257,25 +263,30 @@ GOLDEN = {
     # lam-GLM now sets lam, after the first gamma-GLM.
     # It ends at 13.9774 instead of 14.1006; coef_full moved 10% of its
     # largest entry
+    # re-recorded when the gaussian B block became one prox-linear
+    # (Gauss-Newton) step on the Jacobian design, solved like a CP block,
+    # instead of 5 proximal-gradient steps (prox_update_B).
+    # It ends at 11.6507 instead of 13.9774 (-16.6%), both capped at 12;
+    # coef_full moved 1.3x its largest entry
     "sym_tensor_small": {
         "objective_trace": [
-            140.92758920129478, 24.42931234608631, 18.323808048162693,
-            15.116349002280126, 14.603551123992208, 14.404270872510255,
-            14.302129999258854, 14.233725903393777, 14.17844699926616,
-            14.131466179003697, 14.07856039909674, 14.034714450014238,
-            13.977395164666959,
+            140.92758920129478, 26.054114669037578, 15.488469844102067,
+            13.036205091792397, 12.46425726953019, 12.231281283799715,
+            12.108236677517459, 12.083584472926738, 11.970551636446988,
+            11.8656891245577, 11.797614898534665, 11.723226444038646,
+            11.650690600512926,
         ],
-        "coef_full": "1edf853c540ece55b6ce5124e3af514c8eb2f19324754ad9a4c9662312881089",
-        "gamma": "b494db54bb0da3bb6cb252696e309a724cbd0e8f46b7c5d259973cd31bf5fd03",
+        "coef_full": "9e55a68749f9f963b71a1ec05cd7e5016918fd1f48e240fb2199fff5036d772b",
+        "gamma": "775c5a11741cd899f69611538e5301b16d82bc841d7bd9c03d733265a960b40b",
         "factors": {
-            "lam": "e63c81abb022c76bf881b13ab8bee5711eef679b5932a8965063b2cd56c8047e",
-            "B": "e702c2152649ecfc52112d4c769894a4b06eca04dfcfd08f454e31e7acdb5edb",
+            "lam": "7b8ebbc7edf88ba0b955f6e2f070d220b096cbe1f46badd5061c60c3e685b5da",
+            "B": "2604a65dd864172ecbf3e27098352a40ebdea3f4edec64d7454172a4695b32a2",
         },
         "iterations": 12,
         "converged": False,
         "ridged": False,
-        "lasso_calls": None,
-        "lasso_capped": None,
+        "lasso_calls": 12,
+        "lasso_capped": 0,
     },
     # the one pinned bare logistic symmetric fit (p = 6, n = 150), first
     # pinned in test_solvers with sym_tensor_small
@@ -304,23 +315,27 @@ GOLDEN = {
         "lasso_capped": None,
     },
     # re-recorded for upper-triangle X rows: coef 4e-13 (rounding)
+    # re-recorded when the gaussian B block became one prox-linear
+    # (Gauss-Newton) step on the Jacobian design, solved like a CP block,
+    # instead of 5 proximal-gradient steps (prox_update_B).
+    # It converges in 4 outer iterations instead of 7, at 71.3938 instead of
+    # 71.3844 (+0.013%); coef_full moved 3.4% of its largest entry
     "pipeline_gaussian": {
         "objective_trace": [
-            252.23322762374283, 73.25992882685888, 71.91575375243102,
-            71.48576114205957, 71.42420534065552, 71.40050785631861, 71.38930664245053,
-            71.38440630422113,
+            252.23322762374283, 71.94010601683455, 71.42378367195731, 71.4002015037352,
+            71.39375280286937,
         ],
-        "coef_full": "1f8a3f6b34f9632c102119fec24f0ef82c87e4b67f725d20733479238beb5954",
-        "gamma": "41a090124e09c1a85d6f6c09e3526e96974b1005f6179237b54aa4d5a1463a55",
+        "coef_full": "a1fadcd878a45cd16bd12a9469c47d86ae346fab295a86958b030eefd08b223e",
+        "gamma": "d98add00e9c0a5c3112316420c50d595d458b63624179bba4e3fa817d8a742db",
         "factors": {
-            "lam": "bb2ab7a6299cc6d6824c1a536b650f6d4ea5f26c8bc9c54efd9197d3837d9469",
-            "B": "5a71e89af9364e2274d8806405c527e214ae45dffb2971deeaf7080642ac0cf6",
+            "lam": "fb66f4e5705131a4ed49bfff5c862e23fa43482ba2d7e855cc85e4c75f6c713e",
+            "B": "4c75c95d97f7031464cef2984946ccd8f6bd68691c43a6c44e83ce48d1c27fc4",
         },
-        "iterations": 7,
+        "iterations": 4,
         "converged": True,
         "ridged": False,
-        "lasso_calls": None,
-        "lasso_capped": None,
+        "lasso_calls": 4,
+        "lasso_capped": 0,
     },
     # re-recorded with cp_bernoulli: the CP baseline it starts from moved, and
     # its own gamma- and lam-GLM blocks run the same IRLS
@@ -351,25 +366,30 @@ GOLDEN = {
         "lasso_capped": None,
     },
     # re-recorded for upper-triangle X rows: coef 3e-5, objective 4e-6 (ridge; above)
+    # re-recorded when the gaussian B block became one prox-linear
+    # (Gauss-Newton) step on the Jacobian design, solved like a CP block,
+    # instead of 5 proximal-gradient steps (prox_update_B).
+    # At rho = 0 the step is the ridged least-squares solve. It converges in
+    # 13 outer iterations, at 52.6839, where the prox steps were capped at 15
+    # at 61.7084 (-14.6%); coef_full moved 3.5x its largest entry
     "pipeline_rho0": {
         "objective_trace": [
-            1007.0152143993319, 85.83294211907364, 68.45623057609586, 67.4488809110312,
-            66.93563938782546, 66.68835184228882, 66.42659175363414, 65.69258839003058,
-            65.46028115976186, 64.08769644301982, 63.60195014890709, 63.28880788353654,
-            62.74103894060881, 62.383803337022755, 62.141441867204755,
-            61.70843381039582,
+            1007.0152143993319, 88.23495553125133, 64.8389679791263, 57.284491212705184,
+            55.23047381405217, 54.037019786499954, 53.46703300894566, 53.09869582220889,
+            52.89122200194293, 52.777520023348316, 52.72433220014622, 52.69959478990549,
+            52.6887332157943, 52.68388479461325,
         ],
-        "coef_full": "920527f97c53777b9ec546ac92d04b162735bac2801803d9708dad8c97e2879b",
-        "gamma": "67de81abe0beba44b0bb57c4c37ef448ecf7afc4dc3dc10134b037c280062a81",
+        "coef_full": "a296ecad1308c4c0962dc758f103fbcd21a1327090165a2e359f8196b986d268",
+        "gamma": "e0a5ead734cc85f6c72182b20297e35fb9f19c16e8f291ccdfba69d917e5ca40",
         "factors": {
-            "lam": "69096038b818f8cfdd1ac8c1cb11c159fedc8d4c53652975d4c2679f1ba835ab",
-            "B": "0f23d1f71c1f5a2102c307423958978f5ff3d99d51632bc3fee42e42691b559b",
+            "lam": "a938b30333994ebb72c918927e1bb6fa2f7b991a64774af08b184e904a840987",
+            "B": "b424bfa51e31c7314181992a737c41953dc140254f2ede4c2457c2a12c7ea1d1",
         },
-        "iterations": 15,
-        "converged": False,
-        "ridged": False,
-        "lasso_calls": None,
-        "lasso_capped": None,
+        "iterations": 13,
+        "converged": True,
+        "ridged": True,
+        "lasso_calls": 0,
+        "lasso_capped": 0,
     },
     # re-recorded for upper-triangle X rows: coef 5e-15 (rounding)
     "cp_rank1": {

@@ -2,6 +2,8 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symreg import (
     BERNOULLI,
@@ -471,6 +473,68 @@ def test_sym_tensor_lam_none_is_lam_zero(rng):
         for x, y in [(a.coef_full, b.coef_full), (a.gamma, b.gamma),
                      (a.factors.lam, b.factors.lam), (a.factors.B, b.factors.B)]:
             assert x.tobytes() == y.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 3),
+    st.sampled_from([0.0, 0.3, 3.0]),
+    st.booleans(),
+    st.sampled_from([8, 40]),
+)
+def test_gaussian_B_block_never_raises_objective(seed, rank, rho, voided, n):
+    # one prox-linear B step at fixed lam and gamma; a voided rank (lam_r = 0)
+    # gives the Jacobian p zero columns, and n = 8 < pR at rank 3 leaves the
+    # linearized least squares underdetermined
+    rng = np.random.default_rng(seed)
+    data = toy_dataset(rng, n=n, p=4)
+    gamma = rng.standard_normal(2)
+    lam = rng.standard_normal(rank)
+    if voided:
+        lam[-1] = 0.0
+    before = SymCPFactors(lam, rng.standard_normal((4, rank)))
+    B, xb = solvers._prox_linear_B(
+        data, data.Z @ gamma, before, rho, solvers._FactorBlocks(data, rho)
+    )
+    after = SymCPFactors(lam, B)
+    assert objective(data, gamma, after, rho) <= objective(data, gamma, before, rho)
+    assert np.array_equal(xb, data.xop.inner(after.to_full()))
+
+
+@pytest.mark.parametrize("family", [GAUSSIAN, BERNOULLI])
+def test_sym_tensor_B_block_follows_the_family(family, rng, monkeypatch):
+    # gaussian B takes the prox-linear step, bernoulli B the prox steps
+    calls = []
+    real = solvers.prox_update_B
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "prox_update_B", spy)
+    data = toy_dataset(rng, n=60, family=family)
+    init = SymCPFactors(None, rng.standard_normal((4, 2)))
+    res = fit_sym_tensor(data, FitConfig(rank=2, rho=0.1, max_outer_iters=5), init)
+    assert len(calls) == (res.iterations if family is BERNOULLI else 0)
+    assert ("lasso_calls" in res.meta) == (family is GAUSSIAN)
+
+
+def test_sym_tensor_reports_gaussian_B_block_solves(monkeypatch):
+    # one B block per outer iteration: a lasso call at rho > 0, a ridged
+    # least-squares solve at rho = 0 and R >= 2 (see _FactorBlocks)
+    data = synth_dataset(shape_signal(SignalShape("cross", 16)), 120, p0=2, seed=3)
+    init = SymCPFactors(None, np.random.default_rng(3).standard_normal((16, 2)))
+    res = fit_sym_tensor(data, FitConfig(rank=2, rho=0.5, max_outer_iters=4), init)
+    assert res.meta["lasso_calls"] == res.iterations
+    assert res.meta["lasso_iterations"] >= res.meta["lasso_calls"]
+    assert res.meta["ridged"] is False
+    res = fit_sym_tensor(data, FitConfig(rank=2, rho=0.0, max_outer_iters=4), init)
+    assert res.meta["ridged"] is True
+    assert res.meta["lasso_calls"] == res.meta["lasso_iterations"] == 0
+    monkeypatch.setattr(solvers, "CP_LASSO_MAX_ITER", 1)
+    res = fit_sym_tensor(data, FitConfig(rank=2, rho=0.5, max_outer_iters=4), init)
+    assert res.meta["lasso_capped"] == res.meta["lasso_calls"] == res.iterations
 
 
 def test_sym_tensor_scale_invariance(rng):
