@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluate, io, simulate, solvers
-from .glm import NumericalError
+from .glm import Family, NumericalError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -31,6 +31,9 @@ EXIT_NUMERICAL = 5
 # defaults; rank and rho are set per command (fit and replicate by flag, cv
 # by its grids).
 SOLVER_FLAGS = ("max_outer_iters", "tol", "seed")
+
+# the lasso counts of FitResult.meta that fit copies into metrics.json
+LASSO_KEYS = ("lasso_calls", "lasso_iterations", "lasso_capped")
 
 
 def _build_config(args, rank=None, rho=None):
@@ -60,11 +63,13 @@ def _outdir(args):
 def cmd_simulate(args):
     spec = simulate.SimSpec(
         shape=simulate.SignalShape(args.shape, args.p), n=args.n, p0=args.p0,
-        sigma=args.sigma, seed=args.seed,
+        sigma=args.sigma, seed=args.seed, family=Family(args.family),
+        signal_scale=args.signal_scale,
     )
     out = _outdir(args)
     io.write_dataset(simulate.gen_dataset(spec), out)
-    config = {name: getattr(args, name) for name in ("shape", "p", "n", "p0", "sigma")}
+    config = {name: getattr(args, name) for name in
+              ("shape", "p", "n", "p0", "sigma", "family", "signal_scale")}
     return EXIT_OK, config, []
 
 
@@ -105,6 +110,8 @@ def cmd_fit(args):
         "converged": bool(result.converged),
         "iterations": int(result.iterations),
         "objective": float(result.objective_trace[-1]),
+        # the fit's own l1 blocks; a bernoulli sym_tensor B block runs none
+        **{key: result.meta[key] for key in LASSO_KEYS if key in result.meta},
     })
     code = EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
     return code, {"estimator": args.estimator, **_config_snapshot(config)}, [args.data]
@@ -208,6 +215,9 @@ def build_parser():
     p_sim.add_argument("--p0", type=int, default=5)
     p_sim.add_argument("--sigma", type=float, default=1.0)
     p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--family", choices=["gaussian", "bernoulli"], default="gaussian")
+    p_sim.add_argument("--signal-scale", type=float, default=1.0,
+                       help="multiplies the 0/1 signal matrix of --shape")
     p_sim.add_argument("--out", required=True)
     p_sim.set_defaults(func=cmd_simulate)
 

@@ -1,12 +1,14 @@
 # Exponential-family plumbing: losses, (weighted) GLM fits with offsets via
 # least squares / IRLS (stopped on the Newton decrement), the soft-threshold
 # operator, and an l1-penalized GLM. Its one l1 solver is a FISTA loop with
-# restart on a quadratic, x'Gx/2 - c'x + rho*|x|_1, at the fixed step
-# 1/eigmax(G): the gaussian loss is that quadratic, and bernoulli runs it
-# inside proximal Newton on the loss's weighted quadratic model. IRLS and
-# proximal Newton take each step from one logistic model (_logistic_model)
-# and one step-halving search (_damped_step). The matrix solvers build all
-# of their block updates from these.
+# restart on a quadratic, x'Gx/2 - c'x + rho*|x|_1, whose proximal steps are
+# taken in a metric a*I + b*u u' that a Cholesky factorization certifies to
+# majorize G (the scalar step 1/eigmax(G) where it cannot): the gaussian
+# loss is that quadratic, and bernoulli runs it inside proximal Newton on
+# the loss's weighted quadratic model. IRLS and proximal Newton take each
+# step from one logistic model (_logistic_model) and one step-halving search
+# (_damped_step). The matrix solvers build all of their block updates from
+# these.
 
 import math
 from dataclasses import dataclass
@@ -242,13 +244,17 @@ def fit_glm_lasso(problem, rho, coef0=None, max_iter=2000, kkt_tol=1e-9, info=No
     KKT test passed) and "kkt" (the returned iterate's residual over that
     scale).
 
-    One FISTA loop on a quadratic, _lasso_quadratic, does the l1 work. The
-    gaussian loss is that quadratic, on G = Z'Z and c = Z'(y - offset). The
-    bernoulli loss runs proximal Newton on it (_lasso_newton): the loop
-    solves the loss's second-order model on G = Z'WZ, and the step to that
-    solution is halved until the true objective does not rise. Its
-    "iterations" are the loop's, summed over the Newton steps and capped at
-    max_iter in total; its trace holds the objective at each Newton iterate.
+    One FISTA loop on a quadratic, _lasso_quadratic, does the l1 work. Its
+    proximal steps are taken in a metric H = a*I + b*u u', u G's top
+    eigenvector, that a Cholesky factorization of H - G certifies to
+    majorize G; where the certificate fails, or u has an exact zero, H is
+    eigmax(G)*I, the fixed step 1/eigmax(G). The gaussian loss is that
+    quadratic, on G = Z'Z and c = Z'(y - offset). The bernoulli loss runs
+    proximal Newton on it (_lasso_newton): the loop solves the loss's
+    second-order model on G = Z'WZ, and the step to that solution is halved
+    until the true objective does not rise. Its "iterations" are the loop's,
+    summed over the Newton steps and capped at max_iter in total; its trace
+    holds the objective at each Newton iterate.
     """
     if rho < 0:
         raise ValueError("rho must be nonnegative")
@@ -287,28 +293,161 @@ def _kkt_scale(grad0, rho):
     return max(float(np.abs(grad0).max()), rho) or 1.0
 
 
+# The metric of _lasso_quadratic (_rank_one_metric): u is G's top eigenvector
+# by power iteration and L = (1 + METRIC_MARGIN) times its Rayleigh quotient;
+# a is first tried at METRIC_SLACK times an estimate of G's second
+# eigenvalue, and never below METRIC_FLOOR * L.
+METRIC_MARGIN = 1e-8
+METRIC_SLACK = 1.2
+METRIC_FLOOR = 1e-3
+POWER_TOL = 1e-10  # power iteration on G stops once no entry of u moves more
+POWER_MAX_ITER = 50
+DEFLATED_POWER_STEPS = 4  # power steps on G - theta*u u'
+
+
+def _lasso_metric(G):
+    """(a, b, u) such that H = a*I + b*u u' majorizes G: H - G >= 0.
+
+    The rank-one metric of _rank_one_metric where its certificate holds;
+    otherwise the scalar a = eigmax(G) (1 where that is 0) with b = 0, the
+    fixed step 1/eigmax(G) of plain FISTA. A non-finite G goes straight to
+    eigvalsh, whose LinAlgError reports it.
+    """
+    if np.isfinite(G).all():
+        metric = _rank_one_metric(G)
+        if metric is not None:
+            return metric
+    return float(np.linalg.eigvalsh(G)[-1]) or 1.0, 0.0, np.zeros(G.shape[0])
+
+
+def _rank_one_metric(G):
+    """(a, b, u) with b > 0 and a Cholesky certificate that H - G >= 0, or None.
+
+    Power iteration, started from G's column of largest diagonal, gives the
+    unit vector u and L = theta*(1 + METRIC_MARGIN), theta = u'Gu. A few
+    power steps on G - theta*u u' estimate G's second eigenvalue. a starts
+    at max(METRIC_SLACK * that estimate, METRIC_FLOOR * L) and doubles until
+    np.linalg.cholesky(a*I + (L - a)*u u' - G) succeeds: that certifies
+    H - G >= 0 with b = L - a. None where a reaches L, or u has an exact
+    zero (the step's breakpoints divide by u).
+    """
+    v = G[:, int(np.argmax(np.diagonal(G)))]
+    u = np.zeros_like(v)
+    for _ in range(POWER_MAX_ITER):
+        norm = float(np.linalg.norm(v))
+        if not norm:
+            break
+        v = v / norm
+        moved = float(np.abs(v - u).max())
+        u = v
+        if moved <= POWER_TOL:
+            break
+        v = G.dot(u)
+    if not np.all(u):
+        return None
+    theta = float(u.dot(G.dot(u)))
+    L = theta * (1.0 + METRIC_MARGIN)
+    uu = np.outer(u, u)
+    rest = G - theta * uu
+    r, second = rest[:, int(np.argmax(np.diagonal(rest)))], 0.0
+    for _ in range(DEFLATED_POWER_STEPS):
+        norm = float(np.linalg.norm(r))
+        if not norm:
+            break
+        r = rest.dot(r / norm)
+        second = float(np.linalg.norm(r))
+    a = max(METRIC_SLACK * second, METRIC_FLOOR * L)
+    while a < L:
+        gap = (L - a) * uu - G
+        gap.flat[:: gap.shape[0] + 1] += a
+        try:
+            np.linalg.cholesky(gap)
+            return a, L - a, u
+        except np.linalg.LinAlgError:
+            a *= 2.0
+    return None
+
+
+def _metric_prox(a, b, u, rho):
+    """The proximal step in the metric H = a*I + b*u u', as a function of
+    (y, g): argmin over x of g'(x - y) + (x - y)'H(x - y)/2 + rho*||x||_1.
+
+    It is x(alpha) = soft(y - (g + alpha*u)/a, rho/a) at the root of
+    phi(alpha) = alpha - b*u'(x(alpha) - y), which is piecewise linear and
+    increasing (its slope is at least 1), so the root is unique (Becker &
+    Fadili 2012). Coordinate j is zero for alpha between its breakpoints
+    (a*w_j -+ rho)/u_j, w = y - g/a; phi's slope and intercept change at
+    each. Their cumulative sums over the sorted breakpoints give phi at
+    every breakpoint, hence the segment that holds the root, and the root
+    is solved exactly on that segment's signs. u must have no zero entry
+    where b > 0; at b = 0 the step is the scalar one, soft(y - g/a, rho/a).
+    """
+    delta = 1.0 / a
+    shrink = rho * delta
+    if not b:
+        def prox(y, g):
+            v = y - delta * g
+            return np.sign(v) * np.maximum(np.abs(v) - shrink, 0.0)
+        return prox
+    q = u.size
+    a_u, width, sign_u = a / u, rho / np.abs(u), np.sign(u)
+    bu, bdu = b * u, (b * delta) * u
+    slope = bdu * u
+    bdr = rho * np.abs(bdu)
+    bdru = rho * bdu
+    dslope = np.concatenate((-slope, slope))
+    slope0 = 1.0 + float(slope.sum())
+    intercept_rho = float(bdr.sum())
+
+    def prox(y, g):
+        t = (y - delta * g) * a_u
+        bp = np.concatenate((t - width, t + width))
+        order = bp.argsort(kind="stable")
+        # phi = slope*alpha + intercept on each segment. Below every
+        # breakpoint, x_j has the sign of u_j for all j; past (a*w_j - rho)/u_j
+        # coordinate j is zero, and past (a*w_j + rho)/u_j it has the other sign
+        ug, buy = bdu * g, bu * y
+        e = buy - ug
+        dintercept = np.concatenate((e - bdr, -e - bdr))
+        phi = ((slope0 + np.cumsum(dslope[order])) * bp[order]
+               + (float(ug.sum()) + intercept_rho + np.cumsum(dintercept[order])))
+        above = phi > 0.0
+        k = int(above.argmax()) if above[-1] else 2 * q
+        passed = np.zeros(2 * q, dtype=bool)
+        passed[order[:k]] = True
+        sign = sign_u * (1.0 - passed[:q] - passed[q:])
+        active = np.abs(sign)
+        alpha = -(float(active.dot(ug - buy)) + float(sign.dot(bdru))
+                  + float(buy.sum())) / (1.0 + float(active.dot(slope)))
+        v = y - delta * (g + alpha * u)
+        return np.sign(v) * np.maximum(np.abs(v) - shrink, 0.0)
+    return prox
+
+
 def _lasso_quadratic(G, c, const, rho, x, max_iter, kkt_tol, scale):
     """Minimize x'Gx/2 - c'x + const + rho*||x||_1 from x by FISTA (Beck &
-    Teboulle 2009) at the fixed step 1/L, L = eigmax(G).
+    Teboulle 2009) in the metric H = a*I + b*u u' of _lasso_metric.
 
-    Momentum restarts (O'Donoghue & Candes 2015) when the step from the
-    extrapolated point y to x+ points against the last move,
-    (y - x+).(x+ - x) > 0. A candidate that raises the objective is replaced
-    by a plain proximal step from x, which cannot, and the momentum restarts.
-    The KKT test (residual of Gx - c over scale), the trace and the result
-    follow the monotone iterate x; each iterate carries its product G x, and
-    y's is the same linear combination of them as y. A plain step that moves
-    nothing ends the call unconverged. Returns x and fit_glm_lasso's info.
+    Each step is the proximal step of the quadratic model at y in H
+    (_metric_prox): H majorizes G, so a plain step from x cannot raise the
+    objective. H is built once per call; where the certificate fails it is
+    the scalar eigmax(G)*I, the fixed step 1/eigmax(G). Momentum restarts
+    (O'Donoghue & Candes 2015) when the step from the extrapolated point y
+    to x+ points against the last move in H, (y - x+)'H(x+ - x) > 0. A
+    candidate that raises the objective is replaced by a plain proximal step
+    from x, and the momentum restarts. The KKT test (residual of Gx - c
+    over scale), the trace and the result follow the monotone iterate x;
+    each iterate carries its product G x, and y's is the same linear
+    combination of them as y. A plain step that moves nothing ends the call
+    unconverged. Returns x and fit_glm_lasso's info.
     """
-    delta = 1.0 / (float(np.linalg.eigvalsh(G)[-1]) or 1.0)
-    shrink = rho * delta
+    a, b, u = _lasso_metric(G)
+    prox, ratio = _metric_prox(a, b, u, rho), b / a
 
     # Call overhead is most of a step's cost, so .dot and count_nonzero stand
-    # in for @ and .any(), and soft_threshold is inlined (rho >= 0 was
-    # checked on entry).
+    # in for @ and .any() (rho >= 0 was checked on entry).
     def step(y, gy, x, gx, l1):
-        v = y - delta * (gy - c)
-        x1 = np.sign(v) * np.maximum(np.abs(v) - shrink, 0.0)
+        x1 = prox(y, gy - c)
         gx1, l1_1, move = G.dot(x1), float(np.abs(x1).sum()), x1 - x
         # F(x1) - F(x), as (x1 - x)'(G(x1 + x)/2 - c) by the symmetry of G:
         # no cancellation against const, so the monotone test stays exact
@@ -335,8 +474,10 @@ def _lasso_quadratic(G, c, const, rho, x, max_iter, kkt_tol, scale):
         if beta == 0.0 or restart:  # a plain step: stop if it stalls
             if not np.count_nonzero(move):
                 break
-        else:  # the gradient restart test
-            restart = float((y - x1).dot(move)) > 0.0
+        else:  # the gradient restart test, (y - x1)'H(x1 - x) / a > 0
+            back = y - x1
+            restart = (float(back.dot(move))
+                       + ratio * float(u.dot(back)) * float(u.dot(move))) > 0.0
         if restart:
             t, beta, y, gy = 1.0, 0.0, x1, gx1
         else:

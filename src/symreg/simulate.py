@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .glm import BERNOULLI, GAUSSIAN
+from .glm import BERNOULLI, GAUSSIAN, Family
 from .solvers import Dataset
 
 SHAPE_NAMES = ("circle", "cross", "butterfly", "two_box", "three_box")
@@ -99,11 +99,16 @@ def random_correlation(p, rng):
 
 @dataclass(frozen=True)
 class SimSpec:
+    """One simulated design: the true B is signal_scale times the 0/1 signal
+    of `shape`; sigma is the gaussian noise level (bernoulli ignores it)."""
+
     shape: SignalShape
     n: int
     p0: int = 5
     sigma: float = 1.0
     seed: int = 0
+    family: Family = GAUSSIAN
+    signal_scale: float = 1.0
 
     def __post_init__(self):
         if self.n < 1:
@@ -112,6 +117,8 @@ class SimSpec:
             raise ValueError("sigma must be finite and nonnegative")
         if self.p0 < 0:
             raise ValueError("p0 must be nonnegative")
+        if not math.isfinite(self.signal_scale):
+            raise ValueError("signal_scale must be finite")
 
 
 def synth_dataset(b0, n, p0=5, gamma0=None, sigma=1.0, seed=0, family=GAUSSIAN):
@@ -147,11 +154,11 @@ def synth_dataset(b0, n, p0=5, gamma0=None, sigma=1.0, seed=0, family=GAUSSIAN):
 
 def gen_dataset(spec):
     """Generate the full synthetic dataset for one SimSpec."""
-    b0 = shape_signal(spec.shape)
     return synth_dataset(
-        b0,
+        spec.signal_scale * shape_signal(spec.shape),
         spec.n,
         p0=spec.p0,
         sigma=spec.sigma,
         seed=spec.seed,
+        family=spec.family,
     )

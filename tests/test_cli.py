@@ -9,10 +9,10 @@ import pytest
 
 from symreg import FitConfig, construct_init, evaluate, fit_sym_tensor
 from symreg.cli import main
-from symreg.glm import GAUSSIAN, GlmConvergenceError
+from symreg.glm import BERNOULLI, GAUSSIAN, GlmConvergenceError
 from symreg.solvers import NumericalError
 from symreg.io import read_dataset, read_matrix_csv, write_dataset, write_matrix_csv
-from symreg.simulate import synth_dataset
+from symreg.simulate import SignalShape, shape_signal, synth_dataset
 from symreg.tensor_ops import symcp_to_full
 
 from conftest import overflow_dataset
@@ -69,7 +69,10 @@ def test_simulate_and_fit_files_byte_pinned(tmp_path):
     # prox-linear step: the fit (rank 3, rho 0, n = 40 < pR = 48) now
     # converges at outer iteration 46 at objective 7.306 (exit 0), where the
     # prox steps interpolated towards 0.0085 and stopped at the cap of 200
-    # (exit 4); held-out MSE on 2000 fresh draws 5.25 against 12.74
+    # (exit 4); held-out MSE on 2000 fresh draws 5.25 against 12.74.
+    # metrics.json was re-recorded when it gained the fit's lasso counts
+    # (lasso_calls, lasso_iterations, lasso_capped: 0, 0, 0 at rho = 0); the
+    # other fit files are unchanged
     ds, fit = tmp_path / "ds", tmp_path / "fit"
     assert run("simulate", "--shape", "two_box", "--p", "16", "--n", "40",
                "--seed", "3", "--out", ds) == 0
@@ -83,9 +86,31 @@ def test_simulate_and_fit_files_byte_pinned(tmp_path):
         "coef_full.csv": "2ffce8f45983c94f7ddbadea8c0076ceaa4bfdeefc46434eae22de002d9132b8",
         "factors.csv": "0ef9728cc25d3097a26bcb0bcaeec90cb6276cfed811c31353a33290669e1576",
         "gamma.csv": "d7ed6267336cfd11c1bb13e13bb623e2db0f577d84220bf72969fb054e185378",
-        "metrics.json": "ab0ca5b4730295ce1e1e0b8fb57cf223013d2737c12e777702b657cdbafa5168",
+        "metrics.json": "0cd2994c0064cb4a6494c8f4c0301cc5fd8296f521bfab8bdc4278f49777c4fc",
         "trace.csv": "5ea79100f0cdb3b8e02b5b52e8edaac7b3807973064cc10898e1e79880e95bc9",
     }
+
+
+def test_simulate_bernoulli_writes_the_synth_dataset_bytes(tmp_path):
+    # --family bernoulli with --signal-scale writes exactly what io writes for
+    # the same synth_dataset draw, so scripts can build logistic data by CLI
+    out = tmp_path / "cli"
+    assert run("simulate", "--shape", "two_box", "--p", "16", "--n", "30", "--p0", "2",
+               "--seed", "22", "--family", "bernoulli", "--signal-scale", "0.3",
+               "--out", out) == 0
+    b0 = 0.3 * shape_signal(SignalShape("two_box", 16))
+    write_dataset(synth_dataset(b0, 30, p0=2, seed=22, family=BERNOULLI), tmp_path / "io")
+    assert _digests(out) == _digests(tmp_path / "io")
+    assert json.loads((out / "meta.json").read_text())["family"] == "bernoulli"
+    assert set(read_dataset(out)[0].y) == {0.0, 1.0}
+
+
+def test_simulate_bad_family_or_scale_exits_2(tmp_path):
+    base = ["simulate", "--shape", "two_box", "--p", "16", "--n", "5", "--out", tmp_path / "x"]
+    assert run(*base, "--signal-scale", "nan") == 2
+    with pytest.raises(SystemExit) as exc:  # argparse rejects the choice
+        run(*base, "--family", "poisson")
+    assert exc.value.code == 2
 
 
 def test_simulate_invalid_p_exits_2(tmp_path):
@@ -159,6 +184,26 @@ def test_fit_noiseless_rank1_recovery(tmp_path):
     assert code == 0
     metrics = json.loads((out / "metrics.json").read_text())
     assert metrics["mse_pred_in"] <= 1e-8
+
+
+def test_fit_metrics_report_the_lasso_counts(sim_dir, tmp_path):
+    # metrics.json carries the fit's own lasso counts wherever its meta has
+    # them: a gaussian sym_tensor fit runs one B-block lasso per outer
+    # iteration at rho > 0; a bernoulli one runs none and reports none
+    out = tmp_path / "lasso"
+    run("fit", sim_dir, "--estimator", "sym_tensor", "--rank", "2", "--rho", "0.5",
+        "--max-outer-iters", "5", "--out", out)
+    metrics = json.loads((out / "metrics.json").read_text())
+    assert metrics["lasso_calls"] == metrics["iterations"]
+    assert metrics["lasso_iterations"] >= metrics["lasso_calls"]
+    assert metrics["lasso_capped"] == 0
+    ds = tmp_path / "logistic"
+    assert run("simulate", "--shape", "two_box", "--p", "16", "--n", "60", "--seed", "1",
+               "--family", "bernoulli", "--out", ds) == 0
+    run("fit", ds, "--estimator", "sym_tensor", "--rank", "2", "--rho", "0.5",
+        "--max-outer-iters", "3", "--out", tmp_path / "logit")
+    metrics = json.loads((tmp_path / "logit" / "metrics.json").read_text())
+    assert not {"lasso_calls", "lasso_iterations", "lasso_capped"} & set(metrics)
 
 
 def test_fit_malformed_matrix_exits_2(sim_dir, tmp_path):
@@ -627,7 +672,8 @@ SOLVER_DEFAULTS = {"seed": 0, "tol": 0.0001}
 MANIFEST_CASES = {
     "simulate": (
         ["simulate", "--shape", "cross", "--p", "16", "--n", "12", "--seed", "4"], 0,
-        {"shape": "cross", "p": 16, "n": 12, "p0": 5, "sigma": 1.0},
+        {"shape": "cross", "p": 16, "n": 12, "p0": 5, "sigma": 1.0, "family": "gaussian",
+         "signal_scale": 1.0},
     ),
     "fit": (
         ["fit", "DATA", "--estimator", "sym_cp", "--rank", "2", "--rho", "0.25",

@@ -16,6 +16,7 @@ from symreg import (
     soft_threshold,
 )
 from symreg import glm
+from symreg.simulate import random_correlations
 
 
 # ---------------------------------------------------------------- negloglik
@@ -362,6 +363,13 @@ def test_lasso_rejects_non_finite_inputs(rng):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="coef0"):
             fit_glm_lasso(GlmProblem(y, Z), 0.1, coef0=[0.0, np.inf, 0.0])
+    # a non-finite design reaches eigvalsh, whose LinAlgError reports it;
+    # the metric's power iteration must not warn on it first
+    for value in (np.nan, np.inf):
+        bad_Z = Z.copy()
+        bad_Z[4, 1] = value
+        with pytest.raises(np.linalg.LinAlgError):
+            fit_glm_lasso(GlmProblem(y, bad_Z), 0.1)
 
 
 
@@ -388,19 +396,57 @@ def test_lasso_design_rejects_overflowed_negloglik():
     assert np.abs(Z @ coef).max() <= 4.0
 
 
+# The proximal step of the quadratic model at y in the metric
+# H = a*I + b*u u' of glm._lasso_metric, found without running sums: phi is
+# evaluated directly at every breakpoint, and the signs of the segment that
+# holds its root give alpha in the same arithmetic as glm._metric_prox.
+def reference_metric_step(a, b, u, rho):
+    delta = 1.0 / a
+
+    def step(y, g):
+        if b == 0.0:
+            return soft_threshold(y - delta * g, rho * delta)
+        t = (y - delta * g) * (a / u)
+        lo, hi = t - rho / np.abs(u), t + rho / np.abs(u)
+        points = np.sort(np.concatenate((lo, hi)))
+        moved = soft_threshold(y - delta * (g + points[:, None] * u), rho * delta) - y
+        phi = points - b * (moved @ u)
+        k = int(np.argmax(phi > 0.0)) if phi[-1] > 0.0 else points.size
+        left = points[k - 1] if k > 0 else points[0] - 1.0
+        right = points[k] if k < points.size else points[-1] + 1.0
+        mid = 0.5 * (left + right)
+        sign = np.sign(u) * ((mid < lo) * 1.0 - (mid > hi))
+        active = np.abs(sign)
+        bdu = (b * delta) * u
+        ug, buy = bdu * g, (b * u) * y
+        alpha = -(float(active @ (ug - buy)) + float(sign @ (rho * bdu))
+                  + float(buy.sum())) / (1.0 + float(active @ (bdu * u)))
+        return soft_threshold(y - delta * (g + alpha * u), rho * delta)
+
+    return step
+
+
+def _metric_restart(a, b, u, y, x1, x):
+    # (y - x1)'H(x1 - x) > 0: the step from y points against the last move
+    move = x1 - x
+    return float((y - x1) @ (a * move + b * u * float(u @ move))) > 0.0
+
+
 # FISTA with gradient restart and a monotone safeguard, written out on the
 # n-row design: gradients Z'(Z x - r) and objectives from residuals, no
-# cached inner products. The reference for the Gram path's algebra.
+# cached inner products, and the metric step above. The reference for the
+# Gram path's algebra.
 def reference_fista_design(problem, rho, coef0=None, max_iter=2000, kkt_tol=1e-9):
     Z, r = problem.Z, problem.y - problem.offset
     scale = max(np.abs(Z.T @ r).max(), rho) or 1.0
-    delta = 1.0 / np.linalg.norm(Z, 2) ** 2
+    a, b, u = glm._lasso_metric(Z.T @ Z)
+    metric_step = reference_metric_step(a, b, u, rho)
 
     def objective(x):
         return 0.5 * np.sum((r - Z @ x) ** 2) + rho * np.abs(x).sum()
 
     def prox(x):
-        return soft_threshold(x - delta * (Z.T @ (Z @ x - r)), rho * delta)
+        return metric_step(x, Z.T @ (Z @ x - r))
 
     def kkt(x):
         grad = Z.T @ (Z @ x - r)
@@ -421,7 +467,7 @@ def reference_fista_design(problem, rho, coef0=None, max_iter=2000, kkt_tol=1e-9
         if (beta == 0 or restart) and np.array_equal(x1, x):
             break
         if beta > 0 and not restart:
-            restart = (y - x1) @ (x1 - x) > 0
+            restart = _metric_restart(a, b, u, y, x1, x)
         if restart:
             t, beta = 1.0, 0.0
         else:
@@ -444,8 +490,8 @@ def reference_fista_gram(problem, rho, coef0=None, max_iter=2000, kkt_tol=1e-9,
     Z, r = problem.Z, problem.y - problem.offset
     G, c, half_rr = Z.T @ Z, Z.T @ r, 0.5 * float(r @ r)
     scale = max(float(np.abs(c).max()), rho) or 1.0
-    lip = float(np.linalg.eigvalsh(G)[-1])
-    delta = 1.0 / lip if lip > 0 else 1.0
+    a, b, u = glm._lasso_metric(G)
+    metric_step = reference_metric_step(a, b, u, rho)
     evaluations = 0
 
     def checked(value):
@@ -456,7 +502,7 @@ def reference_fista_gram(problem, rho, coef0=None, max_iter=2000, kkt_tol=1e-9,
         return value
 
     def prox(y, gy, x, gx):
-        x1 = soft_threshold(y - delta * (gy - c), rho * delta)
+        x1 = metric_step(y, gy - c)
         gx1 = G @ x1
         change = float((x1 - x) @ (0.5 * (gx1 + gx) - c))
         change += rho * (float(np.abs(x1).sum()) - float(np.abs(x).sum()))
@@ -486,7 +532,7 @@ def reference_fista_gram(problem, rho, coef0=None, max_iter=2000, kkt_tol=1e-9,
             x1, gx1, change = prox(x, gx, x, gx)
         if (beta == 0 or safeguard) and np.array_equal(x1, x):
             break
-        restart = beta > 0 and not safeguard and float((y - x1) @ (x1 - x)) > 0
+        restart = beta > 0 and not safeguard and _metric_restart(a, b, u, y, x1, x)
         if counts is not None:
             counts["safeguard"] += safeguard
             counts["restart"] += restart
@@ -526,16 +572,26 @@ def _random_problem(seed):
     return GlmProblem(y, Z, offset=rng.standard_normal(n)), None
 
 
-def _cp_block_problem(seed, n=120, p=8, r=3):
+def _cp_block_problem(seed, n=120, p=8, r=3, correlations=False):
     # a CP factor block on symmetric X: rank-deficient by R(R-1)/2
     rng = np.random.default_rng(seed)
-    X = rng.standard_normal((n, p, p))
-    X = (X + X.transpose(0, 2, 1)) / 2.0
+    if correlations:
+        X = random_correlations(n, p, rng)
+    else:
+        X = rng.standard_normal((n, p, p))
+        X = (X + X.transpose(0, 2, 1)) / 2.0
     b_other = rng.standard_normal((p, r))
     design = np.einsum("ipq,qr->ipr", X, b_other).reshape(n, p * r)
     y = design @ rng.standard_normal(p * r) * 0.3 + rng.standard_normal(n)
     problem = GlmProblem(y, design, offset=0.1 * rng.standard_normal(n))
     return problem, rng.standard_normal(p * r)
+
+
+def _correlation_block_problem(seed, n=120, p=8, r=3):
+    # X drawn as the simulations draw them, correlation matrices: the unit
+    # diagonal that every record shares gives G one dominant eigenvalue, so
+    # the lasso steps in a rank-one metric
+    return _cp_block_problem(seed, n, p, r, correlations=True)
 
 
 def _scaled(problem, root):
@@ -570,6 +626,8 @@ def _top_eigvec_start(seed):
         (_random_problem, 3, 0.0, 2000),
         (_cp_block_problem, 4, 0.5, 500),
         (_cp_block_problem, 5, 5.0, 500),
+        (_correlation_block_problem, 9, 0.5, 500),
+        (_correlation_block_problem, 10, 0.0, 500),
     ],
 )
 def test_lasso_gram_path_matches_reference(make, seed, rho, max_iter):
@@ -621,6 +679,9 @@ def test_lasso_gram_path_matches_reference(make, seed, rho, max_iter):
         (_large_gram_block, 5, 0.0, 500),
         (_top_eigvec_start, 7, 0.0, 500),
         (_top_eigvec_start, 7, 0.5, 500),
+        (_correlation_block_problem, 9, 0.5, 500),
+        (_correlation_block_problem, 10, 0.0, 500),
+        (_correlation_block_problem, 11, 5.0, 500),
     ],
 )
 def test_lasso_windows_match_gram_reference(make, seed, rho, max_iter):
@@ -645,6 +706,86 @@ def test_lasso_gram_restarts_and_safeguards_are_exercised():
         _assert_matches_gram_reference(problem, 0.5, coef0, counts=counts,
                                        max_iter=500, kkt_tol=1e-9)
     assert counts["restart"] > 0 and counts["safeguard"] > 0
+
+
+@st.composite
+def _metric_grams(draw):
+    """A PSD G: a CP block on correlation covariates, random low-rank, zero,
+    1 x 1, the identity, or block diagonal with the top eigenvector inside
+    its first block, so that power iteration leaves exact zeros in u."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    kind = draw(st.sampled_from(
+        ["correlation_block", "low_rank", "zero", "one_by_one", "identity", "zeros_in_u"]
+    ))
+    q = draw(st.integers(2, 24))
+    if kind == "correlation_block":
+        p, r = draw(st.integers(2, 6)), draw(st.integers(1, 3))
+        problem, _ = _correlation_block_problem(seed, n=draw(st.integers(5, 60)), p=p, r=r)
+        G = problem.Z.T @ problem.Z
+    elif kind == "low_rank":
+        A = rng.standard_normal((q, draw(st.integers(1, q))))
+        G = A @ A.T
+    elif kind == "zero":
+        G = np.zeros((q, q))
+    elif kind == "one_by_one":
+        G = np.array([[rng.uniform(1e-3, 1e3)]])
+    elif kind == "identity":
+        G = np.eye(q)
+    else:
+        A = rng.standard_normal((q, q))
+        G = np.zeros((q + 3, q + 3))
+        G[:q, :q] = 10.0 * (A @ A.T)
+        G[q:, q:] = np.eye(3)
+    G = G * draw(st.sampled_from([1.0, 1e-4, 1e4]))
+    return kind, G, seed
+
+
+@settings(max_examples=150, deadline=None)
+@given(_metric_grams(), st.sampled_from([0.0, 1e-3, 0.3, 3.0]))
+def test_lasso_metric_majorizes_and_its_step_is_the_prox(case, rho_scale):
+    kind, G, seed = case
+    a, b, u = glm._lasso_metric(G)
+    L = a + b
+    H = a * np.eye(G.shape[0]) + b * np.outer(u, u)
+    assert a > 0.0 and b >= 0.0
+    assert np.linalg.eigvalsh(H - G).min() >= -1e-10 * L
+    if b > 0.0:
+        assert np.all(u) and abs(np.linalg.norm(u) - 1.0) <= 1e-12
+    if kind in ("zero", "identity", "zeros_in_u"):
+        assert b == 0.0
+    # the step solves its own subproblem: 0 is in g + H(x1 - y) + rho*d|x1|
+    rng = np.random.default_rng(seed + 1)
+    y = rng.standard_normal(G.shape[0]) * rng.choice([0.0, 1.0, 100.0], G.shape[0])
+    g = G @ y - G @ rng.standard_normal(G.shape[0]) + rng.standard_normal(G.shape[0])
+    rho = rho_scale * (float(np.abs(g).max()) or 1.0)
+    x1 = glm._metric_prox(a, b, u, rho)(y, g)
+    residual = g + H @ (x1 - y)
+    slack = 1e-11 * (float(np.abs(g).max()) + L * float(np.abs(y).max()) + rho)
+    active = x1 != 0.0
+    assert np.all(np.abs(residual[active] + rho * np.sign(x1[active])) <= slack)
+    assert np.all(np.abs(residual[~active]) <= rho + slack)
+
+
+def test_lasso_metric_takes_the_rank_one_path_on_correlation_blocks(monkeypatch):
+    # the fast path must not be lost silently: a CP block on correlation
+    # covariates steps in a rank-one metric (b > 0), while G = I, whose top
+    # eigenvector is a coordinate axis, keeps the scalar step 1/eigmax(G)
+    metrics, build = [], glm._lasso_metric
+
+    def spy(G):
+        metrics.append(build(G))
+        return metrics[-1]
+
+    monkeypatch.setattr(glm, "_lasso_metric", spy)
+    problem, coef0 = _correlation_block_problem(9)
+    fit_glm_lasso(problem, 0.5, coef0=coef0, max_iter=500, kkt_tol=1e-4)
+    (a, b, u), = metrics
+    assert b > 0.0 and a < 0.2 * (a + b)
+    metrics.clear()
+    fit_glm_lasso(GlmProblem([1.0, -2.0, 0.5], np.eye(3)), 0.1)
+    (a, b, u), = metrics
+    assert (a, b) == (1.0, 0.0)
 
 
 # The test_lasso_windows_* tests are named after the loop's earlier form,

@@ -156,17 +156,22 @@ GOLDEN = {
     # re-recorded when the Gaussian CP lasso moved to FISTA with restart, stopping
     # at a KKT residual of 1e-4 relative to its block instead of at its cap
     # re-recorded for upper-triangle X rows: coef 2e-13 (rounding)
+    # re-recorded when the l1 loop moved from the scalar step 1/eigmax(G) to
+    # the certified rank-one metric a*I + b*u u': the 16 lasso calls run 487
+    # iterations instead of 1,802 and stop at the same relative KKT
+    # tolerance, at other points; it ends at 68.9873 instead of 68.9985
+    # (-0.016%); coef_full moved 0.9% of its largest entry
     "cp_lasso": {
         "objective_trace": [
-            6834.734552180622, 160.090279944019, 86.55987443911783, 79.32391089247619,
-            76.11856758554683, 74.0128389423233, 72.34083412794757, 70.67835787117431,
-            68.99848691859037,
+            6834.734552180622, 160.1490355246821, 86.59212757691725, 79.34970299286366,
+            76.17633421268658, 74.06440819800561, 72.36818583994261, 70.66639586838741,
+            68.987276738383,
         ],
-        "coef_full": "819b2c097a9ca1eea27d713869f143f58ac0651517fc8747536ba82856518cda",
-        "gamma": "76e6d5bde3c8a27104acd5a10afb919bcdbf06a7739779bfb3b585f1f651de89",
+        "coef_full": "51615694cc386f23445e57937796f7ea3706d9cb04021f68352c6c86317b3e0c",
+        "gamma": "c7824f69760083787ad74b1fa6edb47ef1eb03d4f96e4ce81e885de572ad4ee0",
         "factors": {
-            "B1": "6b96d30bf6f50e8d922c5d003b8cb6f189344360ce348aab2a3c5dec2f6a5195",
-            "B2": "09989ac22e045dda096d3e1440da9d0d8aa6d44a8396b77e07f4479bc82ac1b4",
+            "B1": "e6e0f14c12598908c71a450077aaec8731966eb3101b36169d0ef4031d75f182",
+            "B2": "a92490f56ecd081ca7dd68984cdbb1f92507c93fec3324c46325ffcbe958f804",
         },
         "iterations": 8,
         "converged": False,
@@ -183,17 +188,20 @@ GOLDEN = {
     # proximal Newton on the weighted Gram Z'WZ: no block stops at the cap
     # (2 of 12 did), the lasso runs 2,598 iterations instead of 4,917, and
     # the final objective is 8.6737 instead of 8.8874
+    # re-recorded for the rank-one metric step, which proximal Newton runs on
+    # each Z'WZ: 939 lasso iterations instead of 2,598, none capped, and the
+    # final objective is 8.5298 instead of 8.6737 (-1.7%); coef_full moved
+    # 23% of its largest entry
     "cp_bernoulli": {
         "objective_trace": [
-            327.69594719960645, 30.328260736761663, 19.368857385135875,
-            12.978393982531028, 10.355921670330893, 9.189729169409922,
-            8.673654913527571,
+            327.69594719960645, 30.325697545689742, 19.04412441679853,
+            12.521225206514378, 10.050713566017967, 8.958083619797216, 8.52984282994326,
         ],
-        "coef_full": "c197e656ce49521c0839d87545625c8d2037141393af753e380c888552527976",
-        "gamma": "84ca4f4781fd2770912207c8bca0a52ba6338ecd8c34b6a09b335a4ddf2c0a8e",
+        "coef_full": "e0c6924514956f1d04ff4fe75857fa49f08a955be19a2b08113d053a09d66bd7",
+        "gamma": "ab0f7aecbfec7c994fe537e3c37d0038cfa1e78c1c42299d106d71df8dd60b14",
         "factors": {
-            "B1": "15e13f73e5d1ac8d0265007c7f8c9dd67c63c30bba558f365f0367bc6656656c",
-            "B2": "56894135d7616e008f78d30e2b660e15b35e37fae4ab95320b3fc707df865d4e",
+            "B1": "3a08fd91644ca40d828f5433f8116e8be2e77e16fb871738c56643327b86fea2",
+            "B2": "bc535edf79def62f51c9ae0d216df70d3489beae3015b04c65ae050e2135f21a",
         },
         "iterations": 6,
         "converged": False,
@@ -234,26 +242,31 @@ GOLDEN = {
     # From the random init it ends at 84.6031 instead of 79.1572 (+6.9%),
     # both capped at 20; coef_full moved 2.5x its largest entry. 2 of its 20
     # lasso calls stop at CP_LASSO_MAX_ITER
+    # re-recorded for the rank-one metric step: none of the 20 B-block lasso
+    # calls stops at CP_LASSO_MAX_ITER (2 did), in 991 iterations instead of
+    # 3,055. The unconverged 20-iteration path from the random init moves:
+    # it ends at 87.2984 instead of 84.6031 (+3.2%); coef_full moved 32% of
+    # its largest entry
     "sym_tensor": {
         "objective_trace": [
-            1174.6482107023508, 745.6796229041186, 480.2621178426408,
-            342.73521362979307, 109.74225233184298, 88.90065638171136,
-            86.87288164656434, 86.46487372554881, 86.18164438748113, 85.92005634447112,
-            85.65510725409004, 85.43392384151755, 85.22883018031195, 85.15056538438726,
-            85.08094314735558, 85.01545480819905, 84.85565976312259, 84.78421752000747,
-            84.72099762043686, 84.66151882393055, 84.6031144160249,
+            1174.6482107023508, 735.1639018669943, 632.3426049881144,
+            140.91763060947346, 104.58845635610518, 90.20627169329705,
+            89.12783610006244, 88.83564764379744, 88.73042901867714, 88.64354993553195,
+            88.55416145101735, 88.46513748358262, 88.3744202942997, 88.28390764689087,
+            88.10007414395007, 88.01743831841156, 87.8415413498697, 87.75654201348576,
+            87.56754784221259, 87.48303029613434, 87.29841246273733,
         ],
-        "coef_full": "82b35bcbe93df8593f87cdbc1ed76a8889e5ebb4e98d688d3a3cedc1602117df",
-        "gamma": "fa0d551744bf337ad73e1883bfe393579723722986b6a8e408536a293a349845",
+        "coef_full": "7504a50275dbd9e2ebb77b5f241214c9cca24259f2fcf5ccc582e253328c0fdf",
+        "gamma": "6077286643dd9a42b3263adad13a020eb4ffe225d8ae326aace053927adff5fa",
         "factors": {
-            "lam": "13730bb356f338771e381d054f74e6977acc47636055275dc5fcd4d4daf568f7",
-            "B": "9cbb62274f864166764c5d75d882ea36f4aca0dccb4a9677817f5c0b8880d76b",
+            "lam": "4a15c9336f0cfeeae55a4875b8c2f19cd8d0a1f17c432b2207d1cd750527e0a4",
+            "B": "930ebbe6409dbd22d7740e097853d3b40e51d7b592c1baa90e172a68592b4867",
         },
         "iterations": 20,
         "converged": False,
         "ridged": False,
         "lasso_calls": 20,
-        "lasso_capped": 2,
+        "lasso_capped": 0,
     },
     # a small Gaussian bare symmetric fit (p = 6, n = 80), first pinned in
     # test_solvers with the unbatched line search; the fits must not depend on
@@ -268,19 +281,22 @@ GOLDEN = {
     # instead of 5 proximal-gradient steps (prox_update_B).
     # It ends at 11.6507 instead of 13.9774 (-16.6%), both capped at 12;
     # coef_full moved 1.3x its largest entry
+    # re-recorded for the rank-one metric step: 863 lasso iterations instead of
+    # 1,997; it ends at 11.6536 instead of 11.6507 (+0.025%); coef_full moved
+    # 0.1% of its largest entry
     "sym_tensor_small": {
         "objective_trace": [
-            140.92758920129478, 26.054114669037578, 15.488469844102067,
-            13.036205091792397, 12.46425726953019, 12.231281283799715,
-            12.108236677517459, 12.083584472926738, 11.970551636446988,
-            11.8656891245577, 11.797614898534665, 11.723226444038646,
-            11.650690600512926,
+            140.92758920129478, 26.043373097267114, 15.478251855960584,
+            13.032471470477654, 12.462742356189993, 12.231554044383488,
+            12.109888859329551, 12.084560133596021, 11.969959756245064,
+            11.867652849054666, 11.800471720575828, 11.726112242461456,
+            11.653563271850963,
         ],
-        "coef_full": "9e55a68749f9f963b71a1ec05cd7e5016918fd1f48e240fb2199fff5036d772b",
-        "gamma": "775c5a11741cd899f69611538e5301b16d82bc841d7bd9c03d733265a960b40b",
+        "coef_full": "e99ddad460f52e1a4847a88a34915f5056b08dc847c50427ff38e370c641bc60",
+        "gamma": "78c8156d720343099eea891ad8d86be9dab5f7646122eff7795641bb91e6b1bd",
         "factors": {
-            "lam": "7b8ebbc7edf88ba0b955f6e2f070d220b096cbe1f46badd5061c60c3e685b5da",
-            "B": "2604a65dd864172ecbf3e27098352a40ebdea3f4edec64d7454172a4695b32a2",
+            "lam": "6135ffd60738a8c61f0a8022b11d48e4428e8b8420c4d034e072359c7873c383",
+            "B": "1fb4d08beb1cc24b46ac98ebbf0f326b7d042b41e000f7bb84e06022ab348ca9",
         },
         "iterations": 12,
         "converged": False,
@@ -320,21 +336,27 @@ GOLDEN = {
     # instead of 5 proximal-gradient steps (prox_update_B).
     # It converges in 4 outer iterations instead of 7, at 71.3938 instead of
     # 71.3844 (+0.013%); coef_full moved 3.4% of its largest entry
+    # re-recorded for the rank-one metric step: the CP baseline ends at 51.470
+    # instead of 52.111 in 494 lasso iterations instead of 2,365. From its
+    # eigen init the symmetric fit keeps descending and stops at the cap of
+    # 10 at 69.7297, where it was declared converged at outer iteration 4 at
+    # 71.3938 (-2.3%); coef_full moved 4.4x its largest entry
     "pipeline_gaussian": {
         "objective_trace": [
-            252.23322762374283, 71.94010601683455, 71.42378367195731, 71.4002015037352,
-            71.39375280286937,
+            261.24258152175685, 72.54365141891991, 71.18745345046773, 71.01119596928919,
+            70.92662280355556, 70.66884058898549, 70.50955529771889, 70.20034813216185,
+            70.08830909050394, 69.81054892526345, 69.72971504106742,
         ],
-        "coef_full": "a1fadcd878a45cd16bd12a9469c47d86ae346fab295a86958b030eefd08b223e",
-        "gamma": "d98add00e9c0a5c3112316420c50d595d458b63624179bba4e3fa817d8a742db",
+        "coef_full": "e441d9ab69465c35e29a6b257cbad157151f5a019b71a06997d56f0a4ed33689",
+        "gamma": "669c681cf19c479c98fbbd48ee79c12f3b14179824103a680f82203c42b01455",
         "factors": {
-            "lam": "fb66f4e5705131a4ed49bfff5c862e23fa43482ba2d7e855cc85e4c75f6c713e",
-            "B": "4c75c95d97f7031464cef2984946ccd8f6bd68691c43a6c44e83ce48d1c27fc4",
+            "lam": "939eca690dcd50e24eaa14508a746cf9e1f632966991fa5fb588a80798af42ee",
+            "B": "277d88faee786b18364c2574a00064ec23f669d1aaac754e0b85b31570a1badb",
         },
-        "iterations": 4,
-        "converged": True,
+        "iterations": 10,
+        "converged": False,
         "ridged": False,
-        "lasso_calls": 4,
+        "lasso_calls": 10,
         "lasso_capped": 0,
     },
     # re-recorded with cp_bernoulli: the CP baseline it starts from moved, and
@@ -347,17 +369,24 @@ GOLDEN = {
     # symmetric fit started from that baseline ends at 21.490 instead of
     # 17.348. The cheaper softplus in negloglik alone leaves this fit
     # unchanged.
+    # re-recorded for the rank-one metric step: the CP baseline (seed 8) caps
+    # 1 of its 12 blocks instead of 2 and ends at 9.315 instead of 11.229, in
+    # 1,492 lasso iterations instead of 3,689. Its eigen init starts the
+    # symmetric logistic fit at 855.84 instead of 445.67, and after 6 outer
+    # iterations that fit ends at 166.59 instead of 21.49; run on, it stops
+    # at 50.81 (relative change, outer iteration 31) where the parent's read
+    # 6.53 at 30. The symmetric logistic fit's dependence on its init is
+    # ROADMAP item 6's; coef_full moved 1.2x its largest entry
     "pipeline_bernoulli": {
         "objective_trace": [
-            445.6654696326064, 38.9340070557172, 25.452769964594516,
-            23.157928957214757, 22.446159854508746, 21.818902210335366,
-            21.490179475564187,
+            855.8395678548928, 322.9898367324943, 249.66316653548714, 222.6829191300648,
+            200.57340654384086, 183.23655862054292, 166.59289662211938,
         ],
-        "coef_full": "84e51221c7d6bb2bdcca9021fd20eb9b52f8a80ee02fe3ce397d2ad788a34ba9",
-        "gamma": "61416925992f742f49d3f339443b55423b675c6fe2a596f1157fcdb3105e8a64",
+        "coef_full": "1046c81dd4a6ce5cc2c7cdf42e63cd22b2022867bc4c390df255678ecabe2176",
+        "gamma": "a574d851bda488aab38f33fd4aac6c197ee389c9177721860be947a5bc05bdfa",
         "factors": {
-            "lam": "15c68067641c3a764fbf7915534ec1d1d6880c23468806793d3ba708a0906407",
-            "B": "83cd2de1431b48edb3b50e2235a36a160dfe57287dc4030e70a4ba31b80027ed",
+            "lam": "2b53902d49e6352ab6122cd2fe115a2c62057ed285d31677359d5d2e8660db33",
+            "B": "e69c7e140eae0a6fe2c9cb31d8aa38affd13c0a7e6aee82d973f43abe1cdb947",
         },
         "iterations": 6,
         "converged": False,

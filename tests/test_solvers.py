@@ -688,14 +688,17 @@ def test_cp_reports_capped_lasso_calls(monkeypatch):
 
 
 # fit_cp objective trace of the FISTA lasso at its default relative KKT
-# tolerance; the iterates must not change
+# tolerance; the iterates must not change. Re-recorded when the lasso moved
+# from the scalar step 1/eigmax(G) to the certified rank-one metric
+# a*I + b*u u': its 40 calls run 1,181 iterations instead of 4,018, and the
+# unconverged 20-iteration trace ends at 41.8284 instead of 41.7204 (+0.26%)
 PINNED_CP_TRACE = [
-    3990.2028307834325, 194.63139929739876, 63.31702765394702, 58.151304384139756,
-    55.13546185099514, 51.14064075077044, 47.703743311489966, 45.137493684664285,
-    43.713340257856146, 42.95922317536868, 42.58400193576269, 42.3563464881124,
-    42.20879884620646, 42.10343075098383, 42.02068524153442, 41.95255808441891,
-    41.89515702620482, 41.84521869204302, 41.800183824020635, 41.758790336276505,
-    41.72035234796904,
+    3990.202830783433, 194.40397153738985, 63.35103232335038, 58.00228184985893,
+    54.86357476155902, 51.92729556421811, 48.22891448805583, 45.25002263843433,
+    43.65668294345413, 42.963202087585145, 42.64902830768057, 42.46463317165301,
+    42.32891108423133, 42.222188393461984, 42.1344213076074, 42.063322350201126,
+    42.007192721472926, 41.95785189907055, 41.911926936202036, 41.869213623349424,
+    41.82837954466644,
 ]
 
 
