@@ -64,6 +64,9 @@ class ExperimentSpec:
             raise ValueError("estimators must be non-empty")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        # the pipeline's rank bound, checked before any replication's CP fit
+        if "sym_tensor" in self.estimators:
+            check_rank(self.config.rank, self.sim.shape.p)
 
 
 def mse_coef(b_hat, b0):
@@ -107,14 +110,18 @@ def kfold_split(n, plan):
     return [np.sort(np.asarray(f, dtype=int)) for f in folds]
 
 
-def _fit_one(data, config, estimator):
-    """Fit one estimator; sym_tensor always uses the constructed-init pipeline."""
+def _fit_one(data, config, estimator, cp_result=None):
+    """Fit one estimator; sym_tensor always uses the constructed-init pipeline.
+
+    cp_result, a CP fit on the same data and config, spares sym_cp and the
+    pipeline a CP fit of their own.
+    """
     if estimator == "cp":
         return fit_cp(data, config)
     if estimator == "sym_cp":
-        return fit_sym_cp(data, config)
+        return fit_sym_cp(data, config, cp_result)
     if estimator in ("sym_tensor", "pipeline"):
-        return default_pipeline(data, config)
+        return default_pipeline(data, config, cp_result)
     raise ValueError(f"unknown estimator {estimator!r}")
 
 
@@ -195,8 +202,8 @@ def cv_select(data, plan, config, estimator="sym_tensor"):
 def _replication_metrics(spec, rep):
     """Metrics for every requested estimator on one seeded replication.
 
-    Shares work: CP is fitted once, inside the pipeline when sym_tensor is
-    requested, and that fit serves as both the cp and sym_cp baselines.
+    Shares work: CP is fitted once, and that fit is the cp result, the base
+    of sym_cp and the init source of the sym_tensor pipeline.
     mse_pred_in is on the training sample; mse_pred_out on a fresh draw of
     the same size with seed (rep_seed XOR salt).
     """
@@ -211,18 +218,10 @@ def _replication_metrics(spec, rep):
         seed=rep_seed ^ TEST_SEED_SALT,
     )
 
-    if "sym_tensor" in spec.estimators:
-        pipe = default_pipeline(data, spec.config)
-        results = {"sym_tensor": pipe, "cp": pipe.meta["baseline_cp"],
-                   "sym_cp": pipe.meta["baseline_sym_cp"]}
-    else:
-        cp_res = fit_cp(data, spec.config)
-        results = {"cp": cp_res,
-                   "sym_cp": fit_sym_cp(data, spec.config, cp_result=cp_res)}
-
+    cp_result = fit_cp(data, spec.config)
     out = {}
     for est in spec.estimators:
-        res = results[est]
+        res = cp_result if est == "cp" else _fit_one(data, spec.config, est, cp_result)
         out[est] = {
             "mse_coef": mse_coef(res.coef_full, b0),
             "mse_pred_in": mse_pred(predict_mean(res, data), data.y),

@@ -138,7 +138,8 @@ def read_dataset(path, log_response=False):
 
     Matrices asymmetric beyond 1e-8 are rejected; smaller asymmetries are
     symmetrized, and Dataset.meta["warnings"] gets one line that counts them.
-    Dataset itself rejects a bernoulli response outside {0, 1}.
+    Dataset itself rejects a bernoulli response outside {0, 1}. Each id of
+    subjects.csv names one file matrices/<id>.csv and appears once.
     """
     path = Path(path)
     subjects = path / "subjects.csv"
@@ -157,6 +158,7 @@ def read_dataset(path, log_response=False):
             j for j in range(2, len(header)) if j not in z_cols
         ]
         ids, ys, zs, extras = [], [], [], {header[j]: [] for j in extra_cols}
+        seen = set()
         for row in reader:
             if not row:
                 continue
@@ -167,6 +169,10 @@ def read_dataset(path, log_response=False):
             if row[0] in ("", ".", "..") or "/" in row[0] or "\\" in row[0]:
                 raise DataFormatError(f"line {reader.line_num} of {subjects} has "
                                       f"invalid id {row[0]!r}")
+            if row[0] in seen:
+                raise DataFormatError(f"line {reader.line_num} of {subjects} "
+                                      f"repeats id {row[0]!r}")
+            seen.add(row[0])
             ids.append(row[0])
             try:
                 ys.append(float(row[1]))

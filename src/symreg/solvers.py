@@ -396,9 +396,16 @@ class _FactorBlocks:
     straight to the ridge solve that fit_glm's lstsq would fall back to
     (glm_info["ridged"]); at R = 1 they run fit_glm. Lasso blocks stop at a
     KKT residual of CP_LASSO_KKT_TOL relative to the block (see
-    fit_glm_lasso); lasso_meta() gives the number of calls ("lasso_calls"),
-    their summed "lasso_iterations" and how many stopped at
-    CP_LASSO_MAX_ITER without converging ("lasso_capped").
+    fit_glm_lasso).
+
+    One _FactorBlocks serves one fit, and record() is that fit's
+    FitResult.meta, the same four scalars for every estimator and family:
+    "ridged" (any GLM call of the fit, the gamma and lam blocks included,
+    wrote glm_info["ridged"]), "lasso_calls", their summed
+    "lasso_iterations", and "lasso_capped", the calls that stopped at
+    CP_LASSO_MAX_ITER without converging. A fit with no lasso block (rho = 0
+    gaussian, or the bernoulli symmetric fit, whose B block is
+    prox_update_B) reports 0 calls.
     """
 
     def __init__(self, data, rho):
@@ -427,8 +434,9 @@ class _FactorBlocks:
         self._iterations.append(info["iterations"])
         return coef.reshape(p, R)
 
-    def lasso_meta(self):
+    def record(self):
         return {
+            "ridged": bool(self.glm_info.get("ridged", False)),
             "lasso_calls": len(self._converged),
             "lasso_iterations": sum(self._iterations),
             "lasso_capped": self._converged.count(False),
@@ -467,7 +475,7 @@ def _prox_linear_B(data, zoff, factors, rho, blocks):
     return B0, xb0
 
 
-def _block_descent(data, config, factors, update_factors, glm_info):
+def _block_descent(data, config, factors, update_factors, blocks):
     """Block relaxation shared by both estimators.
 
     From gamma = 0, repeats {gamma-GLM with offset xb_i = <B_full, X_i>;
@@ -483,9 +491,10 @@ def _block_descent(data, config, factors, update_factors, glm_info):
     objective, or a ValueError (LinAlgError is one) from a block update or
     the objective, raises NumericalError; no other code of the fits makes
     one from an error.
-    glm_info is the record every GLM call of the fit writes to
-    (meta["ridged"]). The predictor part xb is carried: each one serves
-    the objective and the next gamma offset.
+    blocks is the fit's _FactorBlocks: the gamma-GLM writes to its glm_info,
+    as update_factors' blocks do, and blocks.record() is the fit's meta. The
+    predictor part xb is carried: each one serves the objective and the next
+    gamma offset.
     """
     gamma = np.zeros(data.p0)
     iterations = 0
@@ -496,7 +505,7 @@ def _block_descent(data, config, factors, update_factors, glm_info):
         while not converged and iterations < config.max_outer_iters:
             iterations += 1
             problem = GlmProblem(data.y, data.Z, xb, data.family)
-            gamma = fit_glm(problem, coef0=gamma, info=glm_info)
+            gamma = fit_glm(problem, coef0=gamma, info=blocks.glm_info)
             factors, xb = update_factors(gamma, factors)
             obj = _loss(data, data.Z @ gamma + xb, factors, config.rho)
             if not np.isfinite(obj):
@@ -507,7 +516,6 @@ def _block_descent(data, config, factors, update_factors, glm_info):
             trace.append(obj)
     except ValueError as exc:
         raise NumericalError(f"at outer iteration {iterations}: {exc}") from exc
-    ridged = bool(glm_info.get("ridged", False))
     return FitResult(
         gamma=gamma,
         factors=factors,
@@ -515,7 +523,7 @@ def _block_descent(data, config, factors, update_factors, glm_info):
         objective_trace=np.asarray(trace),
         converged=converged,
         iterations=iterations,
-        meta={"ridged": ridged},
+        meta=blocks.record(),
     )
 
 
@@ -526,16 +534,15 @@ def fit_sym_tensor(data, config, init):
     quadratic forms with offset gamma'z_i, warm-started at the current lam,
     then a B block chosen by the family. Gaussian B is one prox-linear
     (Gauss-Newton) step, _prox_linear_B, solved by _FactorBlocks like a CP
-    block; meta records its "lasso_calls", "lasso_iterations" and
-    "lasso_capped" as fit_cp's does. Bernoulli B is prox_steps
-    proximal-gradient steps, prox_update_B: the prox-linear step measured
-    slower there, and predicted worse. An init built without lam starts at
-    lam = 0, so the first outer iteration's lam-GLM sets it.
+    block. Bernoulli B is prox_steps proximal-gradient steps, prox_update_B:
+    the prox-linear step measured slower there, and predicted worse, and it
+    runs no lasso, so meta (see _FactorBlocks.record) reports 0 lasso calls.
+    An init built without lam starts at lam = 0, so the first outer
+    iteration's lam-GLM sets it.
     """
     p, R = data.p, config.rank
     if init.B.shape != (p, R):
         raise ValueError(f"init B must be {(p, R)}, got {init.B.shape}")
-    gaussian = data.family == GAUSSIAN
     blocks = _FactorBlocks(data, config.rho)
 
     def update(gamma, factors):
@@ -544,16 +551,13 @@ def fit_sym_tensor(data, config, init):
         problem = GlmProblem(data.y, design, zoff, data.family)
         lam = fit_glm(problem, coef0=factors.lam, info=blocks.glm_info)
         factors = SymCPFactors(lam, factors.B)
-        if gaussian:
+        if data.family == GAUSSIAN:
             B, xb = _prox_linear_B(data, zoff, factors, config.rho, blocks)
         else:
             B, xb = prox_update_B(data, gamma, factors, config.rho, config)
         return SymCPFactors(lam, B), xb
 
-    result = _block_descent(data, config, init, update, blocks.glm_info)
-    if gaussian:
-        result.meta.update(blocks.lasso_meta())
-    return result
+    return _block_descent(data, config, init, update, blocks)
 
 
 def fit_cp(data, config):
@@ -563,9 +567,9 @@ def fit_cp(data, config):
     GLM on covariates vec(X_i B2) with offset gamma'z_i, then B2
     symmetrically on vec(X_i' B1), both by _FactorBlocks: least squares,
     exact, for unpenalized Gaussian blocks (ridged at R >= 2,
-    meta["ridged"]), fit_glm_lasso for every other block. meta records the
-    lasso blocks' "lasso_calls", summed "lasso_iterations" and
-    "lasso_capped". Factors start as seeded standard normals.
+    meta["ridged"]), fit_glm_lasso for every other block (meta's lasso
+    counts; see _FactorBlocks.record). Factors start as seeded standard
+    normals.
     """
     p, R = data.p, config.rank
     blocks = _FactorBlocks(data, config.rho)
@@ -579,9 +583,7 @@ def fit_cp(data, config):
 
     rng = np.random.default_rng(config.seed)
     init = CPFactors(rng.standard_normal((p, R)), rng.standard_normal((p, R)))
-    result = _block_descent(data, config, init, update, blocks.glm_info)
-    result.meta.update(blocks.lasso_meta())
-    return result
+    return _block_descent(data, config, init, update, blocks)
 
 
 def fit_sym_cp(data, config, cp_result=None):
@@ -621,18 +623,17 @@ def construct_init(b_sym, rank):
     return SymCPFactors(vals[keep], vecs[:, keep])
 
 
-def default_pipeline(data, config):
+def default_pipeline(data, config, cp_result=None):
     """Symmetrized-CP fit -> eigen init -> symmetric tensor fit.
 
-    Returns the symmetric-tensor FitResult with both baselines attached in
-    meta ("baseline_cp", "baseline_sym_cp").
+    Returns the symmetric-tensor FitResult. cp_result, as fit_sym_cp takes
+    it, is a CP fit on the same data and config that a caller already has;
+    without it the rank is checked and CP is fitted here. A caller that
+    passes it checks the rank (check_rank) before its own CP fit.
     """
-    # construct_init's rank check, made before the CP fit instead of after it
-    check_rank(config.rank, data.p)
-    cp_res = fit_cp(data, config)
-    sym_cp_res = fit_sym_cp(data, config, cp_result=cp_res)
-    init = construct_init(sym_cp_res.coef_full, config.rank)
-    result = fit_sym_tensor(data, config, init)
-    result.meta["baseline_cp"] = cp_res
-    result.meta["baseline_sym_cp"] = sym_cp_res
-    return result
+    if cp_result is None:
+        # construct_init's rank check, made before the CP fit instead of after it
+        check_rank(config.rank, data.p)
+        cp_result = fit_cp(data, config)
+    init = construct_init(symmetrize(cp_result.coef_full), config.rank)
+    return fit_sym_tensor(data, config, init)

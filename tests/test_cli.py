@@ -72,7 +72,9 @@ def test_simulate_and_fit_files_byte_pinned(tmp_path):
     # (exit 4); held-out MSE on 2000 fresh draws 5.25 against 12.74.
     # metrics.json was re-recorded when it gained the fit's lasso counts
     # (lasso_calls, lasso_iterations, lasso_capped: 0, 0, 0 at rho = 0); the
-    # other fit files are unchanged
+    # other fit files are unchanged. It was re-recorded again when it came to
+    # hold the fit's whole meta record, which adds "ridged": true (the rho = 0
+    # B block at R = 3 is a ridged solve); the other fit files are unchanged
     ds, fit = tmp_path / "ds", tmp_path / "fit"
     assert run("simulate", "--shape", "two_box", "--p", "16", "--n", "40",
                "--seed", "3", "--out", ds) == 0
@@ -86,7 +88,7 @@ def test_simulate_and_fit_files_byte_pinned(tmp_path):
         "coef_full.csv": "2ffce8f45983c94f7ddbadea8c0076ceaa4bfdeefc46434eae22de002d9132b8",
         "factors.csv": "0ef9728cc25d3097a26bcb0bcaeec90cb6276cfed811c31353a33290669e1576",
         "gamma.csv": "d7ed6267336cfd11c1bb13e13bb623e2db0f577d84220bf72969fb054e185378",
-        "metrics.json": "0cd2994c0064cb4a6494c8f4c0301cc5fd8296f521bfab8bdc4278f49777c4fc",
+        "metrics.json": "532961cb52bd1c2609a54e7a264059cbb61e89ee9ba4d3cb0bffeac4118790d8",
         "trace.csv": "5ea79100f0cdb3b8e02b5b52e8edaac7b3807973064cc10898e1e79880e95bc9",
     }
 
@@ -187,9 +189,9 @@ def test_fit_noiseless_rank1_recovery(tmp_path):
 
 
 def test_fit_metrics_report_the_lasso_counts(sim_dir, tmp_path):
-    # metrics.json carries the fit's own lasso counts wherever its meta has
-    # them: a gaussian sym_tensor fit runs one B-block lasso per outer
-    # iteration at rho > 0; a bernoulli one runs none and reports none
+    # metrics.json carries the fit's whole record (FitResult.meta): a gaussian
+    # sym_tensor fit runs one B-block lasso per outer iteration at rho > 0; a
+    # bernoulli one runs none and reports zeros
     out = tmp_path / "lasso"
     run("fit", sim_dir, "--estimator", "sym_tensor", "--rank", "2", "--rho", "0.5",
         "--max-outer-iters", "5", "--out", out)
@@ -203,7 +205,22 @@ def test_fit_metrics_report_the_lasso_counts(sim_dir, tmp_path):
     run("fit", ds, "--estimator", "sym_tensor", "--rank", "2", "--rho", "0.5",
         "--max-outer-iters", "3", "--out", tmp_path / "logit")
     metrics = json.loads((tmp_path / "logit" / "metrics.json").read_text())
-    assert not {"lasso_calls", "lasso_iterations", "lasso_capped"} & set(metrics)
+    assert metrics["lasso_calls"] == metrics["lasso_iterations"] == 0
+    assert metrics["lasso_capped"] == 0
+
+
+def test_fit_pipeline_metrics_report_the_cp_baseline(sim_dir, tmp_path):
+    # the pipeline's CP fit is fitted once and its record written beside the
+    # symmetric fit's own; at rho > 0 every CP block is a lasso call
+    out = tmp_path / "pipe"
+    run("fit", sim_dir, "--estimator", "pipeline", "--rank", "2", "--rho", "0.5",
+        "--max-outer-iters", "5", "--out", out)
+    metrics = json.loads((out / "metrics.json").read_text())
+    base = metrics["baseline_cp"]
+    assert set(base) == {"ridged", "lasso_calls", "lasso_iterations", "lasso_capped"}
+    assert base["lasso_calls"] > 0
+    assert base["lasso_iterations"] >= base["lasso_calls"] >= base["lasso_capped"]
+    assert metrics["lasso_calls"] == metrics["iterations"]
 
 
 def test_fit_malformed_matrix_exits_2(sim_dir, tmp_path):
@@ -409,6 +426,21 @@ def test_fit_subject_id_outside_dataset_exits_2(sim_dir, tmp_path, capsys, case)
     assert run("fit", sim_dir, "--out", out) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == [f"symreg: invalid input: line 3 of {path} has invalid id {sid!r}"]
+    assert not (out / "manifest.json").exists()
+
+
+def test_fit_repeated_subject_id_exits_2(sim_dir, tmp_path, capsys):
+    # a repeated id would fit one matrix file twice, each with its own y
+    path = sim_dir / "subjects.csv"
+    lines = read_lines(path)
+    sid = lines[1].split(",")[0]
+    lines[2] = ",".join([sid] + lines[2].split(",")[1:])
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    out = tmp_path / "f"
+    assert run("fit", sim_dir, "--out", out) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"symreg: invalid input: line 3 of {path} repeats id {sid!r}"]
     assert not (out / "manifest.json").exists()
 
 

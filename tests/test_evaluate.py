@@ -12,13 +12,16 @@ from symreg import (
     SignalShape,
     SimSpec,
     cv_select,
+    default_pipeline,
+    fit_cp,
+    fit_sym_cp,
     kfold_split,
     mse_coef,
     mse_pred,
     replicate_experiment,
 )
 from symreg import evaluate
-from symreg.simulate import synth_dataset
+from symreg.simulate import shape_signal, synth_dataset
 from symreg.solvers import NumericalError
 from symreg.tensor_ops import symcp_to_full
 
@@ -195,6 +198,44 @@ def test_replicate_equivalence_of_cp_and_sym_cp_predictions():
     s = out["summary"]
     for metric in ("mse_pred_in", "mse_pred_out"):
         assert abs(s["cp"][f"{metric}_mean"] - s["sym_cp"][f"{metric}_mean"]) <= 1e-10
+
+
+def test_replication_fits_equal_the_fits_run_alone(monkeypatch):
+    # one CP fit serves cp, sym_cp and the pipeline: each result is bit for
+    # bit the estimator's own fit on the same replication's data
+    spec = ExperimentSpec(
+        sim=SimSpec(shape=SignalShape("two_box", 16), n=60, seed=4),
+        config=FitConfig(rank=2, rho=0.2, seed=4, **FAST),
+    )
+    results, predict = [], evaluate.predict_mean
+
+    def spy(result, data):
+        if not any(result is r for r in results):
+            results.append(result)
+        return predict(result, data)
+
+    monkeypatch.setattr(evaluate, "predict_mean", spy)
+    evaluate._replication_metrics(spec, 1)
+    data = synth_dataset(shape_signal(spec.sim.shape), 60, spec.sim.p0, seed=4 ^ 1)
+    alone = [
+        fit_cp(data, spec.config),
+        fit_sym_cp(data, spec.config),
+        default_pipeline(data, spec.config),
+    ]
+    assert len(results) == len(alone)
+    for got, want in zip(results, alone):
+        assert np.array_equal(got.coef_full, want.coef_full)
+        assert np.array_equal(got.gamma, want.gamma)
+        assert np.array_equal(got.objective_trace, want.objective_trace)
+        assert got.meta == want.meta
+
+
+def test_experiment_spec_checks_the_pipeline_rank():
+    # a rank above p fails at construction, before any replication's CP fit
+    sim = SimSpec(shape=SignalShape("two_box", 16), n=20)
+    with pytest.raises(ValueError, match="rank must lie in"):
+        ExperimentSpec(sim=sim, config=FitConfig(rank=17))
+    ExperimentSpec(sim=sim, config=FitConfig(rank=17), estimators=("cp", "sym_cp"))
 
 
 def test_experiment_spec_rejects_empty_estimators():

@@ -311,6 +311,9 @@ GOLDEN = {
     # lam-GLM now sets lam, after the first gamma-GLM.
     # It ends at 58.3011 instead of 58.2989, slightly higher; coef_full moved
     # 4% of its largest entry
+    # lasso_calls and lasso_capped re-recorded from None to 0 when every fit's
+    # meta came to hold the same four counts: this fit's B block takes prox
+    # steps, so it runs no lasso and now says so; the fit is unchanged
     "sym_tensor_bernoulli": {
         "objective_trace": [
             104.76105412257971, 64.636329085698, 62.15540840756187, 61.95585459029078,
@@ -327,8 +330,8 @@ GOLDEN = {
         "iterations": 12,
         "converged": False,
         "ridged": False,
-        "lasso_calls": None,
-        "lasso_capped": None,
+        "lasso_calls": 0,
+        "lasso_capped": 0,
     },
     # re-recorded for upper-triangle X rows: coef 4e-13 (rounding)
     # re-recorded when the gaussian B block became one prox-linear
@@ -377,6 +380,10 @@ GOLDEN = {
     # at 50.81 (relative change, outer iteration 31) where the parent's read
     # 6.53 at 30. The symmetric logistic fit's dependence on its init is
     # ROADMAP item 6's; coef_full moved 1.2x its largest entry
+    # lasso_calls and lasso_capped re-recorded from None to 0 when every fit's
+    # meta came to hold the same four counts: the symmetric fit's B block takes
+    # prox steps, so it runs no lasso and now says so (its CP baseline's calls
+    # are that fit's own meta); the fit is unchanged
     "pipeline_bernoulli": {
         "objective_trace": [
             855.8395678548928, 322.9898367324943, 249.66316653548714, 222.6829191300648,
@@ -391,8 +398,8 @@ GOLDEN = {
         "iterations": 6,
         "converged": False,
         "ridged": False,
-        "lasso_calls": None,
-        "lasso_capped": None,
+        "lasso_calls": 0,
+        "lasso_capped": 0,
     },
     # re-recorded for upper-triangle X rows: coef 3e-5, objective 4e-6 (ridge; above)
     # re-recorded when the gaussian B block became one prox-linear

@@ -517,7 +517,32 @@ def test_sym_tensor_B_block_follows_the_family(family, rng, monkeypatch):
     init = SymCPFactors(None, rng.standard_normal((4, 2)))
     res = fit_sym_tensor(data, FitConfig(rank=2, rho=0.1, max_outer_iters=5), init)
     assert len(calls) == (res.iterations if family is BERNOULLI else 0)
-    assert ("lasso_calls" in res.meta) == (family is GAUSSIAN)
+    # a gaussian fit runs one B-block lasso per outer iteration, a bernoulli none
+    assert res.meta["lasso_calls"] == (res.iterations if family is GAUSSIAN else 0)
+
+
+META_KEYS = {"ridged", "lasso_calls", "lasso_iterations", "lasso_capped"}
+META_FITS = {
+    "cp": fit_cp,
+    "sym_cp": fit_sym_cp,
+    "sym_tensor": lambda data, cfg: fit_sym_tensor(
+        data, cfg, SymCPFactors(None, np.random.default_rng(1).standard_normal((4, 2)))
+    ),
+    "pipeline": default_pipeline,
+}
+
+
+@pytest.mark.parametrize("family", [GAUSSIAN, BERNOULLI])
+@pytest.mark.parametrize("estimator", sorted(META_FITS))
+def test_fit_meta_is_one_flat_record(estimator, family, rng):
+    # every estimator and family reports the same four scalars, and nothing else
+    data = toy_dataset(rng, n=60, family=family)
+    res = META_FITS[estimator](data, FitConfig(rank=2, rho=0.1, max_outer_iters=5))
+    assert set(res.meta) == META_KEYS
+    assert type(res.meta["ridged"]) is bool
+    assert all(type(res.meta[key]) is int for key in META_KEYS - {"ridged"})
+    assert 0 <= res.meta["lasso_capped"] <= res.meta["lasso_calls"]
+    assert res.meta["lasso_iterations"] >= res.meta["lasso_calls"]
 
 
 def test_sym_tensor_reports_gaussian_B_block_solves(monkeypatch):
@@ -817,20 +842,25 @@ def test_pipeline_noiseless_rank2_exact(rng):
     b0 = symcp_to_full(np.array([2.0, -1.0]), q[:, :2])
     data = synth_dataset(b0, 150, p0=2, sigma=0.0, seed=3)
     cfg = FitConfig(rank=2, rho=0.0, tol=1e-10, max_outer_iters=800, seed=3)
-    res = default_pipeline(data, cfg)
+    cp_res = fit_cp(data, cfg)
+    res = default_pipeline(data, cfg, cp_result=cp_res)
     assert res.objective_trace[-1] <= 1e-8
-    assert "baseline_cp" in res.meta and "baseline_sym_cp" in res.meta
+    # a CP fit passed in is the one the pipeline would have fitted itself
+    alone = default_pipeline(data, cfg)
+    assert np.array_equal(res.objective_trace, alone.objective_trace)
+    assert np.array_equal(res.coef_full, alone.coef_full)
 
 
 def test_pipeline_huge_rho_degenerates_to_glm(rng):
     data = toy_dataset(rng, n=40, p=4)
     cfg = FitConfig(rank=2, rho=1e12, seed=6)
-    res = default_pipeline(data, cfg)
+    cp_res = fit_cp(data, cfg)
+    res = default_pipeline(data, cfg, cp_result=cp_res)
     assert np.max(np.abs(res.coef_full)) <= 1e-8
     plain = fit_glm(GlmProblem(data.y, data.Z))
     assert np.max(np.abs(res.gamma - plain)) <= 1e-8
-    for key in ("baseline_cp", "baseline_sym_cp"):
-        assert np.max(np.abs(res.meta[key].coef_full)) <= 1e-8
+    for base in (cp_res, fit_sym_cp(data, cfg, cp_result=cp_res)):
+        assert np.max(np.abs(base.coef_full)) <= 1e-8
 
 
 def test_pipeline_beats_baselines_on_two_box():
@@ -838,10 +868,12 @@ def test_pipeline_beats_baselines_on_two_box():
 
     b0 = shape_signal(SignalShape("two_box", 16))
     data = synth_dataset(b0, 220, p0=5, sigma=1.0, seed=12)
-    res = default_pipeline(data, FitConfig(rank=3, rho=0.0, seed=12))
+    cfg = FitConfig(rank=3, rho=0.0, seed=12)
+    cp_res = fit_cp(data, cfg)
+    res = default_pipeline(data, cfg, cp_result=cp_res)
     err_st = mse_coef(res.coef_full, b0)
-    err_scp = mse_coef(res.meta["baseline_sym_cp"].coef_full, b0)
-    err_cp = mse_coef(res.meta["baseline_cp"].coef_full, b0)
+    err_scp = mse_coef(fit_sym_cp(data, cfg, cp_result=cp_res).coef_full, b0)
+    err_cp = mse_coef(cp_res.coef_full, b0)
     assert err_st < err_scp < err_cp
 
 
