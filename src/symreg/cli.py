@@ -79,12 +79,17 @@ def _read_dataset(args):
 
 
 def _fit_estimator(data, config, estimator):
-    """The fit, and what metrics.json adds for it: the pipeline's CP fit's record."""
+    """The fit, and what metrics.json adds for it: the pipeline's CP fit's
+    record, with whether that fit converged and its outer iterations."""
     if estimator == "pipeline":
         solvers.check_rank(config.rank, data.p)  # before the CP fit
         cp_result = solvers.fit_cp(data, config)
         result = evaluate._fit_one(data, config, estimator, cp_result)
-        return result, {"baseline_cp": cp_result.meta}
+        return result, {"baseline_cp": {
+            "converged": bool(cp_result.converged),
+            "iterations": int(cp_result.iterations),
+            **cp_result.meta,
+        }}
     if estimator != "sym_tensor":
         return evaluate._fit_one(data, config, estimator), {}
     # bare sym_tensor: seeded random B from lam = 0; the first lam-GLM sets lam

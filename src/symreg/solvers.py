@@ -1,5 +1,7 @@
 # The three estimators for scalar-on-symmetric-matrix regression:
-#   * fit_cp        - standard rank-R CP regression, block lasso-GLM updates
+#   * fit_cp        - standard rank-R CP regression, block lasso-GLM updates,
+#                     each outer iteration extrapolated along its successive
+#                     plain updates where that lowers the objective
 #   * fit_sym_cp    - the CP fit with its coefficient matrix symmetrized
 #   * fit_sym_tensor- the symmetric rank-R model B diag(lam) B^T estimated by
 #                     block updates (gamma, lam via GLM) and a B block that
@@ -41,6 +43,13 @@ PROX_BATCH = 24
 # KKT tolerance is relative to the block's scale (see fit_glm_lasso)
 CP_LASSO_MAX_ITER = 500
 CP_LASSO_KKT_TOL = 1e-4
+# fit_cp's extrapolation weight w (see fit_cp): it starts at CP_EXTRAPOLATE_START,
+# grows by CP_EXTRAPOLATE_GROW on acceptance up to CP_EXTRAPOLATE_MAX and
+# halves on rejection down to CP_EXTRAPOLATE_MIN (Ang & Gillis 2019)
+CP_EXTRAPOLATE_START = 1.0
+CP_EXTRAPOLATE_GROW = 1.5
+CP_EXTRAPOLATE_MAX = 8.0
+CP_EXTRAPOLATE_MIN = 0.25
 
 
 class CovariateOperator:
@@ -399,13 +408,15 @@ class _FactorBlocks:
     fit_glm_lasso).
 
     One _FactorBlocks serves one fit, and record() is that fit's
-    FitResult.meta, the same four scalars for every estimator and family:
+    FitResult.meta, the same five scalars for every estimator and family:
     "ridged" (any GLM call of the fit, the gamma and lam blocks included,
     wrote glm_info["ridged"]), "lasso_calls", their summed
     "lasso_iterations", and "lasso_capped", the calls that stopped at
     CP_LASSO_MAX_ITER without converging. A fit with no lasso block (rho = 0
     gaussian, or the bernoulli symmetric fit, whose B block is
-    prox_update_B) reports 0 calls.
+    prox_update_B) reports 0 calls. "extrapolated" counts the outer
+    iterations whose extrapolated point fit_cp accepted; symmetric fits
+    never extrapolate and report 0.
     """
 
     def __init__(self, data, rho):
@@ -413,6 +424,7 @@ class _FactorBlocks:
         self.least_squares = rho == 0 and data.family == GAUSSIAN
         self.glm_info = {}
         self._converged, self._iterations = [], []
+        self.extrapolated = 0
 
     def solve(self, design, offset, b):
         data, (p, R) = self.data, b.shape
@@ -440,6 +452,7 @@ class _FactorBlocks:
             "lasso_calls": len(self._converged),
             "lasso_iterations": sum(self._iterations),
             "lasso_capped": self._converged.count(False),
+            "extrapolated": self.extrapolated,
         }
 
 
@@ -486,8 +499,10 @@ def _block_descent(data, config, factors, update_factors, blocks):
     accepts an ascent: IRLS and the l1-GLM blocks test every step,
     least-squares blocks are exact minimizers up to rounding (and the 1e-8
     ridge of rank-deficient ones), the gaussian B step is taken only where
-    the penalized objective does not rise, and a prox step's majorization
-    test allows a rise of at most its 1e-14 relative slack. A non-finite
+    the penalized objective does not rise, a prox step's majorization
+    test allows a rise of at most its 1e-14 relative slack, and fit_cp
+    returns its extrapolated point only where its penalized objective is
+    finite and strictly below the plain update's. A non-finite
     objective, or a ValueError (LinAlgError is one) from a block update or
     the objective, raises NumericalError; no other code of the fits makes
     one from an error.
@@ -570,19 +585,44 @@ def fit_cp(data, config):
     meta["ridged"]), fit_glm_lasso for every other block (meta's lasso
     counts; see _FactorBlocks.record). Factors start as seeded standard
     normals.
+
+    Each outer iteration then extrapolates (Xu & Yin 2013): with P the plain
+    update (B1, B2) and P_prev the previous outer iteration's (the init at
+    the first), it evaluates E = P + w (P - P_prev) at the same gamma, one
+    more pass over X. It returns E where E's penalized objective is finite
+    and strictly below P's, and grows w (meta["extrapolated"] counts
+    these); otherwise it returns P and shrinks w (CP_EXTRAPOLATE_*). So no
+    returned point is worse than the plain update, and a non-finite E is
+    never raised on. The next blocks start from the returned point.
     """
     p, R = data.p, config.rank
     blocks = _FactorBlocks(data, config.rho)
+    rng = np.random.default_rng(config.seed)
+    init = CPFactors(rng.standard_normal((p, R)), rng.standard_normal((p, R)))
+    prev, w = init.matrices, CP_EXTRAPOLATE_START
 
     def update(gamma, factors):
+        nonlocal prev, w
         zoff = data.Z @ gamma
         b1 = blocks.solve(data.xop.block_design(factors.B2), zoff, factors.B1)
         b2 = blocks.solve(data.xop.block_design(b1), zoff, factors.B2)
-        factors = CPFactors(b1, b2)
-        return factors, data.xop.inner(factors.to_full())
+        plain = CPFactors(b1, b2)
+        xb = data.xop.inner(plain.to_full())
+        f = _loss(data, zoff + xb, plain, config.rho)
+        with np.errstate(all="ignore"):
+            ext = [m + w * (m - m0) for m, m0 in zip(plain.matrices, prev)]
+            xb_ext = data.xop.inner(cp_to_full(*ext))
+            f_ext = math.nan
+            if np.all(np.isfinite(zoff + xb_ext)):
+                pen = sum(float(np.abs(m).sum()) for m in ext)
+                f_ext = data.family.negloglik(data.y, zoff + xb_ext) + config.rho * pen
+        accept = f_ext < f  # so f_ext is finite; False on a nan f_ext
+        w = w * CP_EXTRAPOLATE_GROW if accept else w / 2.0
+        w = min(max(w, CP_EXTRAPOLATE_MIN), CP_EXTRAPOLATE_MAX)
+        blocks.extrapolated += accept
+        prev = plain.matrices
+        return (CPFactors(*ext), xb_ext) if accept else (plain, xb)
 
-    rng = np.random.default_rng(config.seed)
-    init = CPFactors(rng.standard_normal((p, R)), rng.standard_normal((p, R)))
     return _block_descent(data, config, init, update, blocks)
 
 

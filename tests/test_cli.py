@@ -74,7 +74,10 @@ def test_simulate_and_fit_files_byte_pinned(tmp_path):
     # (lasso_calls, lasso_iterations, lasso_capped: 0, 0, 0 at rho = 0); the
     # other fit files are unchanged. It was re-recorded again when it came to
     # hold the fit's whole meta record, which adds "ridged": true (the rho = 0
-    # B block at R = 3 is a ridged solve); the other fit files are unchanged
+    # B block at R = 3 is a ridged solve); the other fit files are unchanged.
+    # It was re-recorded again when the record gained "extrapolated", the
+    # count of extrapolated points fit_cp accepts: 0 here, since a symmetric
+    # fit never extrapolates; the other fit files are unchanged
     ds, fit = tmp_path / "ds", tmp_path / "fit"
     assert run("simulate", "--shape", "two_box", "--p", "16", "--n", "40",
                "--seed", "3", "--out", ds) == 0
@@ -88,7 +91,7 @@ def test_simulate_and_fit_files_byte_pinned(tmp_path):
         "coef_full.csv": "2ffce8f45983c94f7ddbadea8c0076ceaa4bfdeefc46434eae22de002d9132b8",
         "factors.csv": "0ef9728cc25d3097a26bcb0bcaeec90cb6276cfed811c31353a33290669e1576",
         "gamma.csv": "d7ed6267336cfd11c1bb13e13bb623e2db0f577d84220bf72969fb054e185378",
-        "metrics.json": "532961cb52bd1c2609a54e7a264059cbb61e89ee9ba4d3cb0bffeac4118790d8",
+        "metrics.json": "58fcd96ad3df0c2a3d0877a8fb9a60e744997bbfd81ca024bc43a335cd6ccff9",
         "trace.csv": "5ea79100f0cdb3b8e02b5b52e8edaac7b3807973064cc10898e1e79880e95bc9",
     }
 
@@ -211,14 +214,22 @@ def test_fit_metrics_report_the_lasso_counts(sim_dir, tmp_path):
 
 def test_fit_pipeline_metrics_report_the_cp_baseline(sim_dir, tmp_path):
     # the pipeline's CP fit is fitted once and its record written beside the
-    # symmetric fit's own; at rho > 0 every CP block is a lasso call
+    # symmetric fit's own, with whether it converged or stopped at the cap;
+    # at rho > 0 every CP block is a lasso call
     out = tmp_path / "pipe"
     run("fit", sim_dir, "--estimator", "pipeline", "--rank", "2", "--rho", "0.5",
         "--max-outer-iters", "5", "--out", out)
     metrics = json.loads((out / "metrics.json").read_text())
     base = metrics["baseline_cp"]
-    assert set(base) == {"ridged", "lasso_calls", "lasso_iterations", "lasso_capped"}
-    assert base["lasso_calls"] > 0
+    assert set(base) == {
+        "converged", "iterations", "ridged", "lasso_calls", "lasso_iterations",
+        "lasso_capped", "extrapolated",
+    }
+    assert type(base["converged"]) is bool
+    assert 1 <= base["iterations"] <= 5
+    assert base["converged"] or base["iterations"] == 5
+    assert base["lasso_calls"] == 2 * base["iterations"]
+    assert 0 <= base["extrapolated"] <= base["iterations"]
     assert base["lasso_iterations"] >= base["lasso_calls"] >= base["lasso_capped"]
     assert metrics["lasso_calls"] == metrics["iterations"]
 

@@ -133,19 +133,22 @@ FIT_NAMES = (
 # moved cp_rho0's coef_full by 8e-5 and its objective by 1e-5.
 GOLDEN = {
     # re-recorded for upper-triangle X rows: coef 5e-4, objective 5e-5 (ridge; above)
+    # re-recorded when fit_cp came to extrapolate each outer iteration along its
+    # successive plain updates (accepted 10 of 15 times): the capped 15-iteration path
+    # ends at 40.0929 instead of 41.8401 (-4.2%); coef_full moved 42% of its largest
+    # entry (an unconverged ridged path, see above)
     "cp_rho0": {
         "objective_trace": [
-            6119.8683347939, 310.30280559701976, 67.88607775455061, 57.46834465094711,
-            52.63196178918643, 48.404971327624665, 46.11385639785989,
-            44.81755518326443, 43.98026629285758, 43.401146426124235,
-            42.98109639962654, 42.66305194479233, 42.41031121862841, 42.19898386707024,
-            42.01274616409816, 41.840080786129874,
+            6119.8683347939, 310.30280559701976, 67.88607775455061, 56.75988665757557,
+            50.309504200653706, 46.0223809123314, 43.47683954150798, 42.78083594566401,
+            42.35644504629292, 41.88757738431369, 41.4182146740051, 41.168931257523084,
+            40.85514604964838, 40.382910961809436, 40.24171591693255, 40.09288904080983,
         ],
-        "coef_full": "60e6c7a0a7c2a269fe6c3cea9d5b52762b27887ed94bfb7bbffa3ca151671dbb",
-        "gamma": "ec38462fd32092a02a2ea7e672ab161d33f1c13bdbd00c6f4b420ded942a7c0a",
+        "coef_full": "056fff36dc6f8935f513378aa96a26a2d98fbdb07f6cbdf489c56016b5bc594c",
+        "gamma": "680a4840f7df7c285c5c18bb6beb80da1a638be10a438c887bec7b71e1633b7c",
         "factors": {
-            "B1": "0b33f9c82249aaf180587ef949596215e1da2d2a97e6ad1a35cbf743171fe607",
-            "B2": "d484274e8f38e4fd1d9618455171f1827be1fcd6b54be5d4ef53b985423d3d34",
+            "B1": "9d874a27dcbc24c4818fca366c24d13189e64bb88ab9dd99ceb9e09f57cb4d48",
+            "B2": "65d80987248e97eaa8065716e031ecbde63f28bc54abc8a9d7aefbb0366015fc",
         },
         "iterations": 15,
         "converged": False,
@@ -161,17 +164,20 @@ GOLDEN = {
     # iterations instead of 1,802 and stop at the same relative KKT
     # tolerance, at other points; it ends at 68.9873 instead of 68.9985
     # (-0.016%); coef_full moved 0.9% of its largest entry
+    # re-recorded for CP extrapolation (accepted 5 of 8 times): the capped 8-iteration
+    # path ends at 62.8802 instead of 68.9873 (-8.9%), its 16 lasso calls run 552
+    # iterations instead of 487; coef_full moved 30% of its largest entry
     "cp_lasso": {
         "objective_trace": [
-            6834.734552180622, 160.1490355246821, 86.59212757691725, 79.34970299286366,
-            76.17633421268658, 74.06440819800561, 72.36818583994261, 70.66639586838741,
-            68.987276738383,
+            6834.734552180622, 160.1490355246821, 86.13381928481066, 75.7871073572519,
+            72.97307904165584, 70.74389296028116, 67.9617322118628, 64.59599017713217,
+            62.8801618750682,
         ],
-        "coef_full": "51615694cc386f23445e57937796f7ea3706d9cb04021f68352c6c86317b3e0c",
-        "gamma": "c7824f69760083787ad74b1fa6edb47ef1eb03d4f96e4ce81e885de572ad4ee0",
+        "coef_full": "1145ea6860f37e2302bebee9ed7eabfe38b8bf6a4cda7de9d713c5aa1caed821",
+        "gamma": "2b20b2166dfece5b48ea5b3ed3bf7c6d32ef4b41ca8fcdf3352698a240748a5a",
         "factors": {
-            "B1": "e6e0f14c12598908c71a450077aaec8731966eb3101b36169d0ef4031d75f182",
-            "B2": "a92490f56ecd081ca7dd68984cdbb1f92507c93fec3324c46325ffcbe958f804",
+            "B1": "795c8a494fa71a01c71e06cb163d0e1c1749e2eb28c355a41d61c8bcacf43279",
+            "B2": "de661461d676a7d55e854e1c1b6a2a0c048ad0b9ead55f03b7138c7a465240c7",
         },
         "iterations": 8,
         "converged": False,
@@ -192,16 +198,19 @@ GOLDEN = {
     # each Z'WZ: 939 lasso iterations instead of 2,598, none capped, and the
     # final objective is 8.5298 instead of 8.6737 (-1.7%); coef_full moved
     # 23% of its largest entry
+    # re-recorded for CP extrapolation (accepted 3 of 6 times): the capped 6-iteration
+    # path ends at 8.2426 instead of 8.5298 (-3.4%), in 927 lasso iterations instead of
+    # 939, none capped; coef_full moved 11% of its largest entry
     "cp_bernoulli": {
         "objective_trace": [
-            327.69594719960645, 30.325697545689742, 19.04412441679853,
-            12.521225206514378, 10.050713566017967, 8.958083619797216, 8.52984282994326,
+            327.69594719960645, 30.325697545689742, 19.04412441679853, 12.2133828119862,
+            9.648436922083102, 8.547375163840279, 8.24260712558236,
         ],
-        "coef_full": "e0c6924514956f1d04ff4fe75857fa49f08a955be19a2b08113d053a09d66bd7",
-        "gamma": "ab0f7aecbfec7c994fe537e3c37d0038cfa1e78c1c42299d106d71df8dd60b14",
+        "coef_full": "f087a3e342ac17eb5157158954d73e0a51b57c97584048f9c26a5dca0a45d6be",
+        "gamma": "233da47fa1b5a47bb10cd02748a4f2baa9dfdfecacc5e65d808aece23213d172",
         "factors": {
-            "B1": "3a08fd91644ca40d828f5433f8116e8be2e77e16fb871738c56643327b86fea2",
-            "B2": "bc535edf79def62f51c9ae0d216df70d3489beae3015b04c65ae050e2135f21a",
+            "B1": "0660f5e571a831b3e6d67da2621d500cdb1f2104f2642bf94e77cef2b35df851",
+            "B2": "e5126e6faaac1f5ae3e9b61956bd635166e66a39a4cf11e36bcfca3b2b91a336",
         },
         "iterations": 6,
         "converged": False,
@@ -210,19 +219,22 @@ GOLDEN = {
         "lasso_capped": 0,
     },
     # re-recorded for upper-triangle X rows: coef 2e-5, objective 2e-6 (ridge; above)
+    # re-recorded for CP extrapolation (accepted 10 of 15 times): the capped
+    # 15-iteration CP path ends at 40.5051 instead of 44.2013 (-8.4%); coef_full moved
+    # 1.8x its largest entry (an unconverged ridged path, see above)
     "sym_cp": {
         "objective_trace": [
             16536.283243139336, 335.34319311517777, 73.86320510201097,
-            58.056426590294436, 54.71836293481855, 52.909211422220686,
-            51.72594349344339, 50.89584941503013, 50.262289914757005,
-            49.715755688617215, 49.176910945175635, 48.57580843176457,
-            47.82398877000725, 46.80771877990684, 45.50218534813048, 44.20134656419436,
+            56.95948564161641, 53.230287368604074, 51.200426991812776, 49.9530680562515,
+            49.33952152625697, 48.50267412754655, 46.61525198914148, 45.22692076357427,
+            43.28141283315831, 42.49366517569477, 41.78192715880304, 41.21878073674924,
+            40.50505210447234,
         ],
-        "coef_full": "97f44e24dc5a256dc649584749c0db2cc92c2c442063a1a2417eaeed850c3176",
-        "gamma": "c9daf863989b1a5f07e43243a3473ab275fa9210011e0be6bc51805c390f829f",
+        "coef_full": "7a57ce465595730b26b1548db8020c5d800ab284b1390b4f3bc236bd11c25854",
+        "gamma": "7d2a5bce37273dc388a21779e2f7efef9e2e5322082c23a99381d61d2dc6c31a",
         "factors": {
-            "B1": "452b13b37793da8cbf013df36232e1a158dc7386ecd020293956a70494d89627",
-            "B2": "7db91c000b1da2691bb14ff654baea649b39bf5ee62668b85f2ee1bde9fbba47",
+            "B1": "4796c1fd18df235e3c077eac92db1377abc90e5ac60d69b2b593fed2399f0277",
+            "B2": "a47f15b9c008b992b615005e6c38fcf084ff06631fb6db8d2c5f956595718a2f",
         },
         "iterations": 15,
         "converged": False,
@@ -344,22 +356,27 @@ GOLDEN = {
     # eigen init the symmetric fit keeps descending and stops at the cap of
     # 10 at 69.7297, where it was declared converged at outer iteration 4 at
     # 71.3938 (-2.3%); coef_full moved 4.4x its largest entry
+    # re-recorded for CP extrapolation: the CP baseline (seed 7, capped at 10, 7 of 10
+    # accepted) ends at 50.304 instead of 51.470. Its eigen init starts the symmetric
+    # fit at 275.76 instead of 261.24; that fit converges at outer iteration 9 at
+    # 69.5033, where it stopped at the cap of 10 at 69.7297 (-0.32%); coef_full moved
+    # 15% of its largest entry
     "pipeline_gaussian": {
         "objective_trace": [
-            261.24258152175685, 72.54365141891991, 71.18745345046773, 71.01119596928919,
-            70.92662280355556, 70.66884058898549, 70.50955529771889, 70.20034813216185,
-            70.08830909050394, 69.81054892526345, 69.72971504106742,
+            275.75857444165916, 75.11632706264388, 70.59764362997554, 70.24157368165018,
+            70.08366131567749, 69.80780417408558, 69.72532961310411, 69.54000686213567,
+            69.50602145064514, 69.50325025356278,
         ],
-        "coef_full": "e441d9ab69465c35e29a6b257cbad157151f5a019b71a06997d56f0a4ed33689",
-        "gamma": "669c681cf19c479c98fbbd48ee79c12f3b14179824103a680f82203c42b01455",
+        "coef_full": "0b13d518c06e9aa1f73adbce50898a238cbd07c812ecaa1f84370b2a2a271aff",
+        "gamma": "e076c1f0696482439fdbbb064277003b4a1af3dc14b4a007ca5e29fde02424a1",
         "factors": {
-            "lam": "939eca690dcd50e24eaa14508a746cf9e1f632966991fa5fb588a80798af42ee",
-            "B": "277d88faee786b18364c2574a00064ec23f669d1aaac754e0b85b31570a1badb",
+            "lam": "fd9c4188d5f9e2ebbb89571613fbae59b78eeb42712c2bece208406d99357354",
+            "B": "39c59645b7a70685630f4f191e1ae172c75049a71dc317af9c334c0079051f46",
         },
-        "iterations": 10,
-        "converged": False,
+        "iterations": 9,
+        "converged": True,
         "ridged": False,
-        "lasso_calls": 10,
+        "lasso_calls": 9,
         "lasso_capped": 0,
     },
     # re-recorded with cp_bernoulli: the CP baseline it starts from moved, and
@@ -384,16 +401,24 @@ GOLDEN = {
     # meta came to hold the same four counts: the symmetric fit's B block takes
     # prox steps, so it runs no lasso and now says so (its CP baseline's calls
     # are that fit's own meta); the fit is unchanged
+    # re-recorded for CP extrapolation: the CP baseline (seed 8, capped at 6, 3 of 6
+    # accepted) ends at 8.503 instead of 9.315, still with 1 of its 12 lasso calls
+    # capped. Its eigen init starts the symmetric logistic fit at 889.06 instead of
+    # 855.84, and after 6 outer iterations that fit ends at 182.13 instead of 166.59
+    # (+9.3%): a lower CP objective again gives a worse symmetric start, ROADMAP item
+    # 6's init dependence, reported and not tuned away; coef_full moved 14% of its
+    # largest entry
     "pipeline_bernoulli": {
         "objective_trace": [
-            855.8395678548928, 322.9898367324943, 249.66316653548714, 222.6829191300648,
-            200.57340654384086, 183.23655862054292, 166.59289662211938,
+            889.0578228661005, 330.73050175147483, 269.60846735360485,
+            241.10779970254194, 216.5733712809656, 199.5744153218586,
+            182.12916449290267,
         ],
-        "coef_full": "1046c81dd4a6ce5cc2c7cdf42e63cd22b2022867bc4c390df255678ecabe2176",
-        "gamma": "a574d851bda488aab38f33fd4aac6c197ee389c9177721860be947a5bc05bdfa",
+        "coef_full": "c56bf9a900c66f2c7854b0a6fe670aa1782656ba10511ca7d9f55722804900b9",
+        "gamma": "344e34f96f510559a4a794d47854da8b7747f408a8457e31de50d66d0f39acf5",
         "factors": {
-            "lam": "2b53902d49e6352ab6122cd2fe115a2c62057ed285d31677359d5d2e8660db33",
-            "B": "e69c7e140eae0a6fe2c9cb31d8aa38affd13c0a7e6aee82d973f43abe1cdb947",
+            "lam": "e8caa70f3444712eb68784667123d4954046609f1818745ffe4cbcfc40a065a0",
+            "B": "b656aba6de90c153a9873a505f7e5ef68fcd70050529af08be1c21278a91c36d",
         },
         "iterations": 6,
         "converged": False,
@@ -408,18 +433,22 @@ GOLDEN = {
     # At rho = 0 the step is the ridged least-squares solve. It converges in
     # 13 outer iterations, at 52.6839, where the prox steps were capped at 15
     # at 61.7084 (-14.6%); coef_full moved 3.5x its largest entry
+    # re-recorded for CP extrapolation: the CP baseline (seed 9, capped at 15, 10 of 15
+    # accepted) ends at 27.810 instead of 29.988. Its eigen init starts the symmetric
+    # fit at 849.49 instead of 1007.02; that fit still converges at outer iteration 13,
+    # at 52.6814 instead of 52.6839 (-0.005%); coef_full moved 0.3% of its largest entry
     "pipeline_rho0": {
         "objective_trace": [
-            1007.0152143993319, 88.23495553125133, 64.8389679791263, 57.284491212705184,
-            55.23047381405217, 54.037019786499954, 53.46703300894566, 53.09869582220889,
-            52.89122200194293, 52.777520023348316, 52.72433220014622, 52.69959478990549,
-            52.6887332157943, 52.68388479461325,
+            849.4854512074332, 86.0125017443783, 64.11897391920391, 60.827289222711485,
+            55.291904383543596, 54.03150307294024, 53.34258482678703,
+            53.038294883909735, 52.85484990018145, 52.75962283901798, 52.71408873943575,
+            52.69373679613149, 52.68502763763658, 52.681403821274145,
         ],
-        "coef_full": "a296ecad1308c4c0962dc758f103fbcd21a1327090165a2e359f8196b986d268",
-        "gamma": "e0a5ead734cc85f6c72182b20297e35fb9f19c16e8f291ccdfba69d917e5ca40",
+        "coef_full": "d7b9139338555611fd7577e5de5199487a8d418ebb44f3de3a03167e51ad817d",
+        "gamma": "7d2069cc74d144c25cc301d7a326b820cade8eebc6516f63c3af6d1e6b3af367",
         "factors": {
-            "lam": "a938b30333994ebb72c918927e1bb6fa2f7b991a64774af08b184e904a840987",
-            "B": "b424bfa51e31c7314181992a737c41953dc140254f2ede4c2457c2a12c7ea1d1",
+            "lam": "a3b5b3674efc66b599a7bc9bd8b033291bc2dffcdc25f48534a70649cb7a0cc5",
+            "B": "1617a2ab4847ee79757c4b10a1179b5dd555d6c8d862de31943771bf276fa3fe",
         },
         "iterations": 13,
         "converged": True,
@@ -428,18 +457,21 @@ GOLDEN = {
         "lasso_capped": 0,
     },
     # re-recorded for upper-triangle X rows: coef 5e-15 (rounding)
+    # re-recorded for CP extrapolation (accepted 10 of 15 times): the capped
+    # 15-iteration path ends at 67.5889 instead of 68.1164 (-0.77%); coef_full moved 65%
+    # of its largest entry
     "cp_rank1": {
         "objective_trace": [
-            2101.637821488973, 304.7687924266278, 82.80300457173018, 72.22166538899982,
-            70.26846488055878, 69.9888347875519, 69.92435667935857, 69.8393264711026,
-            69.66918253758726, 69.38822556199065, 69.05063236700514, 68.75258474359339,
-            68.52643649858204, 68.3561677128261, 68.22344136226481, 68.11637881246995,
+            2101.637821488973, 304.7687924266278, 82.80300457173018, 71.21302211407396,
+            70.03476603111224, 69.95842832223352, 69.90990967089017, 69.75629387463385,
+            69.30888702075283, 68.75393036589463, 68.38372677096774, 68.15786997787723,
+            67.91450453915354, 67.81769627896003, 67.64573778990133, 67.58887052025818,
         ],
-        "coef_full": "11c8c42ff51ad6d839a535f192f95b8433f19eeb0c00dfc0e55d97b19d983a56",
-        "gamma": "83f765c7188c858d2787402df25cbeb4fda5044b8c40eb373ec57dbd82c65256",
+        "coef_full": "a58997e3346e30dce48b1bfe1381743448b0a0340ec8c852d9c5e7f957f2b4da",
+        "gamma": "6f8e35303b5cfebb84bfa2e2ffc9fd2ccb9da044c81d550624a8d4f27840621d",
         "factors": {
-            "B1": "d4ef44c0f5627217cbb8f422d941a2eb1f035ac217d40b28290eb7d80cf87f88",
-            "B2": "9f70f0361a8b3210b5832891d96a30f007924c81f431ca3c1a09248c58445f0c",
+            "B1": "524e235e0b8bf672b694986b5540e1519d29e2cd387d88675042f449a1e0f39c",
+            "B2": "1602dd6fdddc2c67829724f2c29d9ac7b7d108061682b5b2ca4ccdd61bdbcd15",
         },
         "iterations": 15,
         "converged": False,

@@ -521,7 +521,9 @@ def test_sym_tensor_B_block_follows_the_family(family, rng, monkeypatch):
     assert res.meta["lasso_calls"] == (res.iterations if family is GAUSSIAN else 0)
 
 
-META_KEYS = {"ridged", "lasso_calls", "lasso_iterations", "lasso_capped"}
+META_KEYS = {
+    "ridged", "lasso_calls", "lasso_iterations", "lasso_capped", "extrapolated"
+}
 META_FITS = {
     "cp": fit_cp,
     "sym_cp": fit_sym_cp,
@@ -535,7 +537,8 @@ META_FITS = {
 @pytest.mark.parametrize("family", [GAUSSIAN, BERNOULLI])
 @pytest.mark.parametrize("estimator", sorted(META_FITS))
 def test_fit_meta_is_one_flat_record(estimator, family, rng):
-    # every estimator and family reports the same four scalars, and nothing else
+    # every estimator and family reports the same five scalars, and nothing
+    # else; only the CP fits extrapolate, at most once per outer iteration
     data = toy_dataset(rng, n=60, family=family)
     res = META_FITS[estimator](data, FitConfig(rank=2, rho=0.1, max_outer_iters=5))
     assert set(res.meta) == META_KEYS
@@ -543,6 +546,9 @@ def test_fit_meta_is_one_flat_record(estimator, family, rng):
     assert all(type(res.meta[key]) is int for key in META_KEYS - {"ridged"})
     assert 0 <= res.meta["lasso_capped"] <= res.meta["lasso_calls"]
     assert res.meta["lasso_iterations"] >= res.meta["lasso_calls"]
+    assert 0 <= res.meta["extrapolated"] <= res.iterations
+    if estimator in ("sym_tensor", "pipeline"):
+        assert res.meta["extrapolated"] == 0
 
 
 def test_sym_tensor_reports_gaussian_B_block_solves(monkeypatch):
@@ -716,14 +722,19 @@ def test_cp_reports_capped_lasso_calls(monkeypatch):
 # tolerance; the iterates must not change. Re-recorded when the lasso moved
 # from the scalar step 1/eigmax(G) to the certified rank-one metric
 # a*I + b*u u': its 40 calls run 1,181 iterations instead of 4,018, and the
-# unconverged 20-iteration trace ends at 41.8284 instead of 41.7204 (+0.26%)
+# unconverged 20-iteration trace ends at 41.8284 instead of 41.7204 (+0.26%).
+# Re-recorded when fit_cp came to extrapolate along its successive plain
+# updates: 13 of the 20 outer iterations accept the extrapolated point (the
+# first two do not, so the trace agrees up to index 2), the 40 calls run
+# 1,196 iterations, and the still capped trace ends at 40.3996 instead of
+# 41.8284 (-3.4%)
 PINNED_CP_TRACE = [
-    3990.202830783433, 194.40397153738985, 63.35103232335038, 58.00228184985893,
-    54.86357476155902, 51.92729556421811, 48.22891448805583, 45.25002263843433,
-    43.65668294345413, 42.963202087585145, 42.64902830768057, 42.46463317165301,
-    42.32891108423133, 42.222188393461984, 42.1344213076074, 42.063322350201126,
-    42.007192721472926, 41.95785189907055, 41.911926936202036, 41.869213623349424,
-    41.82837954466644,
+    3990.202830783433, 194.40397153738985, 63.35103232335038, 57.57127142885013,
+    54.08376975610695, 50.00537943008134, 45.23057736186958, 43.2703579535924,
+    42.57780065557348, 42.28019973303011, 42.03960077918513, 41.8371581358297,
+    41.704766624013246, 41.55632848140547, 41.31855626908506, 41.11314636562676,
+    40.907995393229854, 40.790693316378565, 40.61044562669309, 40.48191089381463,
+    40.399587580193206,
 ]
 
 
@@ -733,6 +744,100 @@ def test_cp_lasso_trace_pinned():
     pinned = np.asarray(PINNED_CP_TRACE)
     assert res.objective_trace.shape == pinned.shape
     assert np.all(np.abs(res.objective_trace - pinned) <= 1e-9 * np.abs(pinned))
+
+
+@functools.lru_cache(maxsize=None)
+def _extrapolation_data(family):
+    if family is BERNOULLI:
+        b0 = 0.3 * shape_signal(SignalShape("two_box", 16))
+        return synth_dataset(b0, 160, p0=2, seed=22, family=BERNOULLI)
+    return synth_dataset(shape_signal(SignalShape("cross", 16)), 120, p0=2, seed=3)
+
+
+def _fit_cp_at_weight(monkeypatch, w, data, config):
+    # every extrapolation of the fit at the one weight w
+    for name in ("START", "MIN", "MAX"):
+        monkeypatch.setattr(solvers, f"CP_EXTRAPOLATE_{name}", w)
+    return fit_cp(data, config)
+
+
+@pytest.mark.parametrize("rank", [1, 3])
+@pytest.mark.parametrize("rho", [0.0, 0.5])
+@pytest.mark.parametrize("family", [GAUSSIAN, BERNOULLI])
+def test_cp_extrapolated_trace_never_rises(family, rho, rank):
+    data = _extrapolation_data(family)
+    res = fit_cp(data, FitConfig(rank=rank, rho=rho, max_outer_iters=30, seed=rank))
+    trace = res.objective_trace
+    assert res.meta["extrapolated"] > 0
+    assert np.all(np.diff(trace) <= 1e-12 * np.abs(trace[:-1]))
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5])
+def test_cp_rejects_extrapolations_that_raise_the_objective(rho, monkeypatch):
+    # at w = 1e3 every extrapolated point lies far past the plain update and
+    # raises the objective, so each is rejected and the fit is the one at
+    # w = 0, where E = P is never strictly lower: the plain updates alone
+    data = _extrapolation_data(GAUSSIAN)
+    cfg = FitConfig(rank=2, rho=rho, max_outer_iters=10)
+    plain = _fit_cp_at_weight(monkeypatch, 0.0, data, cfg)
+    far = _fit_cp_at_weight(monkeypatch, 1e3, data, cfg)
+    assert plain.meta["extrapolated"] == far.meta["extrapolated"] == 0
+    assert np.array_equal(far.objective_trace, plain.objective_trace)
+    assert np.array_equal(far.coef_full, plain.coef_full)
+    assert np.all(np.diff(far.objective_trace) <= 0)
+
+
+def test_cp_non_finite_extrapolation_keeps_the_plain_update(monkeypatch):
+    # at w = 1e308 the extrapolated factors overflow: a non-finite point is
+    # rejected (no error, no RuntimeWarning), and the fit is the plain one
+    fulls = []
+    cp_to_full = solvers.cp_to_full
+
+    def spy(*matrices):
+        fulls.append(cp_to_full(*matrices))
+        return fulls[-1]
+
+    monkeypatch.setattr(solvers, "cp_to_full", spy)
+    data = toy_dataset(np.random.default_rng(0), n=20, p=4)
+    cfg = FitConfig(rank=2, rho=0.5, max_outer_iters=10)
+    plain = _fit_cp_at_weight(monkeypatch, 0.0, data, cfg)
+    fulls.clear()
+    huge = _fit_cp_at_weight(monkeypatch, 1e308, data, cfg)
+    assert any(not np.all(np.isfinite(full)) for full in fulls)
+    assert huge.meta["extrapolated"] == 0
+    assert np.array_equal(huge.objective_trace, plain.objective_trace)
+    assert np.array_equal(huge.coef_full, plain.coef_full)
+
+
+# overflow_dataset with its responses +-scale: each input fails, or fits, as
+# it did before fit_cp extrapolated (the messages are those of the plain
+# updates), because a point that does not evaluate to a finite objective is
+# rejected, never raised on
+@pytest.mark.parametrize(
+    "scale, rho, rank, error",
+    [
+        (1e308, 0.0, 1, "at outer iteration 1: least squares requires a finite design"),
+        (1e308, 0.5, 1, "at outer iteration 1: negloglik requires finite y and eta"),
+        (1e154, 0.0, 1, "non-finite objective at outer iteration 1"),
+        (1e154, 0.0, 2, "at outer iteration 1: factors must be finite"),
+        (1e153, 0.0, 2, "Singular matrix"),
+        (1e153, 0.5, 1, None),
+        (1e153, 0.5, 2, None),
+    ],
+)
+def test_cp_overflow_fails_as_the_plain_updates_do(scale, rho, rank, error):
+    base = overflow_dataset()
+    data = Dataset(np.sign(base.y) * scale, base.Z, base.X)
+    cfg = FitConfig(rank=rank, rho=rho, max_outer_iters=20)
+    with np.errstate(all="ignore"):
+        if error is not None:
+            with pytest.raises(NumericalError, match=error):
+                fit_cp(data, cfg)
+            return
+        res = fit_cp(data, cfg)
+    trace = res.objective_trace
+    assert res.meta["extrapolated"] > 0
+    assert np.all(np.diff(trace) <= 1e-12 * np.abs(trace[:-1]))
 
 
 def test_cp_huge_rho_gives_null_model(rng):
