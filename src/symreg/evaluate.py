@@ -204,18 +204,17 @@ def _replication_metrics(spec, rep):
 
     Shares work: CP is fitted once, and that fit is the cp result, the base
     of sym_cp and the init source of the sym_tensor pipeline.
-    mse_pred_in is on the training sample; mse_pred_out on a fresh draw of
-    the same size with seed (rep_seed XOR salt).
+    Both samples are drawn as gen_dataset draws sim, in sim.family from the
+    true B = signal_scale * shape signal, which mse_coef scores against.
+    mse_pred_in is on the training sample (seed rep_seed); mse_pred_out on a
+    fresh draw of the same size with seed (rep_seed XOR salt).
     """
     sim = spec.sim
     rep_seed = sim.seed ^ rep
-    b0 = shape_signal(sim.shape)
-    data = synth_dataset(
-        b0, sim.n, sim.p0, sigma=sim.sigma, seed=rep_seed
-    )
-    test = synth_dataset(
-        b0, sim.n, sim.p0, sigma=sim.sigma,
-        seed=rep_seed ^ TEST_SEED_SALT,
+    b0 = sim.signal_scale * shape_signal(sim.shape)
+    data, test = (
+        synth_dataset(b0, sim.n, sim.p0, sigma=sim.sigma, seed=seed, family=sim.family)
+        for seed in (rep_seed, rep_seed ^ TEST_SEED_SALT)
     )
 
     cp_result = fit_cp(data, spec.config)

@@ -59,7 +59,9 @@ class CovariateOperator:
     triangle of X_i: rows holds the p(p+1)/2 entries X_i[j, k], j <= k, of
     each record, and the matrix side carries the weights, (M + M')_jk above
     the diagonal and M_jj on it. So M need not be symmetric (CP's coef_full
-    is not). Only block_design reads the full-width X.
+    is not). Only block_design reads the full-width X, one small product
+    per record, because X_i b needs whole rows: fit_cp makes no other pass,
+    and reads its predictors off the designs it builds.
     """
 
     def __init__(self, X):
@@ -99,12 +101,15 @@ class CovariateOperator:
         vec(X_i B1) because Dataset enforces exact symmetry. Twice the design
         at b = B diag(lam) is the Jacobian in B of the symmetric predictor
         <X_i, B diag(lam) B'>: the design of the gaussian symmetric B block
-        (the bernoulli B block does not use it). Built as one (n*p, p) @
-        (p, R) BLAS matmul over the full-width X, since X_i b needs whole
-        rows.
+        (the bernoulli B block does not use it). X_i b needs whole rows, so
+        this is the one pass over the full-width X. It is one (p, p) @ (p, R)
+        product per record, which lands in rows vec(X_i b) without a copy: at
+        p = 32, R = 3, n = 500 on one OpenBLAS thread (2-core Haswell) it takes
+        0.25-0.30 ms, where one (n*p, p) @ (p, R) gemm took 0.40-0.47 ms. The
+        design is linear in b, and vec(X_i b) . vec(c) = <X_i, b c'>.
         """
         n, p, _ = self.X.shape
-        return (self.X.reshape(n * p, p) @ b).reshape(n, b.size)
+        return np.matmul(self.X, b).reshape(n, b.size)
 
 
 @dataclass
@@ -114,9 +119,10 @@ class Dataset:
 
     The solvers read X only through xop, a CovariateOperator over the upper
     triangles, built on first use and cached (2.1 MB at p = 32, n = 500,
-    3 ms to build). Each of its passes reads p(p+1)/2 of the p^2 entries per
-    record: at p = 32, n = 500 on one thread a predictor gemv takes 0.08 ms
-    instead of 0.17 ms, sum_i w_i X_i 0.08 ms instead of 0.21 ms.
+    3 ms to build). Each of its passes but block_design reads p(p+1)/2 of
+    the p^2 entries per record: at p = 32, n = 500 on one thread a predictor
+    gemv takes 0.08 ms instead of 0.17 ms, sum_i w_i X_i 0.08 ms instead of
+    0.21 ms. A block design (R = 3) reads all of X in 0.25-0.30 ms.
     """
 
     y: np.ndarray          # (n,)
@@ -588,39 +594,54 @@ def fit_cp(data, config):
 
     Each outer iteration then extrapolates (Xu & Yin 2013): with P the plain
     update (B1, B2) and P_prev the previous outer iteration's (the init at
-    the first), it evaluates E = P + w (P - P_prev) at the same gamma, one
-    more pass over X. It returns E where E's penalized objective is finite
-    and strictly below P's, and grows w (meta["extrapolated"] counts
-    these); otherwise it returns P and shrinks w (CP_EXTRAPOLATE_*). So no
-    returned point is worse than the plain update, and a non-finite E is
-    never raised on. The next blocks start from the returned point.
+    the first), it evaluates E = P + w (P - P_prev) at the same gamma. It
+    returns E where E's penalized objective is finite and strictly below
+    P's, and grows w (meta["extrapolated"] counts these); otherwise it
+    returns P and shrinks w (CP_EXTRAPOLATE_*). So no returned point is
+    worse than the plain update, and a non-finite E is never raised on. The
+    next blocks start from the returned point.
+
+    X is read twice per outer iteration, by the block designs D1 of B1 and
+    D2 of B2 (block_design), and twice per fit, by the init's; the update
+    makes no predictor pass. D1 is the B2 block's design and D2 the next B1
+    block's, and P's predictor <X_i, B1 B2'> is D1 vec(B2). A design is
+    linear in its factor, so E's factors have the designs D + w (D - D_prev),
+    with D_prev the design of P_prev's factor: E's predictor is
+    (D1 + w (D1 - D1_prev)) vec(E's B2), and where E is returned the next B1
+    block's design is D2 + w (D2 - D2_prev). At w = 0 E's predictor is P's
+    bit for bit.
     """
     p, R = data.p, config.rank
     blocks = _FactorBlocks(data, config.rho)
     rng = np.random.default_rng(config.seed)
     init = CPFactors(rng.standard_normal((p, R)), rng.standard_normal((p, R)))
     prev, w = init.matrices, CP_EXTRAPOLATE_START
+    prev_designs = [data.xop.block_design(m) for m in prev]
+    design = prev_designs[1]  # the next B1 block's
 
     def update(gamma, factors):
-        nonlocal prev, w
+        nonlocal prev, prev_designs, design, w
         zoff = data.Z @ gamma
-        b1 = blocks.solve(data.xop.block_design(factors.B2), zoff, factors.B1)
-        b2 = blocks.solve(data.xop.block_design(b1), zoff, factors.B2)
+        b1 = blocks.solve(design, zoff, factors.B1)
+        d1 = data.xop.block_design(b1)
+        b2 = blocks.solve(d1, zoff, factors.B2)
+        d2 = data.xop.block_design(b2)
         plain = CPFactors(b1, b2)
-        xb = data.xop.inner(plain.to_full())
+        xb = d1 @ b2.ravel()
         f = _loss(data, zoff + xb, plain, config.rho)
         with np.errstate(all="ignore"):
             ext = [m + w * (m - m0) for m, m0 in zip(plain.matrices, prev)]
-            xb_ext = data.xop.inner(cp_to_full(*ext))
+            xb_ext = (d1 + w * (d1 - prev_designs[0])) @ ext[1].ravel()
             f_ext = math.nan
             if np.all(np.isfinite(zoff + xb_ext)):
                 pen = sum(float(np.abs(m).sum()) for m in ext)
                 f_ext = data.family.negloglik(data.y, zoff + xb_ext) + config.rho * pen
         accept = f_ext < f  # so f_ext is finite; False on a nan f_ext
+        design = d2 + w * (d2 - prev_designs[1]) if accept else d2
         w = w * CP_EXTRAPOLATE_GROW if accept else w / 2.0
         w = min(max(w, CP_EXTRAPOLATE_MIN), CP_EXTRAPOLATE_MAX)
         blocks.extrapolated += accept
-        prev = plain.matrices
+        prev, prev_designs = plain.matrices, [d1, d2]
         return (CPFactors(*ext), xb_ext) if accept else (plain, xb)
 
     return _block_descent(data, config, init, update, blocks)

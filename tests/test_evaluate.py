@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symreg import (
+    BERNOULLI,
     CvPlan,
     Dataset,
     ExperimentSpec,
@@ -18,6 +19,7 @@ from symreg import (
     kfold_split,
     mse_coef,
     mse_pred,
+    predict_mean,
     replicate_experiment,
 )
 from symreg import evaluate
@@ -228,6 +230,36 @@ def test_replication_fits_equal_the_fits_run_alone(monkeypatch):
         assert np.array_equal(got.gamma, want.gamma)
         assert np.array_equal(got.objective_trace, want.objective_trace)
         assert got.meta == want.meta
+
+
+def test_replication_draws_the_specs_family_and_signal_scale(monkeypatch):
+    # a bernoulli SimSpec at signal_scale 0.3: both samples are logistic draws
+    # of 0.3 * shape, and mse_coef scores the fit against that true B
+    sim = SimSpec(
+        shape=SignalShape("two_box", 16), n=80, seed=4, family=BERNOULLI, signal_scale=0.3
+    )
+    spec = ExperimentSpec(
+        sim=sim, config=FitConfig(rank=2, rho=0.2, seed=4, **FAST), estimators=("cp",)
+    )
+    b0 = 0.3 * shape_signal(sim.shape)
+    data = synth_dataset(b0, 80, sim.p0, seed=4 ^ 1, family=BERNOULLI)
+    test_seed = (4 ^ 1) ^ evaluate.TEST_SEED_SALT
+    test = synth_dataset(b0, 80, sim.p0, seed=test_seed, family=BERNOULLI)
+    fitted, fit = [], evaluate.fit_cp
+
+    def spy(d, config):
+        fitted.append(d)
+        return fit(d, config)
+
+    monkeypatch.setattr(evaluate, "fit_cp", spy)
+    got = evaluate._replication_metrics(spec, 1)["cp"]
+    (drawn,) = fitted
+    assert drawn.family is BERNOULLI
+    assert np.array_equal(drawn.y, data.y) and np.array_equal(drawn.X, data.X)
+    res = fit_cp(data, spec.config)
+    assert got["mse_coef"] == mse_coef(res.coef_full, b0)
+    assert got["mse_pred_in"] == mse_pred(predict_mean(res, data), data.y)
+    assert got["mse_pred_out"] == mse_pred(predict_mean(res, test), test.y)
 
 
 def test_experiment_spec_checks_the_pipeline_rank():

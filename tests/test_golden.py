@@ -137,18 +137,22 @@ GOLDEN = {
     # successive plain updates (accepted 10 of 15 times): the capped 15-iteration path
     # ends at 40.0929 instead of 41.8401 (-4.2%); coef_full moved 42% of its largest
     # entry (an unconverged ridged path, see above)
+    # re-recorded when CP's block designs became one X_i @ b product per record
+    # and fit_cp read its predictors off them (ridge; above): final objective
+    # +3.6e-6 relative, coef_full moved 3.9e-4 of its largest entry
     "cp_rho0": {
         "objective_trace": [
-            6119.8683347939, 310.30280559701976, 67.88607775455061, 56.75988665757557,
-            50.309504200653706, 46.0223809123314, 43.47683954150798, 42.78083594566401,
-            42.35644504629292, 41.88757738431369, 41.4182146740051, 41.168931257523084,
-            40.85514604964838, 40.382910961809436, 40.24171591693255, 40.09288904080983,
+            6119.8683347939, 310.30280559701976, 67.88607775455063, 56.75988208777441,
+            50.309582252746516, 46.02244015281829, 43.4769848019119, 42.78099428532964,
+            42.356682807391145, 41.88767173705821, 41.41968957227333, 41.16823907489699,
+            40.85409163360785, 40.38088129524404, 40.241218966444094,
+            40.093035215865044,
         ],
-        "coef_full": "056fff36dc6f8935f513378aa96a26a2d98fbdb07f6cbdf489c56016b5bc594c",
-        "gamma": "680a4840f7df7c285c5c18bb6beb80da1a638be10a438c887bec7b71e1633b7c",
+        "coef_full": "d37b9867d798923a0122cc57a22c62189117adc572252d758512b01ce804d573",
+        "gamma": "dc063e39ec1fdb65a85a696b0dd94562e6bfaf20599328d2896476c925b40d9b",
         "factors": {
-            "B1": "9d874a27dcbc24c4818fca366c24d13189e64bb88ab9dd99ceb9e09f57cb4d48",
-            "B2": "65d80987248e97eaa8065716e031ecbde63f28bc54abc8a9d7aefbb0366015fc",
+            "B1": "3a13120f831e1bb7738f62cb77594984652a4ff6352b15b3d0f64961cd211b94",
+            "B2": "d574e83390026de15d5bb574b9cd84c6c2e59d8e2cdf6adbc888f4271ce691fc",
         },
         "iterations": 15,
         "converged": False,
@@ -167,17 +171,20 @@ GOLDEN = {
     # re-recorded for CP extrapolation (accepted 5 of 8 times): the capped 8-iteration
     # path ends at 62.8802 instead of 68.9873 (-8.9%), its 16 lasso calls run 552
     # iterations instead of 487; coef_full moved 30% of its largest entry
+    # re-recorded when CP's block designs became one X_i @ b product per record
+    # and fit_cp read its predictors off them (rounding): final objective
+    # +2.8e-14 relative, coef_full moved 8.1e-14 of its largest entry
     "cp_lasso": {
         "objective_trace": [
-            6834.734552180622, 160.1490355246821, 86.13381928481066, 75.7871073572519,
-            72.97307904165584, 70.74389296028116, 67.9617322118628, 64.59599017713217,
-            62.8801618750682,
+            6834.734552180622, 160.14903552468206, 86.1338192848107, 75.78710735725272,
+            72.97307904165578, 70.74389296028087, 67.96173221186437, 64.59599017713218,
+            62.88016187506997,
         ],
-        "coef_full": "1145ea6860f37e2302bebee9ed7eabfe38b8bf6a4cda7de9d713c5aa1caed821",
-        "gamma": "2b20b2166dfece5b48ea5b3ed3bf7c6d32ef4b41ca8fcdf3352698a240748a5a",
+        "coef_full": "f05113dfbb42a75ffb616780a44d1b765b78e56145b6f4469da171b80b4e8e94",
+        "gamma": "2d11d8c3077adb7e2de628b5d504e18854c51223fda2abd3f0e2c9de7955b550",
         "factors": {
-            "B1": "795c8a494fa71a01c71e06cb163d0e1c1749e2eb28c355a41d61c8bcacf43279",
-            "B2": "de661461d676a7d55e854e1c1b6a2a0c048ad0b9ead55f03b7138c7a465240c7",
+            "B1": "984a40f116047e3b5124d8f3ca6e8f8b65213d4e9b1d65ed1136acb63d4024bf",
+            "B2": "33e3d6a756cd41ceb545b267e18a2fa821c1ab780668b022bdd617282be3045c",
         },
         "iterations": 8,
         "converged": False,
@@ -201,16 +208,19 @@ GOLDEN = {
     # re-recorded for CP extrapolation (accepted 3 of 6 times): the capped 6-iteration
     # path ends at 8.2426 instead of 8.5298 (-3.4%), in 927 lasso iterations instead of
     # 939, none capped; coef_full moved 11% of its largest entry
+    # re-recorded when CP's block designs became one X_i @ b product per record
+    # and fit_cp read its predictors off them (rounding): final objective
+    # -6.9e-15 relative, coef_full moved 1.2e-13 of its largest entry
     "cp_bernoulli": {
         "objective_trace": [
-            327.69594719960645, 30.325697545689742, 19.04412441679853, 12.2133828119862,
-            9.648436922083102, 8.547375163840279, 8.24260712558236,
+            327.69594719960645, 30.32569754568975, 19.044124416798386,
+            12.213382811986012, 9.648436922083013, 8.547375163840316, 8.242607125582303,
         ],
-        "coef_full": "f087a3e342ac17eb5157158954d73e0a51b57c97584048f9c26a5dca0a45d6be",
-        "gamma": "233da47fa1b5a47bb10cd02748a4f2baa9dfdfecacc5e65d808aece23213d172",
+        "coef_full": "e9451e87806f40c609b104913a618f5c66261930d767207ba11398da0fd772c6",
+        "gamma": "f0cc379dc82209aa4b32a87159a6ae7396cb41a8294f79f99f16b4378bf6216e",
         "factors": {
-            "B1": "0660f5e571a831b3e6d67da2621d500cdb1f2104f2642bf94e77cef2b35df851",
-            "B2": "e5126e6faaac1f5ae3e9b61956bd635166e66a39a4cf11e36bcfca3b2b91a336",
+            "B1": "0e080932cd929a5dea1b4f153ef76272ce725a6d5aae9fcb01b4346b8f7cd1b8",
+            "B2": "9ac187f02900c94edb4e56cc4a557800e636f885a1e45e3c678a63e53093064c",
         },
         "iterations": 6,
         "converged": False,
@@ -222,19 +232,21 @@ GOLDEN = {
     # re-recorded for CP extrapolation (accepted 10 of 15 times): the capped
     # 15-iteration CP path ends at 40.5051 instead of 44.2013 (-8.4%); coef_full moved
     # 1.8x its largest entry (an unconverged ridged path, see above)
+    # re-recorded when CP's block designs became one X_i @ b product per record
+    # and fit_cp read its predictors off them (ridge; above): final objective
+    # +6.1e-6 relative, coef_full moved 1.2e-4 of its largest entry
     "sym_cp": {
         "objective_trace": [
-            16536.283243139336, 335.34319311517777, 73.86320510201097,
-            56.95948564161641, 53.230287368604074, 51.200426991812776, 49.9530680562515,
-            49.33952152625697, 48.50267412754655, 46.61525198914148, 45.22692076357427,
-            43.28141283315831, 42.49366517569477, 41.78192715880304, 41.21878073674924,
-            40.50505210447234,
+            16536.283243139336, 335.34319311517777, 73.8632050048766, 56.95949756626551,
+            53.230299047944314, 51.20044118556283, 49.95307711778395, 49.33954718650899,
+            48.502740511760535, 46.6154814160332, 45.22727569903594, 43.281714286513335,
+            42.49386890863108, 41.78212980522944, 41.21904287370869, 40.50529719819944,
         ],
-        "coef_full": "7a57ce465595730b26b1548db8020c5d800ab284b1390b4f3bc236bd11c25854",
-        "gamma": "7d2a5bce37273dc388a21779e2f7efef9e2e5322082c23a99381d61d2dc6c31a",
+        "coef_full": "28f554a2acbe3dd3462c9f364b493d2eef01c2995acccb3bab59257c34d96a95",
+        "gamma": "262400f1e95634c9cb3a596a3f5c218cee18601daab2ba9ca23ad2286ccfe089",
         "factors": {
-            "B1": "4796c1fd18df235e3c077eac92db1377abc90e5ac60d69b2b593fed2399f0277",
-            "B2": "a47f15b9c008b992b615005e6c38fcf084ff06631fb6db8d2c5f956595718a2f",
+            "B1": "77b9f59109974debb8780dede62e781a80145d9119db7c656ecf12332fff4dd6",
+            "B2": "425ed5de8a47f5cf476fcb8a005a83b125bda64ff60940684e99b84d81aff1e0",
         },
         "iterations": 15,
         "converged": False,
@@ -361,17 +373,20 @@ GOLDEN = {
     # fit at 275.76 instead of 261.24; that fit converges at outer iteration 9 at
     # 69.5033, where it stopped at the cap of 10 at 69.7297 (-0.32%); coef_full moved
     # 15% of its largest entry
+    # re-recorded when CP's block designs became one X_i @ b product per record
+    # and fit_cp read its predictors off them (rounding): final objective
+    # +2.8e-14 relative, coef_full moved 1.3e-12 of its largest entry
     "pipeline_gaussian": {
         "objective_trace": [
-            275.75857444165916, 75.11632706264388, 70.59764362997554, 70.24157368165018,
-            70.08366131567749, 69.80780417408558, 69.72532961310411, 69.54000686213567,
-            69.50602145064514, 69.50325025356278,
+            275.75857444165683, 75.11632706264679, 70.59764362997508, 70.24157368164951,
+            70.08366131567624, 69.80780417408475, 69.72532961310354, 69.54000686213693,
+            69.50602145064703, 69.50325025356472,
         ],
-        "coef_full": "0b13d518c06e9aa1f73adbce50898a238cbd07c812ecaa1f84370b2a2a271aff",
-        "gamma": "e076c1f0696482439fdbbb064277003b4a1af3dc14b4a007ca5e29fde02424a1",
+        "coef_full": "b8604bfc104cf57bd5438c8ef577269af037f2cd87340db00442f165ceb40cb6",
+        "gamma": "9935053ecae296f7c1016a04507875c6862cba71428e652c633b045ed2d866c7",
         "factors": {
-            "lam": "fd9c4188d5f9e2ebbb89571613fbae59b78eeb42712c2bece208406d99357354",
-            "B": "39c59645b7a70685630f4f191e1ae172c75049a71dc317af9c334c0079051f46",
+            "lam": "626309cba11a56d52b0e0bf0209586ecba1e6a0dd55a7af821c39eaca68227a6",
+            "B": "49e43b2c2a03b140c8cdacc7380352dcacddcc9730bf081fa6155d12c5d4ef6c",
         },
         "iterations": 9,
         "converged": True,
@@ -408,17 +423,20 @@ GOLDEN = {
     # (+9.3%): a lower CP objective again gives a worse symmetric start, ROADMAP item
     # 6's init dependence, reported and not tuned away; coef_full moved 14% of its
     # largest entry
+    # re-recorded when CP's block designs became one X_i @ b product per record
+    # and fit_cp read its predictors off them (rounding): final objective
+    # -9.8e-15 relative, coef_full moved 1.5e-14 of its largest entry
     "pipeline_bernoulli": {
         "objective_trace": [
-            889.0578228661005, 330.73050175147483, 269.60846735360485,
-            241.10779970254194, 216.5733712809656, 199.5744153218586,
-            182.12916449290267,
+            889.0578228660977, 330.73050175147256, 269.6084673536038,
+            241.10779970254106, 216.57337128096452, 199.57441532185663,
+            182.12916449290088,
         ],
-        "coef_full": "c56bf9a900c66f2c7854b0a6fe670aa1782656ba10511ca7d9f55722804900b9",
-        "gamma": "344e34f96f510559a4a794d47854da8b7747f408a8457e31de50d66d0f39acf5",
+        "coef_full": "fbf39109102574425dd99f69049825c6ff4060939fdb98e5b7af185bc2d5bafc",
+        "gamma": "8ca59afcda5b81e681a6a167670245bcd8646696111c334c81ec5a0d499a45b1",
         "factors": {
-            "lam": "e8caa70f3444712eb68784667123d4954046609f1818745ffe4cbcfc40a065a0",
-            "B": "b656aba6de90c153a9873a505f7e5ef68fcd70050529af08be1c21278a91c36d",
+            "lam": "6ed660ab370ad59ab4896200df72e5bbcc6b1a009b7156b451f7e1eda572da63",
+            "B": "6e4b7021561a2e6131528b6a2fec644be7bf501cc2bcf7fb81b3751c9de6e0c6",
         },
         "iterations": 6,
         "converged": False,
@@ -437,18 +455,21 @@ GOLDEN = {
     # accepted) ends at 27.810 instead of 29.988. Its eigen init starts the symmetric
     # fit at 849.49 instead of 1007.02; that fit still converges at outer iteration 13,
     # at 52.6814 instead of 52.6839 (-0.005%); coef_full moved 0.3% of its largest entry
+    # re-recorded when CP's block designs became one X_i @ b product per record
+    # and fit_cp read its predictors off them (ridge; above): final objective
+    # +6.9e-9 relative, coef_full moved 3.3e-6 of its largest entry
     "pipeline_rho0": {
         "objective_trace": [
-            849.4854512074332, 86.0125017443783, 64.11897391920391, 60.827289222711485,
-            55.291904383543596, 54.03150307294024, 53.34258482678703,
-            53.038294883909735, 52.85484990018145, 52.75962283901798, 52.71408873943575,
-            52.69373679613149, 52.68502763763658, 52.681403821274145,
+            849.4685057975843, 86.0121956878277, 64.11368884688864, 60.74891011196767,
+            55.28872316690136, 54.03604626450173, 53.3424610023025, 53.0383274619404,
+            52.854848688519276, 52.759636711745756, 52.71409934852994,
+            52.69373768903212, 52.68502891812431, 52.681404185434005,
         ],
-        "coef_full": "d7b9139338555611fd7577e5de5199487a8d418ebb44f3de3a03167e51ad817d",
-        "gamma": "7d2069cc74d144c25cc301d7a326b820cade8eebc6516f63c3af6d1e6b3af367",
+        "coef_full": "4c4226c9051d824bbd283fd80e074305bae6f83a1102998f147b10916c28c78b",
+        "gamma": "37525578d81af16b25aa9157657cc4feccd6db12f7b7017ceb3755f557e55aa2",
         "factors": {
-            "lam": "a3b5b3674efc66b599a7bc9bd8b033291bc2dffcdc25f48534a70649cb7a0cc5",
-            "B": "1617a2ab4847ee79757c4b10a1179b5dd555d6c8d862de31943771bf276fa3fe",
+            "lam": "3ca60ccc934d281328a531165f75aa398bc103b845a85f9c6b08fbd4f8c89189",
+            "B": "64cc43e11b6571f3f6b9f361e2d4edb612816ee892eeaf5dbb3d9f41e58da2e6",
         },
         "iterations": 13,
         "converged": True,
@@ -460,18 +481,21 @@ GOLDEN = {
     # re-recorded for CP extrapolation (accepted 10 of 15 times): the capped
     # 15-iteration path ends at 67.5889 instead of 68.1164 (-0.77%); coef_full moved 65%
     # of its largest entry
+    # re-recorded when CP's block designs became one X_i @ b product per record
+    # and fit_cp read its predictors off them (rounding): final objective
+    # +2.1e-16 relative, coef_full moved 4.0e-15 of its largest entry
     "cp_rank1": {
         "objective_trace": [
-            2101.637821488973, 304.7687924266278, 82.80300457173018, 71.21302211407396,
-            70.03476603111224, 69.95842832223352, 69.90990967089017, 69.75629387463385,
-            69.30888702075283, 68.75393036589463, 68.38372677096774, 68.15786997787723,
-            67.91450453915354, 67.81769627896003, 67.64573778990133, 67.58887052025818,
+            2101.637821488973, 304.7687924266278, 82.80300457173018, 71.213022114074,
+            70.03476603111224, 69.95842832223352, 69.90990967089016, 69.75629387463377,
+            69.30888702075259, 68.75393036589458, 68.3837267709676, 68.15786997787717,
+            67.9145045391534, 67.81769627896003, 67.64573778990129, 67.5888705202582,
         ],
-        "coef_full": "a58997e3346e30dce48b1bfe1381743448b0a0340ec8c852d9c5e7f957f2b4da",
-        "gamma": "6f8e35303b5cfebb84bfa2e2ffc9fd2ccb9da044c81d550624a8d4f27840621d",
+        "coef_full": "e528169a429ae5868a4498df590ccf101afe381d2ba2c79f9e0bc1e72d146297",
+        "gamma": "430702a2a84e825ed5fb90ef190a56e0b28f870a965b1419a0e8f909826b8eba",
         "factors": {
-            "B1": "524e235e0b8bf672b694986b5540e1519d29e2cd387d88675042f449a1e0f39c",
-            "B2": "1602dd6fdddc2c67829724f2c29d9ac7b7d108061682b5b2ca4ccdd61bdbcd15",
+            "B1": "5c65419977c58131d1260c076d3154dba64c2480574ab92ed4c7f7876234bde1",
+            "B2": "32e7ba157ce78d7cbabab9dab90834f25a9f506831a57cc232f7cd37abe37046",
         },
         "iterations": 15,
         "converged": False,
