@@ -39,7 +39,6 @@ from .simulate import (
     SignalShape,
     SimSpec,
     gen_dataset,
-    random_correlation,
     shape_signal,
     synth_dataset,
 )

@@ -84,15 +84,17 @@ def _fit_estimator(data, config, estimator):
     if estimator == "pipeline":
         solvers.check_rank(config.rank, data.p)  # before the CP fit
         cp_result = solvers.fit_cp(data, config)
-        result = evaluate._fit_one(data, config, estimator, cp_result)
+        result = evaluate.ESTIMATORS["sym_tensor"](data, config, cp_result)
         return result, {"baseline_cp": {
             "converged": bool(cp_result.converged),
             "iterations": int(cp_result.iterations),
             **cp_result.meta,
         }}
     if estimator != "sym_tensor":
-        return evaluate._fit_one(data, config, estimator), {}
-    # bare sym_tensor: seeded random B from lam = 0; the first lam-GLM sets lam
+        return evaluate.ESTIMATORS[estimator](data, config), {}
+    # The one fork from evaluate.ESTIMATORS, where the table's sym_tensor is
+    # `pipeline`: bare sym_tensor is a seeded random B from lam = 0, and the
+    # first lam-GLM sets lam. One meaning for the name is ROADMAP item 4.
     rng = np.random.default_rng(config.seed)
     init = solvers.SymCPFactors(None, rng.standard_normal((data.p, config.rank)))
     return solvers.fit_sym_tensor(data, config, init), {}
@@ -233,7 +235,7 @@ def build_parser():
     p_fit.add_argument("data")
     p_fit.add_argument(
         "--estimator",
-        choices=["cp", "sym_cp", "sym_tensor", "pipeline"],
+        choices=[*evaluate.ESTIMATORS, "pipeline"],
         default="pipeline",
     )
     p_fit.add_argument("--rank", type=int, default=defaults.rank)

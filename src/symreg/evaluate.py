@@ -19,7 +19,16 @@ from .solvers import (
     fit_sym_cp,
 )
 
-ESTIMATORS = ("cp", "sym_cp", "sym_tensor")
+# The one estimator table of cv_select, replicate_experiment and the CLI:
+# name -> fit(data, config, cp_result=None). cp_result, a CP fit on the same
+# data and config, spares each fit a CP fit of its own. sym_tensor is the
+# constructed-init pipeline. cp looks fit_cp up at call time, so a wrapper
+# set on this module's fit_cp sees its calls.
+ESTIMATORS = {
+    "cp": lambda data, config, cp_result=None: cp_result or fit_cp(data, config),
+    "sym_cp": fit_sym_cp,
+    "sym_tensor": default_pipeline,
+}
 # constant XOR'ed into a replication seed to draw its held-out evaluation set
 TEST_SEED_SALT = 0x5EED5EED
 
@@ -52,7 +61,7 @@ class CvPlan:
 class ExperimentSpec:
     sim: SimSpec
     config: FitConfig
-    estimators: tuple = ESTIMATORS
+    estimators: tuple = tuple(ESTIMATORS)
     replications: int = 1
 
     def __post_init__(self):
@@ -110,21 +119,6 @@ def kfold_split(n, plan):
     return [np.sort(np.asarray(f, dtype=int)) for f in folds]
 
 
-def _fit_one(data, config, estimator, cp_result=None):
-    """Fit one estimator; sym_tensor always uses the constructed-init pipeline.
-
-    cp_result, a CP fit on the same data and config, spares sym_cp and the
-    pipeline a CP fit of their own.
-    """
-    if estimator == "cp":
-        return fit_cp(data, config)
-    if estimator == "sym_cp":
-        return fit_sym_cp(data, config, cp_result)
-    if estimator in ("sym_tensor", "pipeline"):
-        return default_pipeline(data, config, cp_result)
-    raise ValueError(f"unknown estimator {estimator!r}")
-
-
 def predict_mean(result, data):
     eta = result.predict_eta(data.Z, data.X)
     return data.family.mean(eta)
@@ -149,11 +143,14 @@ class CvSelection:
 def cv_select(data, plan, config, estimator="sym_tensor"):
     """Grid search (rho, rank) by k-fold CV on held-out prediction MSE.
 
-    Failed fits exclude their grid point (recorded in failures). Ties prefer
-    larger rho, then smaller rank. When every grid point fails, the
-    NumericalError names the number of failed fits and each distinct reason
-    once, with its count.
+    estimator names an ESTIMATORS entry; any other name is a ValueError
+    before the first fit. Failed fits exclude their grid point (recorded in
+    failures). Ties prefer larger rho, then smaller rank. When every grid
+    point fails, the NumericalError names the number of failed fits and
+    each distinct reason once, with its count.
     """
+    if estimator not in ESTIMATORS:
+        raise ValueError(f"unknown estimator {estimator!r}")
     folds = kfold_split(data.n, plan)
     grid = [(rho, rank) for rho in plan.rho_grid for rank in plan.rank_grid]
     fold_mse = np.full((plan.k, len(grid)), np.nan)
@@ -162,14 +159,14 @@ def cv_select(data, plan, config, estimator="sym_tensor"):
     # every grid point's config, and the pipeline's rank bound, are checked
     # before the first fold is fit
     configs = [replace(config, rank=rank, rho=rho) for rho, rank in grid]
-    if estimator in ("sym_tensor", "pipeline"):
+    if estimator == "sym_tensor":
         for rank in plan.rank_grid:
             check_rank(rank, data.p)
     for g, cfg in enumerate(configs):
         for f, test_idx in enumerate(folds):
             train_idx = np.setdiff1d(all_idx, test_idx)
             try:
-                res = _fit_one(data.take(train_idx), cfg, estimator)
+                res = ESTIMATORS[estimator](data.take(train_idx), cfg)
             except NumericalError as exc:
                 failures.append((g, f, str(exc)))
                 continue
@@ -202,8 +199,9 @@ def cv_select(data, plan, config, estimator="sym_tensor"):
 def _replication_metrics(spec, rep):
     """Metrics for every requested estimator on one seeded replication.
 
-    Shares work: CP is fitted once, and that fit is the cp result, the base
-    of sym_cp and the init source of the sym_tensor pipeline.
+    Shares work: CP is fitted once and passed to every ESTIMATORS entry as
+    cp_result, so it is the cp result, the base of sym_cp and the init
+    source of the sym_tensor pipeline.
     Both samples are drawn as gen_dataset draws sim, in sim.family from the
     true B = signal_scale * shape signal, which mse_coef scores against.
     mse_pred_in is on the training sample (seed rep_seed); mse_pred_out on a
@@ -220,7 +218,7 @@ def _replication_metrics(spec, rep):
     cp_result = fit_cp(data, spec.config)
     out = {}
     for est in spec.estimators:
-        res = cp_result if est == "cp" else _fit_one(data, spec.config, est, cp_result)
+        res = ESTIMATORS[est](data, spec.config, cp_result)
         out[est] = {
             "mse_coef": mse_coef(res.coef_full, b0),
             "mse_pred_in": mse_pred(predict_mean(res, data), data.y),

@@ -6,12 +6,13 @@
 # majorize G (the scalar step 1/eigmax(G) where it cannot): the gaussian
 # loss is that quadratic, and bernoulli runs it inside proximal Newton on
 # the loss's weighted quadratic model. IRLS and proximal Newton take each
-# step from one logistic model (_logistic_model) and one step-halving search
-# (_damped_step). The matrix solvers build all of their block updates from
-# these.
+# step from one logistic model (_logistic_model) and the one step-halving
+# search (_damped_step), which the gaussian symmetric B block shares. The
+# matrix solvers build all of their block updates from these.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -117,6 +118,11 @@ class GlmProblem:
     def q(self):
         return self.Z.shape[1]
 
+    def objective(self, coef, rho=0.0):
+        """(eta, negloglik + rho*||coef||_1) at coef."""
+        eta = self.Z @ coef + self.offset
+        return eta, self.family.negloglik(self.y, eta) + rho * float(np.abs(coef).sum())
+
 
 def _check_finite_ls(Z, r):
     # LAPACK given a non-finite input prints to the terminal, spins or returns nan
@@ -159,16 +165,20 @@ def _logistic_model(problem, eta):
     return Z.T @ (mu - problem.y), lambda: Z.T @ (w[:, None] * Z)
 
 
-def _damped_step(problem, x, step, rho, f):
-    """The first of x + 2^-j step, j = 0 .. 29, whose negloglik + rho*||.||_1
-    is at most f, as (candidate, its eta, its objective); None if none is."""
-    Z, y, offset, fam = problem.Z, problem.y, problem.offset, problem.family
+def _damped_step(x, step, evaluate, f):
+    """The one step-halving search, of IRLS, proximal Newton and the gaussian
+    symmetric B block (solvers._prox_linear_B).
+
+    evaluate maps a candidate to (its predictor, its objective); a GLM's is
+    GlmProblem.objective. Returns (candidate, predictor, objective) for the
+    first candidate x + 2^-j step, j = 0 .. 29, whose objective is at most
+    f; None if none is.
+    """
     for halvings in range(30):
         cand = x + 0.5**halvings * step
-        eta = Z @ cand + offset
-        cand_f = fam.negloglik(y, eta) + rho * float(np.abs(cand).sum())
-        if cand_f <= f:
-            return cand, eta, cand_f
+        pred, obj = evaluate(cand)
+        if obj <= f:
+            return cand, pred, obj
     return None
 
 
@@ -177,7 +187,8 @@ def fit_glm(problem, coef0=None, info=None):
 
     gaussian reduces to least squares of (y - offset) on Z, solved by lstsq;
     a non-finite Z or y - offset raises ValueError before LAPACK runs.
-    bernoulli runs IRLS (Newton, _logistic_model) with step halving
+    bernoulli runs IRLS (Newton, _logistic_model) with step halving by the
+    one search of IRLS, proximal Newton and the gaussian symmetric B block
     (_damped_step) until lambda^2/2 = -grad.step/2, the decrease the full
     step predicts (Boyd & Vandenberghe 2004, 9.5), is <= NEWTON_TOL *
     max(1, |nll|): far above nll's rounding, far below the outer tol, so the
@@ -208,7 +219,7 @@ def fit_glm(problem, coef0=None, info=None):
         if -0.5 * float(grad @ step) <= NEWTON_TOL * max(1.0, abs(nll)):
             converged = True
             break
-        accepted = _damped_step(problem, coef, step, 0.0, nll)
+        accepted = _damped_step(coef, step, problem.objective, nll)
         if accepted is None:
             raise GlmConvergenceError(
                 "IRLS objective increases with step halving exhausted"
@@ -497,20 +508,20 @@ def _lasso_newton(problem, rho, x, max_iter, kkt_tol):
     At x the loss's second-order model (_logistic_model, as in fit_glm's
     IRLS) has G = Z'WZ and c = G x - grad. _lasso_quadratic solves it
     inexactly, to max(kkt_tol, 0.1 * x's scaled residual), from the
-    iterations left of max_iter. The step to its solution goes through
-    fit_glm's search, _damped_step, at this rho; a search that runs out, or
-    a step that moves nothing, ends the call.
+    iterations left of max_iter. The step to its solution goes through the
+    one step-halving search, _damped_step (fit_glm's and
+    solvers._prox_linear_B's), on the objective at this rho; a search that
+    runs out, or a step that moves nothing, ends the call.
     """
-    Z, y, offset, fam = problem.Z, problem.y, problem.offset, problem.family
-    grad0 = Z.T.dot(fam.dnll_deta(y, offset))
+    evaluate = partial(problem.objective, rho=rho)
+    grad0 = problem.Z.T.dot(problem.family.dnll_deta(problem.y, problem.offset))
     scale = _kkt_scale(grad0, rho)
-    eta = Z.dot(x) + offset
-    f = fam.negloglik(y, eta) + rho * float(np.abs(x).sum())
+    eta, f = evaluate(x)
     trace, used = [f], 0
     # rho >= ||grad0||_inf makes 0 optimal, so try it first: where every
     # weight is far below its floor the Newton model is too stiff to get there
     if rho >= np.abs(grad0).max() and np.count_nonzero(x):
-        accepted = _damped_step(problem, x, -x, rho, f)
+        accepted = _damped_step(x, -x, evaluate, f)
         if accepted is not None:
             x, eta, f = accepted
             trace.append(f)
@@ -523,7 +534,7 @@ def _lasso_newton(problem, rho, x, max_iter, kkt_tol):
         x1, inner = _lasso_quadratic(G, G.dot(x) - grad, 0.0, rho, x, max_iter - used,
                                      max(kkt_tol, 0.1 * kkt), scale)
         used += inner["iterations"]
-        accepted = _damped_step(problem, x, x1 - x, rho, f)
+        accepted = _damped_step(x, x1 - x, evaluate, f)
         if accepted is None or not np.count_nonzero(accepted[0] - x):
             break
         x, eta, f = accepted

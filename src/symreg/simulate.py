@@ -92,11 +92,6 @@ def _gram(a):
     return a
 
 
-def random_correlation(p, rng):
-    """One random correlation matrix: random_correlations(1, p, rng)[0]."""
-    return random_correlations(1, p, rng)[0]
-
-
 @dataclass(frozen=True)
 class SimSpec:
     """One simulated design: the true B is signal_scale times the 0/1 signal

@@ -25,6 +25,8 @@ from .glm import (
     Family,
     GlmProblem,
     NumericalError,
+    _damped_step,
+    _solve_ls,
     _solve_ridged,
     fit_glm,
     fit_glm_lasso,
@@ -290,8 +292,10 @@ class FitResult:
         return Z @ self.gamma + X.reshape(X.shape[0], -1) @ self.coef_full.ravel()
 
 
-def _loss(data, eta, factors, rho):
-    pen = sum(float(np.abs(m).sum()) for m in factors.matrices)
+def _loss(data, eta, matrices, rho):
+    """The one penalized objective of the fits: negloglik at eta plus rho
+    times the l1 norm of every factor matrix in matrices."""
+    pen = sum(float(np.abs(m).sum()) for m in matrices)
     return data.family.negloglik(data.y, eta) + rho * pen
 
 
@@ -307,7 +311,7 @@ def objective(data, gamma, factors, rho):
     smallest at the balance of (c*B1, B2/c), so it has no such direction.
     """
     eta = data.Z @ gamma + data.xop.inner(factors.to_full())
-    return _loss(data, eta, factors, rho)
+    return _loss(data, eta, factors.matrices, rho)
 
 
 def _grad_B(data, B, lam, w):
@@ -408,10 +412,10 @@ class _FactorBlocks:
     symmetric block b_other = B diag(lam)), and on symmetric X the factor
     b_other A with A antisymmetric adds nothing to its predictor. So at
     R >= 2 every block is rank-deficient, and least-squares blocks there go
-    straight to the ridge solve that fit_glm's lstsq would fall back to
-    (glm_info["ridged"]); at R = 1 they run fit_glm. Lasso blocks stop at a
-    KKT residual of CP_LASSO_KKT_TOL relative to the block (see
-    fit_glm_lasso).
+    straight to the ridge solve that lstsq would fall back to
+    (glm_info["ridged"]); at R = 1 they run lstsq (_solve_ls, the solve of a
+    gaussian fit_glm). Lasso blocks stop at a KKT residual of
+    CP_LASSO_KKT_TOL relative to the block (see fit_glm_lasso).
 
     One _FactorBlocks serves one fit, and record() is that fit's
     FitResult.meta, the same five scalars for every estimator and family:
@@ -434,14 +438,12 @@ class _FactorBlocks:
 
     def solve(self, design, offset, b):
         data, (p, R) = self.data, b.shape
-        if self.least_squares and R >= 2:
-            return _solve_ridged(design, data.y - offset, self.glm_info).reshape(p, R)
-        problem = GlmProblem(data.y, design, offset, data.family)
         if self.least_squares:
-            return fit_glm(problem, info=self.glm_info).reshape(p, R)
+            solve = _solve_ridged if R >= 2 else _solve_ls
+            return solve(design, data.y - offset, self.glm_info).reshape(p, R)
         info = {}
         coef = fit_glm_lasso(
-            problem,
+            GlmProblem(data.y, design, offset, data.family),
             self.rho,
             coef0=b.ravel(),
             max_iter=CP_LASSO_MAX_ITER,
@@ -471,27 +473,23 @@ def _prox_linear_B(data, zoff, factors, rho, blocks):
     blocks.solve (exact at rho = 0, the lasso warm-started at B0 at
     rho > 0): for the gaussian loss this is Gauss-Newton, and the
     prox-linear method (Lewis & Wright 2016; Drusvyatskiy & Paquette 2019).
-    Then it takes the first B0 + 2^-h (B_lin - B0), h = 0 .. 29, whose
-    penalized objective (at offset zoff) is at most B0's; if none is, B0 is
-    kept. A non-finite predictor raises ValueError (negloglik's). Returns B
-    and its predictor part xb_i = <B L B', X_i>.
+    Then the one step-halving search of glm, _damped_step, takes the first
+    B0 + 2^-h (B_lin - B0), h = 0 .. 29, whose penalized objective (_loss,
+    at offset zoff) is at most B0's; if none is, B0 is kept. A non-finite
+    predictor raises ValueError (negloglik's). Returns B and its predictor
+    part xb_i = <B L B', X_i>.
     """
     lam, B0 = factors.lam, factors.B
 
     def evaluate(B):
         xb = data.xop.inner(symcp_to_full(lam, B))
-        nll = data.family.negloglik(data.y, zoff + xb)
-        return xb, nll + rho * float(np.abs(B).sum())
+        return xb, _loss(data, zoff + xb, [B], rho)
 
     xb0, f0 = evaluate(B0)
     J = 2.0 * data.xop.block_design(B0 * lam)
     step = blocks.solve(J, zoff + xb0 - J @ B0.ravel(), B0) - B0
-    for h in range(30):
-        B = B0 + 0.5**h * step
-        xb, f = evaluate(B)
-        if f <= f0:
-            return B, xb
-    return B0, xb0
+    accepted = _damped_step(B0, step, evaluate, f0)
+    return (B0, xb0) if accepted is None else accepted[:2]
 
 
 def _block_descent(data, config, factors, update_factors, blocks):
@@ -522,13 +520,13 @@ def _block_descent(data, config, factors, update_factors, blocks):
     converged = False
     try:
         xb = data.xop.inner(factors.to_full())
-        trace = [_loss(data, data.Z @ gamma + xb, factors, config.rho)]
+        trace = [_loss(data, data.Z @ gamma + xb, factors.matrices, config.rho)]
         while not converged and iterations < config.max_outer_iters:
             iterations += 1
             problem = GlmProblem(data.y, data.Z, xb, data.family)
             gamma = fit_glm(problem, coef0=gamma, info=blocks.glm_info)
             factors, xb = update_factors(gamma, factors)
-            obj = _loss(data, data.Z @ gamma + xb, factors, config.rho)
+            obj = _loss(data, data.Z @ gamma + xb, factors.matrices, config.rho)
             if not np.isfinite(obj):
                 raise NumericalError(
                     f"non-finite objective at outer iteration {iterations}"
@@ -628,14 +626,13 @@ def fit_cp(data, config):
         d2 = data.xop.block_design(b2)
         plain = CPFactors(b1, b2)
         xb = d1 @ b2.ravel()
-        f = _loss(data, zoff + xb, plain, config.rho)
+        f = _loss(data, zoff + xb, plain.matrices, config.rho)
         with np.errstate(all="ignore"):
             ext = [m + w * (m - m0) for m, m0 in zip(plain.matrices, prev)]
             xb_ext = (d1 + w * (d1 - prev_designs[0])) @ ext[1].ravel()
             f_ext = math.nan
             if np.all(np.isfinite(zoff + xb_ext)):
-                pen = sum(float(np.abs(m).sum()) for m in ext)
-                f_ext = data.family.negloglik(data.y, zoff + xb_ext) + config.rho * pen
+                f_ext = _loss(data, zoff + xb_ext, ext, config.rho)
         accept = f_ext < f  # so f_ext is finite; False on a nan f_ext
         design = d2 + w * (d2 - prev_designs[1]) if accept else d2
         w = w * CP_EXTRAPOLATE_GROW if accept else w / 2.0

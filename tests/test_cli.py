@@ -460,7 +460,7 @@ def test_fit_solver_failure_exits_5(sim_dir, tmp_path, monkeypatch, error):
     def fail(*args, **kwargs):
         raise error("forced failure")
 
-    monkeypatch.setattr(evaluate, "default_pipeline", fail)
+    monkeypatch.setitem(evaluate.ESTIMATORS, "sym_tensor", fail)
     out = tmp_path / "f"
     assert run("fit", sim_dir, "--estimator", "pipeline", "--out", out) == 5
     assert not (out / "metrics.json").exists()
@@ -575,7 +575,7 @@ def test_cv_every_grid_point_failing_exits_5(tmp_path, monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise GlmConvergenceError("forced failure")
 
-    monkeypatch.setattr(evaluate, "_fit_one", fail)
+    monkeypatch.setitem(evaluate.ESTIMATORS, "sym_tensor", fail)
     ds = make_strata_dataset(tmp_path)
     out = tmp_path / "cv"
     assert run("cv", ds, "--k", "3", "--rho-grid", "0.5", "--rank-grid", "1",
@@ -587,9 +587,27 @@ def test_cv_every_grid_point_failing_exits_5(tmp_path, monkeypatch, capsys):
     assert list(out.iterdir()) == []
 
 
+def test_fit_pipeline_at_the_cv_selection_is_the_cv_estimator(sim_dir, tmp_path):
+    # cv scores evaluate.ESTIMATORS["sym_tensor"]; fit --estimator pipeline at
+    # the selected (rho, rank) writes that estimator's full-data fit
+    cv = tmp_path / "cv"
+    assert run("cv", sim_dir, "--k", "2", "--rho-grid", "0.5,2", "--rank-grid", "1,2",
+               "--max-outer-iters", "20", "--out", cv) == 0
+    selected = json.loads((cv / "selected.json").read_text())
+    out = tmp_path / "fit"
+    assert run("fit", sim_dir, "--estimator", "pipeline", "--rank", selected["rank"],
+               "--rho", selected["rho"], "--max-outer-iters", "20", "--out", out) in (0, 4)
+    data, _ = read_dataset(sim_dir)
+    cfg = FitConfig(rank=selected["rank"], rho=selected["rho"], max_outer_iters=20)
+    res = evaluate.ESTIMATORS["sym_tensor"](data, cfg)
+    write_matrix_csv(tmp_path / "want.csv", res.coef_full)
+    assert (out / "coef_full.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert read_matrix_csv(out / "coef_full.csv").tobytes() == res.coef_full.tobytes()
+
+
 def test_cv_rank_above_p_exits_2_before_any_fit(sim_dir, tmp_path, monkeypatch, capsys):
     calls = []
-    monkeypatch.setattr(evaluate, "_fit_one", lambda *args: calls.append(args))
+    monkeypatch.setitem(evaluate.ESTIMATORS, "sym_tensor", lambda *args: calls.append(args))
     out = tmp_path / "cv"
     assert run("cv", sim_dir, "--k", "2", "--rho-grid", "0.5", "--rank-grid", "1,17",
                "--out", out) == 2
@@ -771,14 +789,14 @@ def test_manifest_contract(sim_dir, tmp_path, monkeypatch, command):
 
 
 def test_cv_failures_json_and_manifest_replay(tmp_path, monkeypatch):
-    fit_one = evaluate._fit_one
+    fit_cp = evaluate.ESTIMATORS["cp"]
 
-    def fail_at_rho_half(data, config, estimator):
+    def fail_at_rho_half(data, config, cp_result=None):
         if config.rho == 0.5:
             raise GlmConvergenceError("forced failure")
-        return fit_one(data, config, estimator)
+        return fit_cp(data, config, cp_result)
 
-    monkeypatch.setattr(evaluate, "_fit_one", fail_at_rho_half)
+    monkeypatch.setitem(evaluate.ESTIMATORS, "cp", fail_at_rho_half)
     ds = make_strata_dataset(tmp_path)
     a, b = tmp_path / "a", tmp_path / "b"
     assert run("cv", ds, "--k", "3", "--rho-grid", "0,0.5", "--rank-grid", "1",

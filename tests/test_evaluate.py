@@ -173,6 +173,19 @@ def test_cv_selection_is_argmin_with_parsimony_ties():
             assert (-(rho), rank) >= (-(sel.rho), sel.rank)
 
 
+@pytest.mark.parametrize("estimator", ["pipeline", "nope"])
+def test_cv_rejects_a_name_outside_the_table_before_any_fit(estimator, monkeypatch):
+    # fit's `pipeline` spelling is not an ESTIMATORS entry: cv scores the
+    # table's sym_tensor, which is that fit
+    calls = []
+    for name in evaluate.ESTIMATORS:
+        monkeypatch.setitem(evaluate.ESTIMATORS, name, lambda *args: calls.append(args))
+    plan = CvPlan(rho_grid=(0.1,), rank_grid=(1,), k=3, seed=5)
+    with pytest.raises(ValueError, match=f"unknown estimator '{estimator}'"):
+        cv_select(small_dataset(), plan, FitConfig(rank=1, rho=0.1, **FAST), estimator)
+    assert calls == []
+
+
 # ---------------------------------------------------------------- replicate
 
 def test_replicate_single_run_has_zero_sd():

@@ -4,7 +4,6 @@ import pytest
 from symreg import BERNOULLI, SHAPE_NAMES, SignalShape, SimSpec
 from symreg.simulate import (
     gen_dataset,
-    random_correlation,
     random_correlations,
     shape_signal,
     synth_dataset,
@@ -53,26 +52,26 @@ def test_unknown_shape_rejected():
 
 def test_correlation_unit_diagonal(rng):
     for _ in range(5):
-        x = random_correlation(8, rng)
+        x = random_correlations(1, 8, rng)[0]
         assert np.array_equal(np.diag(x), np.ones(8))
         assert np.array_equal(x, x.T)
 
 
 def test_correlation_bounded_entries(rng):
     for _ in range(20):
-        x = random_correlation(6, rng)
+        x = random_correlations(1, 6, rng)[0]
         assert np.max(np.abs(x)) <= 1.0 + 1e-12
 
 
 def test_correlation_positive_semidefinite():
     for seed in range(100):
-        x = random_correlation(16, np.random.default_rng(seed))
+        x = random_correlations(1, 16, np.random.default_rng(seed))[0]
         assert np.linalg.eigvalsh(x).min() >= -1e-10
 
 
 def test_correlation_rejects_p1(rng):
     with pytest.raises(ValueError):
-        random_correlation(1, rng)
+        random_correlations(1, 1, rng)
 
 
 def _one_at_a_time(n, p, rng):

@@ -11,6 +11,7 @@ from symreg import (
     GAUSSIAN,
     CPFactors,
     Dataset,
+    Family,
     FitConfig,
     GlmProblem,
     SymCPFactors,
@@ -27,7 +28,7 @@ from symreg import (
     prox_update_B,
 )
 from symreg import solvers
-from symreg.simulate import SignalShape, random_correlation, shape_signal, synth_dataset
+from symreg.simulate import SignalShape, shape_signal, synth_dataset
 from symreg.glm import _solve_ls, _solve_ridged, soft_threshold
 from symreg.solvers import PROX_BATCH, NumericalError
 from symreg.tensor_ops import symcp_to_full, symmetrize
@@ -501,6 +502,32 @@ def test_gaussian_B_block_never_raises_objective(seed, rank, rho, voided, n):
     after = SymCPFactors(lam, B)
     assert objective(data, gamma, after, rho) <= objective(data, gamma, before, rho)
     assert np.array_equal(xb, data.xop.inner(after.to_full()))
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.3])
+def test_gaussian_B_block_exhausted_step_search_keeps_B0(rho, rng, monkeypatch):
+    # every candidate scores above B0's objective: the one step-halving
+    # search (glm._damped_step) runs out after 30 halvings, and the block
+    # keeps B0 and its predictor. Neither the least-squares nor the lasso
+    # solve of the linearized block evaluates the loss
+    data = toy_dataset(rng, n=40)
+    gamma = rng.standard_normal(2)
+    before = SymCPFactors(rng.standard_normal(2), rng.standard_normal((4, 2)))
+    xb0 = data.xop.inner(before.to_full())
+    real = Family.negloglik
+    calls = []
+
+    def rising(self, y, eta):
+        calls.append(None)
+        return real(self, y, eta) + (1e6 if len(calls) > 1 else 0.0)
+
+    monkeypatch.setattr(Family, "negloglik", rising)
+    B, xb = solvers._prox_linear_B(
+        data, data.Z @ gamma, before, rho, solvers._FactorBlocks(data, rho)
+    )
+    assert len(calls) == 1 + 30  # B0, then one search of 30 halvings
+    assert B.tobytes() == before.B.tobytes()
+    assert xb.tobytes() == xb0.tobytes()
 
 
 @pytest.mark.parametrize("family", [GAUSSIAN, BERNOULLI])
