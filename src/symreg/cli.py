@@ -47,6 +47,13 @@ def _add_solver_flags(p, defaults):
         p.add_argument(flag, type=type(default), default=default)
 
 
+def _add_signal_flags(p):
+    """simulate's and replicate's flags for the simulated family and signal."""
+    p.add_argument("--family", choices=["gaussian", "bernoulli"], default="gaussian")
+    p.add_argument("--signal-scale", type=float, default=1.0,
+                   help="multiplies the 0/1 signal matrix of --shape")
+
+
 def _outdir(args):
     """--out, created and probed for writing before any fit runs."""
     out = Path(args.out)
@@ -183,7 +190,9 @@ def cmd_replicate(args):
     specs = [
         evaluate.ExperimentSpec(
             sim=simulate.SimSpec(shape=simulate.SignalShape(shape_name, args.p), n=n,
-                                 sigma=args.sigma, seed=args.seed),
+                                 sigma=args.sigma, seed=args.seed,
+                                 family=Family(args.family),
+                                 signal_scale=args.signal_scale),
             config=config, estimators=estimators, replications=args.replications,
         )
         for shape_name in shapes for n in n_list
@@ -206,7 +215,8 @@ def cmd_replicate(args):
     io.write_json(out / "failures.json", failures)
     return EXIT_OK, dict(
         shape=shapes, p=args.p, n_list=n_list, estimators=estimators,
-        replications=args.replications, sigma=args.sigma, **_config_snapshot(config),
+        replications=args.replications, sigma=args.sigma, family=args.family,
+        signal_scale=args.signal_scale, **_config_snapshot(config),
     ), []
 
 
@@ -225,9 +235,7 @@ def build_parser():
     p_sim.add_argument("--p0", type=int, default=5)
     p_sim.add_argument("--sigma", type=float, default=1.0)
     p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--family", choices=["gaussian", "bernoulli"], default="gaussian")
-    p_sim.add_argument("--signal-scale", type=float, default=1.0,
-                       help="multiplies the 0/1 signal matrix of --shape")
+    _add_signal_flags(p_sim)
     p_sim.add_argument("--out", required=True)
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -268,6 +276,7 @@ def build_parser():
     p_rep.add_argument("--rank", type=int, default=defaults.rank)
     p_rep.add_argument("--rho", type=float, default=defaults.rho)
     p_rep.add_argument("--sigma", type=float, default=1.0)
+    _add_signal_flags(p_rep)
     _add_solver_flags(p_rep, defaults)
     p_rep.add_argument("--out", required=True)
     p_rep.set_defaults(func=cmd_replicate)

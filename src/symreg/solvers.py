@@ -8,7 +8,8 @@
 #                     depends on the family: gaussian B is one prox-linear
 #                     (Gauss-Newton) step solved like a CP factor block,
 #                     bernoulli B takes proximal-gradient steps with
-#                     soft-thresholding (prox_update_B)
+#                     soft-thresholding and a backtracking search that
+#                     starts near its last accepted step (prox_update_B)
 # plus the eigen-decomposition initializer and the full pipeline
 # (sym-CP fit -> eigen init -> symmetric fit). fit_cp and fit_sym_tensor share
 # one outer loop, _block_descent, and one factor-block solver, _FactorBlocks.
@@ -35,12 +36,6 @@ from .glm import (
 from .tensor_ops import check_symmetric, cp_to_full, khatri_rao, symcp_to_full, symmetrize
 
 
-# Line-search candidates tested per pass over X in prox_update_B. On the
-# benchmark fits a step accepts after 1-19 halvings, so one batch of 24
-# almost always holds the accepted step. Over the half-width rows (p = 32,
-# n = 500, one thread) a 24-column gemm takes 0.45 ms, about as much as 6
-# single-candidate gemvs of 0.08 ms.
-PROX_BATCH = 24
 # stopping rule of the l1-GLM factor blocks (rho > 0, or bernoulli CP); the
 # KKT tolerance is relative to the block's scale (see fit_glm_lasso)
 CP_LASSO_MAX_ITER = 500
@@ -52,6 +47,12 @@ CP_EXTRAPOLATE_START = 1.0
 CP_EXTRAPOLATE_GROW = 1.5
 CP_EXTRAPOLATE_MAX = 8.0
 CP_EXTRAPOLATE_MIN = 0.25
+# where prox_update_B's step search starts (see prox_update_B): a later step
+# of one call at PROX_STEP_GROW times the last accepted step, the first step
+# of a later call at PROX_CALL_GROW times it, never above delta0. Powers of
+# two, so every step tried is a rung of the ladder delta0 * 2^-j
+PROX_STEP_GROW = 2.0
+PROX_CALL_GROW = 16.0
 
 
 class CovariateOperator:
@@ -190,7 +191,8 @@ class FitConfig:
     tol: float = 1e-4
     seed: int = 0
     # prox_update_B's (the bernoulli B block's) steps per outer iteration and
-    # its step ladder, delta0 * 2^-j for j = 0 .. line_search_max_halvings;
+    # its step ladder, delta0 * 2^-j for j = 0 .. line_search_max_halvings,
+    # which each search enters near its last accepted step (PROX_*_GROW);
     # no caller sets them, so they are constants of the class, not fields
     prox_steps: ClassVar[int] = 5
     delta0: ClassVar[float] = 1.0
@@ -319,84 +321,67 @@ def _grad_B(data, B, lam, w):
     return 2.0 * (data.xop.weighted_sum(w) @ B) * lam
 
 
-def prox_update_B(data, gamma, factors, rho, config, trace=None):
+def prox_update_B(data, gamma, factors, rho, config, start=None, trace=None):
     """config.prox_steps proximal-gradient steps on B with backtracking.
 
     Each step soft-thresholds S - delta*grad at rho*delta for delta on the
     ladder delta0 * 2^-j, j = 0 .. line_search_max_halvings, and accepts the
-    first delta at which nll(S+) is finite and the quadratic majorization
-    nll(S+) <= nll(S) + <grad, S+ - S> + ||S+ - S||_F^2/(2 delta)  holds.
-    Exhausting the ladder keeps S; non-progress is legal. Returns the final
-    B and its predictor part xb_i = <B diag(lam) B', X_i>.
+    first delta it tries at which nll(S+) is finite and the quadratic
+    majorization nll(S+) <= nll(S) + <grad, S+ - S> + ||S+ - S||_F^2/(2 delta)
+    holds. The search starts near the step accepted last and may grow from
+    it (Beck & Teboulle 2009; Scheinberg, Goldfarb & Bai 2014): the call's
+    first step starts at delta0 when start is None and at
+    min(delta0, PROX_CALL_GROW * start) otherwise, each later step at
+    min(delta0, PROX_STEP_GROW * last), last the step accepted before it.
+    From its start a search halves until a candidate passes; if none down to
+    the ladder's last rung does, S is kept and the steps stop (non-progress
+    is legal). A non-finite candidate predictor raises ValueError
+    (negloglik's).
 
-    The ladder is tested PROX_BATCH candidates at a time: one gemm over the
-    half-width rows of data.xop forms the batch's linear predictors (one
-    pass over X instead of one per candidate). At rho = 0 the candidate is
-    B - delta*grad, and on symmetric X its predictor is the quadratic
-    eta - 2 delta e1 + delta^2 e2 with e1 = <X_i, B diag(lam) grad'> and
-    e2 = <X_i, grad diag(lam) grad'>: one two-column gemm per step then
-    serves every batch. Either way the accepted B's eta and nll are
-    recomputed as for an unbatched candidate, so B, eta and nll do not
-    depend on how the candidates were screened. At p = 32,
-    n = 500 on one thread a step costs one weighted_sum for the gradient
-    (0.08 ms), one screen (0.45 ms per 24-candidate batch at rho > 0; 0.12 ms
-    for the e1, e2 pair at rho = 0) and one gemv for the accepted predictor
-    (0.08 ms).
+    Returns the final B, its predictor part xb_i = <B diag(lam) B', X_i>, and
+    last, the last step accepted (start if none was), which fit_sym_tensor
+    hands to its next call as start. Candidates are tried one at a time, and
+    the accepted one's predictor pass is xb and the next step's eta. So at
+    p = 32, n = 500 on one thread a step costs one weighted_sum for the
+    gradient (0.08 ms) and one gemv per candidate tried (0.08 ms), about 2.6
+    of them per step on the logistic benchmark fits, whose accepted steps
+    lie 9-17 halvings below delta0 = 1.
     """
     lam = factors.lam
     B = factors.B.copy()
     zoff = data.Z @ gamma
     y, fam = data.y, data.family
-    ladder = config.delta0 * 0.5 ** np.arange(config.line_search_max_halvings + 1)
-
-    moved = True
-    for k in range(config.prox_steps + 1):
-        xb = data.xop.inner(symcp_to_full(lam, B))
-        eta = zoff + xb
-        nll = fam.negloglik(y, eta)
-        if k == config.prox_steps or not moved:
-            break
+    floor = config.delta0 * 0.5**config.line_search_max_halvings
+    last, grow = start, PROX_CALL_GROW
+    xb = data.xop.inner(symcp_to_full(lam, B))
+    eta = zoff + xb
+    nll = fam.negloglik(y, eta)
+    for _ in range(config.prox_steps):
         grad = _grad_B(data, B, lam, fam.dnll_deta(y, eta))
-        if rho == 0:
-            glam = grad * lam
-            e1, e2 = data.xop.inner(np.stack([B @ glam.T, grad @ glam.T]))
-        delta = None
-        for lo in range(0, ladder.size, PROX_BATCH):
-            deltas = ladder[lo : lo + PROX_BATCH]
-            step = deltas[:, None, None]
-            cands = soft_threshold(B - step * grad, rho * step)
-            diffs = (cands - B).reshape(deltas.size, -1)
-            if rho == 0:
-                etas = eta - 2.0 * deltas[:, None] * e1 + deltas[:, None] ** 2 * e2
-            else:
-                etas = zoff + data.xop.inner(symcp_to_full(lam, cands))
-            # tried in order, the search would stop at the first non-finite eta
-            finite = np.isfinite(etas).all(axis=1)
-            reached = deltas.size if finite.all() else int(np.argmin(finite))
-            d = diffs[:reached]
-            cand_nll = fam.negloglik(y, etas[:reached])
-            lin = np.sum(grad.ravel() * d, axis=1)
-            sq = np.sum(d * d, axis=1)
+        delta = config.delta0 if last is None else min(config.delta0, grow * last)
+        grow = PROX_STEP_GROW
+        while delta >= floor:
+            cand = soft_threshold(B - delta * grad, rho * delta)
+            cand_xb = data.xop.inner(symcp_to_full(lam, cand))
+            cand_eta = zoff + cand_xb
+            cand_nll = fam.negloglik(y, cand_eta)
+            diff = cand - B
             # slack covers float cancellation once the true decrease is ~eps*|nll|;
             # an overflowed cand_nll would make it inf and pass any test
-            slack = 1e-14 * (1.0 + abs(nll) + np.abs(cand_nll))
-            bound = nll + lin + sq / (2.0 * deltas[:reached]) + slack
-            ok = np.isfinite(cand_nll) & (cand_nll <= bound)
-            if ok.any():
-                j = int(np.argmax(ok))
-                delta, cand, diff = float(deltas[j]), cands[j], diffs[j]
+            slack = 1e-14 * (1.0 + abs(nll) + abs(cand_nll))
+            bound = nll + np.sum(grad * diff) + np.sum(diff * diff) / (2.0 * delta)
+            if math.isfinite(cand_nll) and cand_nll <= bound + slack:
                 break
-            if reached < deltas.size:
-                raise ValueError(
-                    f"non-finite linear predictor at step size {deltas[reached]!r}"
-                )
+            delta /= 2.0
+        accepted = delta >= floor
         if trace is not None:
-            trace.append({"delta": delta, "accepted": delta is not None})
-        if delta is None:
+            trace.append({"delta": delta if accepted else None, "accepted": accepted})
+        if not accepted:
             break
-        B = cand.copy()
-        moved = np.any(diff)
-    return B, xb
+        B, xb, eta, nll, last = cand, cand_xb, cand_eta, cand_nll, delta
+        if not np.any(diff):
+            break
+    return B, xb, last
 
 
 class _FactorBlocks:
@@ -556,15 +541,20 @@ def fit_sym_tensor(data, config, init):
     block. Bernoulli B is prox_steps proximal-gradient steps, prox_update_B:
     the prox-linear step measured slower there, and predicted worse, and it
     runs no lasso, so meta (see _FactorBlocks.record) reports 0 lasso calls.
-    An init built without lam starts at lam = 0, so the first outer
-    iteration's lam-GLM sets it.
+    The last step size the prox steps accepted is carried across outer
+    iterations, as fit_cp carries its extrapolation weight: each call after
+    the first starts its step search near the step the call before it
+    accepted (prox_update_B's start). An init built without lam starts at
+    lam = 0, so the first outer iteration's lam-GLM sets it.
     """
     p, R = data.p, config.rank
     if init.B.shape != (p, R):
         raise ValueError(f"init B must be {(p, R)}, got {init.B.shape}")
     blocks = _FactorBlocks(data, config.rho)
+    last = None  # prox_update_B's last accepted step
 
     def update(gamma, factors):
+        nonlocal last
         zoff = data.Z @ gamma
         design = data.xop.quad_forms(factors.B)
         problem = GlmProblem(data.y, design, zoff, data.family)
@@ -573,7 +563,9 @@ def fit_sym_tensor(data, config, init):
         if data.family == GAUSSIAN:
             B, xb = _prox_linear_B(data, zoff, factors, config.rho, blocks)
         else:
-            B, xb = prox_update_B(data, gamma, factors, config.rho, config)
+            B, xb, last = prox_update_B(
+                data, gamma, factors, config.rho, config, start=last
+            )
         return SymCPFactors(lam, B), xb
 
     return _block_descent(data, config, init, update, blocks)

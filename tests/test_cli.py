@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from symreg import FitConfig, construct_init, evaluate, fit_sym_tensor
+from symreg import FitConfig, construct_init, evaluate, fit_sym_tensor, solvers
 from symreg.cli import main
 from symreg.glm import BERNOULLI, GAUSSIAN, GlmConvergenceError
 from symreg.solvers import NumericalError
@@ -683,6 +683,34 @@ def test_replicate_summary_counts_capped_fits(tmp_path):
     }
 
 
+def test_replicate_bernoulli_runs_the_logistic_study(tmp_path, monkeypatch):
+    # --family and --signal-scale reach every simulated draw, as in simulate,
+    # and the pipeline's symmetric fit runs the bernoulli B block's prox steps
+    draws, prox_calls = [], []
+    real_synth, real_prox = evaluate.synth_dataset, solvers.prox_update_B
+
+    def synth_spy(b0, *args, **kwargs):
+        draws.append((float(b0.max()), kwargs["family"]))
+        return real_synth(b0, *args, **kwargs)
+
+    def prox_spy(*args, **kwargs):
+        prox_calls.append(None)
+        return real_prox(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "synth_dataset", synth_spy)
+    monkeypatch.setattr(solvers, "prox_update_B", prox_spy)
+    out = tmp_path / "rep"
+    assert run("replicate", "--shape", "two_box", "--p", "16", "--n-list", "60",
+               "--replications", "1", "--family", "bernoulli", "--signal-scale", "0.3",
+               "--out", out) in (0, 4)
+    header, *rows = [row.split(",") for row in read_lines(out / "summary.csv")]
+    assert [row[header.index("failures")] for row in rows] == ["0", "0", "0"]
+    assert draws == [(0.3, BERNOULLI)] * 2  # the training and the held-out draw
+    assert prox_calls
+    config = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["config"]
+    assert (config["family"], config["signal_scale"]) == ("bernoulli", 0.3)
+
+
 def test_replicate_unknown_estimator_exits_2(tmp_path):
     assert run("replicate", "--shape", "two_box", "--p", "16", "--n-list", "40",
                "--replications", "1", "--estimators", "magic",
@@ -754,7 +782,8 @@ MANIFEST_CASES = {
          "--replications", "1", "--estimators", "cp", "--rank", "1",
          "--max-outer-iters", "5"], 0,
         {**SOLVER_DEFAULTS, "shape": ["two_box"], "p": 16, "n_list": [20],
-         "estimators": ["cp"], "replications": 1, "sigma": 1.0, "rank": 1,
+         "estimators": ["cp"], "replications": 1, "sigma": 1.0,
+         "family": "gaussian", "signal_scale": 1.0, "rank": 1,
          "rho": 0.0, "max_outer_iters": 5},
     ),
 }

@@ -30,7 +30,7 @@ from symreg import (
 from symreg import solvers
 from symreg.simulate import SignalShape, shape_signal, synth_dataset
 from symreg.glm import _solve_ls, _solve_ridged, soft_threshold
-from symreg.solvers import PROX_BATCH, NumericalError
+from symreg.solvers import NumericalError
 from symreg.tensor_ops import symcp_to_full, symmetrize
 
 from conftest import grad_loss_B, overflow_dataset, random_symmetric
@@ -166,7 +166,7 @@ def test_prox_huge_rho_zeroes_B(rng, monkeypatch):
     data = toy_dataset(rng, n=15, p=3, p0=0)
     factors = SymCPFactors(np.ones(2), rng.standard_normal((3, 2)))
     cfg = _prox_config(monkeypatch, 2, 1e12, prox_steps=1)
-    out, _ = prox_update_B(data, np.zeros(0), factors, 1e12, cfg)
+    out, _, _ = prox_update_B(data, np.zeros(0), factors, 1e12, cfg)
     assert np.array_equal(out, np.zeros((3, 2)))
 
 
@@ -176,7 +176,7 @@ def test_prox_fixed_point_at_zero_gradient(rng):
     eta = data.xop.inner(factors.to_full())
     exact = Dataset(eta, data.Z, data.X, GAUSSIAN)
     cfg = FitConfig(rank=2, rho=0.0)
-    out, _ = prox_update_B(exact, np.zeros(0), factors, 0.0, cfg)
+    out, _, _ = prox_update_B(exact, np.zeros(0), factors, 0.0, cfg)
     assert np.array_equal(out, factors.B)
 
 
@@ -188,7 +188,7 @@ def test_prox_scalar_step_matches_brute_force(monkeypatch):
     factors = SymCPFactors(np.array([1.0]), np.array([[b0_val]]))
     cfg = _prox_config(monkeypatch, 1, rho, prox_steps=1)
     trace = []
-    out, _ = prox_update_B(data, np.zeros(0), factors, rho, cfg, trace=trace)
+    out, _, _ = prox_update_B(data, np.zeros(0), factors, rho, cfg, trace=trace)
     assert trace[0]["accepted"]
     delta = trace[0]["delta"]
     grad = (b0_val**2 - y) * 2.0 * b0_val
@@ -198,44 +198,54 @@ def test_prox_scalar_step_matches_brute_force(monkeypatch):
     assert abs(out[0, 0] - brute) <= 1e-3
 
 
-def reference_prox_update_B(data, gamma, factors, rho, config, trace=None):
-    """The unbatched line search: one X pass per candidate, tried in order.
+def reference_prox_update_B(data, gamma, factors, rho, config, start=None, trace=None):
+    """The step search written with rung indices: one X pass per candidate,
+    rung j's step delta0 * 2**-j, tried in order from the start rung.
 
-    Every pass goes through the same covariate operator as prox_update_B.
+    The call's first step starts at rung 0 without a start, else 4 rungs
+    above the start's (16x); each later step 1 rung above the rung accepted
+    before it (2x); never above rung 0. start must be a rung. Every pass goes
+    through the same covariate operator as prox_update_B. Returns (B, xb,
+    last) as prox_update_B does.
     """
     lam = factors.lam
     B = factors.B.copy()
     zoff = data.Z @ gamma
     y, fam = data.y, data.family
+    last, rung, up = start, None, 4
+    if start is not None:
+        rung = round(np.log2(config.delta0 / start))
+        assert config.delta0 * 0.5**rung == start
 
-    def nll_of(Bmat):
-        eta = zoff + data.xop.inner(symcp_to_full(lam, Bmat))
-        return fam.negloglik(y, eta), eta
+    def eval_at(Bmat):
+        xb = data.xop.inner(symcp_to_full(lam, Bmat))
+        eta = zoff + xb
+        return fam.negloglik(y, eta), eta, xb
 
-    nll, eta = nll_of(B)
+    nll, eta, xb = eval_at(B)
     for _ in range(config.prox_steps):
         w = fam.dnll_deta(y, eta)
         grad = 2.0 * (data.xop.weighted_sum(w) @ B) * lam
-        delta, accepted = config.delta0, False
-        for _ in range(config.line_search_max_halvings + 1):
+        first = 0 if rung is None else max(rung - up, 0)
+        up, accepted = 1, False
+        for j in range(first, config.line_search_max_halvings + 1):
+            delta = config.delta0 * 0.5**j
             cand = soft_threshold(B - delta * grad, rho * delta)
             diff = cand - B
-            cand_nll, cand_eta = nll_of(cand)
+            cand_nll, cand_eta, cand_xb = eval_at(cand)
             slack = 1e-14 * (1.0 + abs(nll) + abs(cand_nll))
-            if np.isfinite(cand_nll) and cand_nll <= nll + float(
-                np.sum(grad * diff)
-            ) + float(np.sum(diff * diff)) / (2.0 * delta) + slack:
+            lin, sq = float(np.sum(grad * diff)), float(np.sum(diff * diff))
+            if np.isfinite(cand_nll) and cand_nll <= nll + lin + sq / (2.0 * delta) + slack:
                 accepted = True
                 break
-            delta /= 2.0
         if trace is not None:
             trace.append({"delta": delta if accepted else None, "accepted": accepted})
         if not accepted:
             break
-        B, nll, eta = cand, cand_nll, cand_eta
+        B, nll, eta, xb, last, rung = cand, cand_nll, cand_eta, cand_xb, delta, j
         if not np.any(diff):
             break
-    return B
+    return B, xb, last
 
 
 def _prox_problem(seed, family):
@@ -246,12 +256,16 @@ def _prox_problem(seed, family):
     return data, gamma, SymCPFactors(rng.standard_normal(r), rng.standard_normal((p, r)))
 
 
-def _run_both(data, gamma, factors, rho, cfg):
+def _run_both(data, gamma, factors, rho, cfg, start=None):
     trace, ref_trace = [], []
-    out, xb = prox_update_B(data, gamma, factors, rho, cfg, trace=trace)
-    ref = reference_prox_update_B(data, gamma, factors, rho, cfg, trace=ref_trace)
+    out, xb, last = prox_update_B(data, gamma, factors, rho, cfg, start=start, trace=trace)
+    ref, ref_xb, ref_last = reference_prox_update_B(
+        data, gamma, factors, rho, cfg, start=start, trace=ref_trace
+    )
     assert trace == ref_trace
     assert np.array_equal(out, ref)
+    assert np.array_equal(xb, ref_xb)
+    assert last == ref_last
     # the predictor part handed back is that of the returned B
     assert np.array_equal(xb, data.xop.inner(symcp_to_full(factors.lam, out)))
     return out, trace
@@ -261,13 +275,24 @@ def _halvings(trace, cfg):
     return [round(np.log2(cfg.delta0 / s["delta"])) for s in trace if s["accepted"]]
 
 
+# starts as rungs of the default ladder: none; at delta0 and two rungs below
+# it, where the 16x start clips to delta0; near the steps these problems
+# accept; far below them, where the first candidate passes and later steps
+# grow back 2x at a time; and so deep that the call's first search starts
+# past the ladder's last rung and tries nothing
+PROX_START_RUNGS = (None, 0, 2, 5, 12, 30, 49, 56)
+
+
 @pytest.mark.parametrize("family", [GAUSSIAN, BERNOULLI])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_prox_batched_matches_sequential(family, seed, monkeypatch):
+    # the warm-started search against the reference's rung-by-rung one
     data, gamma, factors = _prox_problem(seed, family)
     for rho, steps in [(0.0, 1), (0.0, 5), (0.0, 20), (0.3, 5), (0.3, 20)]:
         cfg = _prox_config(monkeypatch, 3, rho, prox_steps=steps)
-        _run_both(data, gamma, factors, rho, cfg)
+        for rung in PROX_START_RUNGS:
+            start = None if rung is None else cfg.delta0 * 0.5**rung
+            _run_both(data, gamma, factors, rho, cfg, start)
     # a small delta0 is accepted at once, on the ladder's first rung
     cfg = _prox_config(monkeypatch, 3, 0.3, prox_steps=3, delta0=2.0**-12)
     _, trace = _run_both(data, gamma, factors, 0.3, cfg)
@@ -284,19 +309,20 @@ def test_prox_batched_matches_sequential_when_rho_zeroes_entries(family):
 
 @pytest.mark.parametrize("family", [GAUSSIAN, BERNOULLI])
 def test_prox_batched_matches_sequential_across_batches(family, monkeypatch):
-    # a large delta0 puts the accepted step past the first batch of candidates
+    # a large delta0 puts every accepted step more than 24 rungs down the
+    # ladder: the first search walks that far, the later ones start near it
     data, gamma, factors = _prox_problem(4, family)
     for rho in (0.3, 0.0):
         cfg = _prox_config(monkeypatch, 3, rho, prox_steps=4, delta0=2.0**30)
         _, trace = _run_both(data, gamma, factors, rho, cfg)
-        assert min(_halvings(trace, cfg)) >= PROX_BATCH
+        assert min(_halvings(trace, cfg)) >= 24
 
 
 @pytest.mark.parametrize("family", [GAUSSIAN, BERNOULLI])
 def test_prox_exhausted_budget_keeps_B(family, monkeypatch):
     data, gamma, factors = _prox_problem(5, family)
     for rho in (0.3, 0.0):
-        for halvings in (3, PROX_BATCH, 2 * PROX_BATCH + 1):
+        for halvings in (3, 24, 49):
             cfg = _prox_config(monkeypatch, 3, rho, delta0=2.0**80,
                                line_search_max_halvings=halvings)
             out, trace = _run_both(data, gamma, factors, rho, cfg)
@@ -337,11 +363,11 @@ def test_prox_rejects_overflowed_negloglik(monkeypatch):
 
 @pytest.mark.parametrize("family", [GAUSSIAN, BERNOULLI])
 def test_prox_rho0_huge_steps_agree_with_sequential(family, monkeypatch):
-    # at rho = 0 the predictors come from a quadratic in delta, not from the
-    # reconstructions; both must overflow, or not, at the same steps
+    # at rho = 0 the candidate B - delta*grad is not thresholded; huge steps
+    # must overflow, or not, at the same rungs in both searches
     data, gamma, factors = _prox_problem(6, family)
     with np.errstate(all="ignore"):
-        # delta^2 overflows: the first candidate's predictor is not finite
+        # the first candidate's predictor is not finite
         for delta0 in (1e300, 1e200, 1e160):
             cfg = _prox_config(monkeypatch, 3, delta0=delta0)
             with pytest.raises(ValueError):
@@ -353,6 +379,102 @@ def test_prox_rho0_huge_steps_agree_with_sequential(family, monkeypatch):
         out, trace = _run_both(data, gamma, factors, 0.0, cfg)
     assert trace == [{"delta": None, "accepted": False}]
     assert np.array_equal(out, factors.B)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    family=st.sampled_from([GAUSSIAN, BERNOULLI]),
+    rho=st.sampled_from([0.0, 0.05, 0.3, 2.0]),
+    start_rung=st.one_of(st.none(), st.integers(0, 40)),
+    steps=st.integers(1, 8),
+)
+def test_prox_steps_majorize_and_start_at_most_delta0(seed, family, rho, start_rung, steps):
+    # every accepted step passes the majorization test at its own delta, from
+    # the B and gradient its step started at; at rho > 0 the threshold
+    # rho * delta shows each step size tried, and no search starts above
+    # delta0 or above its rule (16x the start, then 2x the last step)
+    data, gamma, factors = _prox_problem(seed, family)
+    start = None if start_rung is None else 0.5**start_rung
+    starts, tried, trace = [], [], []
+    real_grad, real_soft = solvers._grad_B, solvers.soft_threshold
+
+    def grad_spy(data, B, lam, w):
+        g = real_grad(data, B, lam, w)
+        starts.append((B.copy(), g))
+        tried.append([])
+        return g
+
+    def soft_spy(v, t):
+        if rho > 0:
+            tried[-1].append(t / rho)
+        return real_soft(v, t)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FitConfig, "prox_steps", steps)
+        mp.setattr(solvers, "_grad_B", grad_spy)
+        mp.setattr(solvers, "soft_threshold", soft_spy)
+        cfg = FitConfig(rank=3, rho=rho)
+        out, _, last = prox_update_B(data, gamma, factors, rho, cfg, start=start,
+                                     trace=trace)
+    assert len(trace) == len(starts)
+    ends = [b for b, _ in starts[1:]] + [out]
+    expected = cfg.delta0 if start is None else min(cfg.delta0, 16 * start)
+    for (B, grad), B_next, step, deltas in zip(starts, ends, trace, tried):
+        if rho > 0:
+            assert deltas[0] == expected <= cfg.delta0
+            assert all(b == a / 2 for a, b in zip(deltas, deltas[1:]))
+        if not step["accepted"]:
+            assert np.array_equal(B_next, B)
+            break
+        delta = step["delta"]
+        assert delta <= cfg.delta0
+        assert np.array_equal(B_next, soft_threshold(B - delta * grad, rho * delta))
+        nll = objective(data, gamma, SymCPFactors(factors.lam, B), 0.0)
+        nll_next = objective(data, gamma, SymCPFactors(factors.lam, B_next), 0.0)
+        diff = B_next - B
+        slack = 1e-14 * (1.0 + abs(nll) + abs(nll_next))
+        assert nll_next <= (
+            nll + np.sum(grad * diff) + np.sum(diff * diff) / (2 * delta) + slack
+        )
+        expected = min(cfg.delta0, 2 * delta)
+    accepted = [s["delta"] for s in trace if s["accepted"]]
+    assert last == (accepted[-1] if accepted else start)
+
+
+def test_prox_pin_predictor_passes_per_step(monkeypatch):
+    # a 30-iteration bernoulli fit (p = 16, n = 160) tries few candidates per
+    # prox step: each search starts near the step accepted last, where
+    # searching from delta0 = 1 walks down the ladder anew at every step.
+    # Counted are the predictor passes prox_update_B makes, one per matrix
+    # handed to xop.inner, divided by its steps
+    b0 = 0.3 * shape_signal(SignalShape("two_box", 16))
+    data = synth_dataset(b0, 160, p0=2, seed=22, family=BERNOULLI)
+    init = SymCPFactors(None, np.random.default_rng(3).standard_normal((16, 3)))
+    passes, steps = [0], [0]
+    real_prox, real_inner = solvers.prox_update_B, solvers.CovariateOperator.inner
+    inside = [False]
+
+    def inner_spy(self, M):
+        if inside[0]:
+            M = np.asarray(M)
+            passes[0] += 1 if M.ndim == 2 else M.shape[0]
+        return real_inner(self, M)
+
+    def prox_spy(*args, **kwargs):
+        trace = []
+        inside[0] = True
+        try:
+            return real_prox(*args, **kwargs, trace=trace)
+        finally:
+            inside[0] = False
+            steps[0] += len(trace)
+
+    monkeypatch.setattr(solvers.CovariateOperator, "inner", inner_spy)
+    monkeypatch.setattr(solvers, "prox_update_B", prox_spy)
+    res = fit_sym_tensor(data, FitConfig(rank=3, rho=0.5, max_outer_iters=30), init)
+    assert res.iterations == 30 and steps[0] > 0
+    assert passes[0] / steps[0] <= 4.0
 
 
 # ---------------------------------------------------------------- fit_sym_tensor
@@ -547,6 +669,27 @@ def test_sym_tensor_B_block_follows_the_family(family, rng, monkeypatch):
     assert len(calls) == (res.iterations if family is BERNOULLI else 0)
     # a gaussian fit runs one B-block lasso per outer iteration, a bernoulli none
     assert res.meta["lasso_calls"] == (res.iterations if family is GAUSSIAN else 0)
+
+
+def test_sym_tensor_carries_the_prox_step_across_outer_iterations(rng, monkeypatch):
+    # the first B block searches from delta0 (start None), each later one
+    # from the last step that the call before it accepted
+    starts, lasts = [], []
+    real = solvers.prox_update_B
+
+    def spy(*args, **kwargs):
+        starts.append(kwargs["start"])
+        out = real(*args, **kwargs)
+        lasts.append(out[2])
+        return out
+
+    monkeypatch.setattr(solvers, "prox_update_B", spy)
+    data = toy_dataset(rng, n=60, family=BERNOULLI)
+    init = SymCPFactors(None, rng.standard_normal((4, 2)))
+    res = fit_sym_tensor(data, FitConfig(rank=2, rho=0.1, max_outer_iters=8), init)
+    assert len(starts) == res.iterations >= 2
+    assert starts == [None] + lasts[:-1]
+    assert all(last is not None for last in lasts)
 
 
 META_KEYS = {
