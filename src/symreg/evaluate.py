@@ -100,7 +100,9 @@ def kfold_split(n, plan):
 
     With strata, each class is shuffled and split independently so per-fold
     class counts differ by at most one; a class smaller than k is spread one
-    sample per fold until exhausted.
+    sample per fold until exhausted. Each class's chunks are dealt from the
+    fold where the last class stopped, so fold sizes also differ by at most
+    one and no fold is left empty.
     """
     if n < plan.k:
         raise ValueError(f"need n >= k, got n={n}, k={plan.k}")
@@ -112,10 +114,12 @@ def kfold_split(n, plan):
         if plan.strata.size != n:
             raise ValueError("strata length must equal n")
         groups = [np.flatnonzero(plan.strata == v) for v in np.unique(plan.strata)]
+    start = 0
     for members in groups:
         perm = members[rng.permutation(members.size)]
-        for f, chunk in enumerate(np.array_split(perm, plan.k)):
-            folds[f].extend(chunk.tolist())
+        for j, chunk in enumerate(np.array_split(perm, plan.k)):
+            folds[(start + j) % plan.k].extend(chunk.tolist())
+        start = (start + members.size) % plan.k
     return [np.sort(np.asarray(f, dtype=int)) for f in folds]
 
 

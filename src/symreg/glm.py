@@ -60,30 +60,20 @@ class Family:
         return _sigmoid(eta)
 
     def negloglik(self, y, eta):
-        """Negative log-likelihood of responses y at linear predictor eta.
-
-        eta of y's shape gives a float. A 2-D or higher eta whose last axis
-        matches a 1-D y is a batch of predictors: the result is an array with
-        one value per leading index, each equal to the unbatched value.
-        """
+        """Negative log-likelihood of responses y at linear predictor eta, a
+        float; eta must have y's shape."""
         y = np.asarray(y, dtype=float)
         eta = np.asarray(eta, dtype=float)
-        if eta.shape == y.shape:
-            axis = None
-        elif y.ndim == 1 and eta.ndim > 1 and eta.shape[-1] == y.size:
-            axis = -1
-        else:
+        if eta.shape != y.shape:
             raise ValueError(f"length mismatch: y {y.shape}, eta {eta.shape}")
         if not (np.all(np.isfinite(y)) and np.all(np.isfinite(eta))):
             raise ValueError("negloglik requires finite y and eta")
         if self.name == "gaussian":
-            value = 0.5 * np.sum((y - eta) ** 2, axis=axis)
-        else:
-            # log(1 + e^eta) - y*eta, overflow-safe for large |eta|; cheaper
-            # than np.logaddexp(0, eta), and within an ulp of it
-            softplus = np.maximum(eta, 0.0) + np.log1p(np.exp(-np.abs(eta)))
-            value = np.sum(softplus - y * eta, axis=axis)
-        return float(value) if axis is None else value
+            return float(0.5 * np.sum((y - eta) ** 2))
+        # log(1 + e^eta) - y*eta, overflow-safe for large |eta|; cheaper
+        # than np.logaddexp(0, eta), and within an ulp of it
+        softplus = np.maximum(eta, 0.0) + np.log1p(np.exp(-np.abs(eta)))
+        return float(np.sum(softplus - y * eta))
 
     def dnll_deta(self, y, eta):
         """Gradient of negloglik in eta; mu - y for both canonical links."""
@@ -232,11 +222,8 @@ def fit_glm(problem, coef0=None, info=None):
 
 
 def soft_threshold(v, t):
-    """Elementwise sign(x) * max(|x| - t, 0); the prox operator of t*||.||_1.
-
-    t may be an array that broadcasts against v, one threshold per slice.
-    """
-    if np.any(np.less(t, 0)):
+    """Elementwise sign(x) * max(|x| - t, 0); the prox operator of t*||.||_1."""
+    if t < 0:
         raise ValueError("threshold must be nonnegative")
     v = np.asarray(v, dtype=float)
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)

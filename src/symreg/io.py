@@ -162,7 +162,7 @@ def read_dataset(path, log_response=False):
         for row in reader:
             if not row:
                 continue
-            if len(row) < len(header):
+            if len(row) != len(header):
                 raise DataFormatError(f"line {reader.line_num} of {subjects} has "
                                       f"{len(row)} of {len(header)} columns")
             # an id names a file inside matrices/, never a path out of it

@@ -74,13 +74,13 @@ class CovariateOperator:
         self.rows = X[:, self._iu, self._ju]
 
     def _coefs(self, M):
-        """The weights c of M (or of each slice of a stack): rows @ c = <X_i, M>."""
+        """The weights c of M (or of each slice of a stack, as quad_forms
+        passes): rows @ c = <X_i, M>."""
         return (M[..., self._iu, self._ju] + M[..., self._ju, self._iu]) * self._half
 
     def inner(self, M):
-        """<X_i, M> for one p x p matrix, (n,); for a (k, p, p) stack, (k, n)."""
-        c = self._coefs(np.asarray(M))
-        return self.rows @ c if c.ndim == 1 else c @ self.rows.T
+        """<X_i, M> for a p x p matrix M, (n,)."""
+        return self.rows @ self._coefs(np.asarray(M))
 
     def weighted_sum(self, w):
         """sum_i w_i X_i, an exactly symmetric p x p matrix."""
@@ -216,6 +216,9 @@ class SymCPFactors:
     lam=None means lam = 0, so a symmetric fit from it starts at the zero
     coefficient matrix and its first lam-GLM sets lam. Individual lam_r may be
     exactly 0 (a voided rank); voided ranks are kept in place, never pruned.
+    A rank with b_r = 0 (for CP, both columns of the pair) stays at zero:
+    every block's design columns for it are zero, and so is the gradient in
+    its column, so no later update leaves it.
     """
 
     lam: np.ndarray | None  # an ndarray after construction

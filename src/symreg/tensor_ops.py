@@ -38,21 +38,14 @@ def khatri_rao(a, c):
 
 
 def symcp_to_full(lam, b):
-    """Reconstruct sum_r lam_r * b_r b_r^T = B diag(lam) B^T, exactly symmetric.
-
-    b may also be a (k, p, R) stack of factor matrices sharing lam; the result
-    is then (k, p, p), and each slice equals the reconstruction of b[i] bit
-    for bit (matmul runs the same BLAS product on every slice).
-    """
+    """Reconstruct sum_r lam_r * b_r b_r^T = B diag(lam) B^T, exactly symmetric."""
     lam = np.asarray(lam, dtype=float).ravel()
-    b = np.asarray(b, dtype=float)
-    if b.ndim not in (2, 3):
-        raise DimensionError(f"b must be p x R or k x p x R, got shape {b.shape}")
-    if lam.size != b.shape[-1]:
-        raise DimensionError(f"lambda length {lam.size} != {b.shape[-1]} columns")
-    full = (b * lam) @ b.swapaxes(-1, -2)
+    b = _as_matrix(b, "b")
+    if lam.size != b.shape[1]:
+        raise DimensionError(f"lambda length {lam.size} != {b.shape[1]} columns")
+    full = (b * lam) @ b.T
     # (M + M.T)/2 restores bitwise symmetry lost to BLAS summation order
-    return (full + full.swapaxes(-1, -2)) / 2.0
+    return (full + full.T) / 2.0
 
 
 def cp_to_full(b1, b2):

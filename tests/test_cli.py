@@ -387,14 +387,20 @@ def test_fit_meta_json_not_an_object_exits_2(sim_dir, tmp_path, capsys, content)
     assert not out.exists()
 
 
-@pytest.mark.parametrize("shape", ["header_id_only", "row_short", "header_only"])
+@pytest.mark.parametrize("shape", ["header_id_only", "row_short", "row_long",
+                                   "header_only"])
 def test_fit_short_subjects_csv_exits_2(sim_dir, tmp_path, capsys, shape):
     path = sim_dir / "subjects.csv"
     lines = read_lines(path)
+    width = len(lines[0].split(","))
     if shape == "header_id_only":
         lines = ["id"] + [line.split(",")[0] for line in lines[1:]]
     elif shape == "row_short":
         lines[2] = ",".join(lines[2].split(",")[:-1])  # drops the last covariate
+    elif shape == "row_long":
+        cells = lines[2].split(",")
+        cells[1] = "1,25"  # y written with a decimal comma
+        lines[2] = ",".join(cells)
     else:
         lines = lines[:1]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -404,6 +410,9 @@ def test_fit_short_subjects_csv_exits_2(sim_dir, tmp_path, capsys, shape):
     assert len(err) == 1 and err[0].startswith("symreg: invalid input:")
     if shape == "header_only":
         assert err == [f"symreg: invalid input: {path} lists no subjects"]
+    if shape == "row_long":
+        assert err == [f"symreg: invalid input: line 3 of {path} has "
+                       f"{width + 1} of {width} columns"]
     assert not out.exists()
 
 

@@ -85,29 +85,36 @@ def test_kfold_small_class_spread_one_per_fold():
     assert case_counts == [0, 1, 1]
 
 
+def test_kfold_many_small_classes_leave_no_fold_empty():
+    # six classes of 2 with k=3: dealing every class from fold 0 gave sizes
+    # [6, 6, 0], and cv_select then fit on all of the data
+    strata = np.repeat(np.arange(6.0), 2)
+    plan = CvPlan(rho_grid=(0.0,), rank_grid=(1,), k=3, strata=strata)
+    assert sorted(len(f) for f in kfold_split(12, plan)) == [4, 4, 4]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(5, 30),
     st.integers(2, 5),
-    st.booleans(),
+    st.sampled_from([None, 2, 4, 10, 30]),
     st.integers(0, 100),
 )
-def test_kfold_partition_property(n, k, use_strata, seed):
+def test_kfold_partition_property(n, k, n_classes, seed):
     if n < k:
         return
     strata = None
-    if use_strata:
-        strata = (np.arange(n) % 2).astype(float)
+    if n_classes is not None:
+        strata = (np.random.default_rng(seed).integers(0, n_classes, n)).astype(float)
     folds = kfold_split(n, CvPlan(rho_grid=(0.0,), rank_grid=(1,), k=k,
                                   strata=strata, seed=seed))
     allidx = np.concatenate(folds)
     assert len(allidx) == n
     assert len(np.unique(allidx)) == n
     sizes = [len(f) for f in folds]
-    if strata is None:
-        assert max(sizes) - min(sizes) <= 1
-    else:
-        for v in (0.0, 1.0):
+    assert max(sizes) - min(sizes) <= 1
+    if strata is not None:
+        for v in np.unique(strata):
             counts = [int((strata[f] == v).sum()) for f in folds]
             assert max(counts) - min(counts) <= 1
 

@@ -68,24 +68,15 @@ def test_negloglik_gradient_finite_differences(family, rng):
         assert np.all(np.abs(g - fd) <= 1e-6 * np.maximum(np.abs(g), 1.0))
 
 
-@pytest.mark.parametrize("family", [GAUSSIAN, BERNOULLI])
-def test_negloglik_batch_equals_rows(family, rng):
-    n = 40
-    y = (rng.random(n) < 0.5).astype(float)
-    etas = rng.standard_normal((3, 5, n)) * 3.0
-    batch = family.negloglik(y, etas)
-    assert batch.shape == (3, 5)
-    for idx in np.ndindex(3, 5):
-        assert batch[idx] == family.negloglik(y, etas[idx])
-    assert isinstance(family.negloglik(y, etas[0, 0]), float)
-
-
 def test_negloglik_batch_rejects_mismatch_and_non_finite():
     y = np.zeros(4)
     with pytest.raises(ValueError, match="length mismatch"):
-        GAUSSIAN.negloglik(y, np.zeros((2, 5)))
-    eta = np.zeros((2, 4))
-    eta[1, 2] = np.nan
+        GAUSSIAN.negloglik(y, np.zeros(5))
+    # a 2-D eta is no batch of predictors, even when its rows match y
+    with pytest.raises(ValueError, match="length mismatch"):
+        GAUSSIAN.negloglik(y, np.zeros((2, 4)))
+    eta = np.zeros(4)
+    eta[2] = np.nan
     with pytest.raises(ValueError, match="finite"):
         GAUSSIAN.negloglik(y, eta)
 
@@ -224,16 +215,6 @@ def test_soft_threshold_values():
 def test_soft_threshold_rejects_negative_t():
     with pytest.raises(ValueError):
         soft_threshold(np.ones(2), -0.1)
-
-
-def test_soft_threshold_array_threshold_matches_scalar(rng):
-    v = rng.standard_normal((4, 3, 2))
-    t = np.array([0.0, 0.1, 0.5, 2.0])
-    out = soft_threshold(v, t[:, None, None])
-    for k in range(4):
-        assert np.array_equal(out[k], soft_threshold(v[k], float(t[k])))
-    with pytest.raises(ValueError):
-        soft_threshold(v, np.array([0.1, -0.1, 0.0, 0.0])[:, None, None])
 
 
 @settings(max_examples=40)

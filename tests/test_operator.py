@@ -48,16 +48,6 @@ def test_inner_of_one_matrix(case, symmetric):
 
 
 @settings(max_examples=60, deadline=None)
-@given(datasets(), st.integers(1, 5))
-def test_inner_of_a_stack(case, k):
-    # CP's coef_full and the e1 term of the rho = 0 screen are not symmetric
-    data, rng = case
-    ms = np.stack([_matrix(rng, data.p, j % 2 == 0) for j in range(k)])
-    rows, flat = full_rows(data), ms.reshape(k, -1)
-    assert_close(data.xop.inner(ms), flat @ rows.T, np.abs(flat) @ np.abs(rows).T)
-
-
-@settings(max_examples=60, deadline=None)
 @given(datasets())
 def test_weighted_sum(case):
     data, rng = case
